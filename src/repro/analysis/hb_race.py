@@ -78,21 +78,24 @@ class RacePair:
         )
 
 
-_CONFLICT_KINDS = frozenset(
-    {OpKind.READ, OpKind.WRITE, OpKind.RMW, OpKind.CAS, OpKind.FREE}
-)
-_WRITE_KINDS = frozenset({OpKind.WRITE, OpKind.RMW, OpKind.CAS, OpKind.FREE})
-
-
-@dataclass
-class _Access:
-    event: Event
-    vc: VectorClock
-    held: Tuple[HeldLock, ...]
+#: One thread's latest access to an address: (event, its local time —
+#: its own thread's vector-clock component — and the locks held).
+_Access = Tuple[Event, int, Tuple[HeldLock, ...]]
 
 
 class HBAnalysis:
-    """Sweep result: per-event vector clocks plus the race report."""
+    """Sweep result: per-event vector clocks plus the race report.
+
+    Clocks are kept FastTrack-style.  An event that draws no
+    happens-before edge (a memory access, a marker, local work) only
+    advances its own thread's component, so the sweep does not build a
+    clock for it: it keeps the thread's last built clock plus the
+    event's *local time*.  Clocks come from tick and join alone, so an
+    event of thread ``t`` with local time ``k`` happens before an event
+    whose clock is ``C`` iff ``k <= C[t]`` — the race check is one
+    component lookup.  :attr:`event_vcs` builds the full per-event
+    clocks only when asked.
+    """
 
     def __init__(
         self,
@@ -103,11 +106,23 @@ class HBAnalysis:
         self.trace = trace
         self.use_lock_edges = use_lock_edges
         self.max_races = max_races
-        self.event_vcs: List[VectorClock] = []
         self.races: List[RacePair] = []
+        #: per event: (its thread's last built clock, the event's local time)
+        self._clock_parts: List[Tuple[VectorClock, int]] = []
+        self._event_vcs: Optional[List[VectorClock]] = None
         self._sweep()
 
     # -- public helpers ---------------------------------------------------
+
+    @property
+    def event_vcs(self) -> List[VectorClock]:
+        """Every event's vector clock, indexed by global index."""
+        if self._event_vcs is None:
+            self._event_vcs = [
+                vc.advanced(event.tid, local)
+                for event, (vc, local) in zip(self.trace.events, self._clock_parts)
+            ]
+        return self._event_vcs
 
     def vc_of(self, gidx: int) -> VectorClock:
         return self.event_vcs[gidx]
@@ -122,7 +137,10 @@ class HBAnalysis:
     # -- the sweep ----------------------------------------------------------
 
     def _sweep(self) -> None:
+        # thread_vc[tid] is the thread's last built clock; local[tid] its
+        # own component now, which runs ahead across edge-free events.
         thread_vc: Dict[int, VectorClock] = {}
+        local: Dict[int, int] = {}
         mutex_vc: Dict[str, VectorClock] = {}
         rwlock_vc: Dict[str, VectorClock] = {}
         sem_vc: Dict[str, VectorClock] = {}
@@ -134,6 +152,9 @@ class HBAnalysis:
 
         lock_counts: Dict[Tuple[int, str], int] = {}
         held: Dict[int, Dict[str, int]] = {}
+        # Sorted held-lock tuple per thread, rebuilt only after the
+        # thread's lockset changes (races record it per access).
+        held_now: Dict[int, Tuple[HeldLock, ...]] = {}
 
         # Per-address access history: addr -> tid -> last read / last write.
         reads: Dict[Address, Dict[int, _Access]] = {}
@@ -141,15 +162,43 @@ class HBAnalysis:
         region_addrs: Dict[Address, Set[Address]] = {}
 
         zero = VectorClock.zero()
+        parts = self._clock_parts
+        races = self.races
+
+        def clock_of(tid: int) -> VectorClock:
+            """The clock of thread ``tid``'s latest event."""
+            return thread_vc.get(tid, zero).advanced(tid, local.get(tid, 0))
 
         for event in self.trace.events:
             tid = event.tid
-            vc = thread_vc.get(tid, zero)
+            kind = event.kind
+            if not (kind.is_sync or kind is OpKind.SYSCALL):
+                # No outgoing edge, and an incoming one only on the first
+                # event after a spawn or wakeup; otherwise only the own
+                # component advances.
+                if tid in pending_join:
+                    vc = clock_of(tid).join(pending_join.pop(tid)).tick(tid)
+                    thread_vc[tid] = vc
+                    now = local[tid] = vc.get(tid)
+                else:
+                    now = local[tid] = local.get(tid, 0) + 1
+                    vc = thread_vc.get(tid, zero)
+                parts.append((vc, now))
+                if kind.is_memory and len(races) < self.max_races:
+                    locks = held_now.get(tid)
+                    if locks is None:
+                        locks = tuple(sorted(held.get(tid, {}).items()))
+                        held_now[tid] = locks
+                    self._check_access(
+                        event, now, vc, locks, reads, writes, region_addrs
+                    )
+                continue
+
+            vc = clock_of(tid)
 
             # Incoming edges --------------------------------------------------
             if tid in pending_join:
                 vc = vc.join(pending_join.pop(tid))
-            kind = event.kind
             if kind is OpKind.LOCK and self.use_lock_edges:
                 vc = vc.join(mutex_vc.get(event.obj, zero))
             elif kind is OpKind.TRYLOCK and event.value and self.use_lock_edges:
@@ -161,7 +210,7 @@ class HBAnalysis:
             elif kind is OpKind.SEM_ACQUIRE:
                 vc = vc.join(sem_vc.get(event.obj, zero))
             elif kind is OpKind.JOIN:
-                vc = vc.join(thread_vc.get(event.obj, zero))
+                vc = vc.join(clock_of(event.obj))
             elif kind is OpKind.SYSCALL and event.name in ("recv", "try_recv"):
                 # The k-th recv on a channel returns the k-th send's message.
                 chan = self._channel_of(event)
@@ -174,23 +223,23 @@ class HBAnalysis:
 
             vc = vc.tick(tid)
             thread_vc[tid] = vc
-            self.event_vcs.append(vc)
+            local[tid] = vc.get(tid)
+            parts.append((vc, local[tid]))
 
             # Lockset maintenance ------------------------------------------------
             tid_held = held.setdefault(tid, {})
-            if kind is OpKind.LOCK or (kind is OpKind.TRYLOCK and event.value):
+            if kind.is_lock and (kind is not OpKind.TRYLOCK or event.value):
                 key = (tid, event.obj)
                 lock_counts[key] = lock_counts.get(key, 0) + 1
                 tid_held[event.obj] = lock_counts[key]
-            elif kind in (OpKind.RDLOCK, OpKind.WRLOCK):
-                key = (tid, event.obj)
-                lock_counts[key] = lock_counts.get(key, 0) + 1
-                tid_held[event.obj] = lock_counts[key]
-            elif kind in (OpKind.UNLOCK, OpKind.RWUNLOCK):
+                held_now.pop(tid, None)
+            elif kind is OpKind.UNLOCK or kind is OpKind.RWUNLOCK:
                 tid_held.pop(event.obj, None)
+                held_now.pop(tid, None)
             elif kind is OpKind.COND_WAIT:
                 _, lock_name = event.obj
                 tid_held.pop(lock_name, None)
+                held_now.pop(tid, None)
 
             # Outgoing edges ------------------------------------------------------
             if kind is OpKind.UNLOCK:
@@ -227,12 +276,6 @@ class HBAnalysis:
                 if chan is not None:
                     channel_sends.setdefault(chan, []).append(vc)
 
-            # Race detection ------------------------------------------------------
-            if kind in _CONFLICT_KINDS and len(self.races) < self.max_races:
-                self._check_access(
-                    event, vc, tid_held, reads, writes, region_addrs
-                )
-
     @staticmethod
     def _channel_of(event: Event) -> Optional[str]:
         """Channel name of a send/recv/try_recv event (first syscall arg)."""
@@ -243,61 +286,83 @@ class HBAnalysis:
     def _check_access(
         self,
         event: Event,
+        now: int,
         vc: VectorClock,
-        tid_held: Dict[str, int],
+        held_now: Tuple[HeldLock, ...],
         reads: Dict[Address, Dict[int, _Access]],
         writes: Dict[Address, Dict[int, _Access]],
         region_addrs: Dict[Address, Set[Address]],
     ) -> None:
         addr = event.addr
-        held_now = tuple(sorted(tid_held.items()))
-        access = _Access(event, vc, held_now)
-        is_write = event.kind in _WRITE_KINDS
+        tid = event.tid
+        kind = event.kind
+        is_write = kind.is_write
+        is_free = kind is OpKind.FREE
 
         # Addresses this access conflicts with: itself, plus the whole
         # region when freeing a region name, plus the region name when
-        # accessing a cell (a FREE may sit there).
-        targets = {addr}
+        # accessing a cell (a FREE may sit there).  Only targets with a
+        # history can race, and a non-FREE access races across addresses
+        # only with a FREE, which is stored among the writes.
         region = region_of(addr)
-        if region != addr:
-            targets.add(region)
-        if event.kind is OpKind.FREE:
+        if is_free:
+            targets = {addr}
+            if region != addr:
+                targets.add(region)
             targets.update(region_addrs.get(addr, ()))
+            order: List[Address] = [
+                target for target in targets
+                if target in writes or target in reads
+            ]
+        elif region != addr and region in writes:
+            order = [region]
+            if addr in writes or (is_write and addr in reads):
+                order.append(addr)
+        else:
+            order = [addr]
+        if len(order) > 1:
+            # Deterministic iteration: set order depends on
+            # PYTHONHASHSEED, and race *ordering* feeds candidate
+            # ranking, which must be reproducible across processes.
+            order.sort(key=repr)
 
-        # Deterministic iteration: set order depends on PYTHONHASHSEED,
-        # and race *ordering* feeds candidate ranking, which must be
-        # reproducible across processes.
-        for target in sorted(targets, key=repr):
-            histories = [writes.get(target, {})]
-            if is_write:
-                histories.append(reads.get(target, {}))
-            for history in histories:
-                for other_tid, prev in history.items():
-                    if other_tid == event.tid:
+        races = self.races
+        for target in order:
+            for history in (writes.get(target), reads.get(target) if is_write else None):
+                if not history:
+                    continue
+                for other_tid, (prev, prev_local, prev_held) in history.items():
+                    if other_tid == tid:
                         continue
                     if target != addr and not (
-                        prev.event.kind is OpKind.FREE
-                        or event.kind is OpKind.FREE
+                        prev.kind is OpKind.FREE or is_free
                     ):
                         # Cross-address conflicts only involve region frees.
                         continue
-                    if not prev.vc.leq(vc):
-                        self.races.append(
+                    # ``vc`` may lag in this thread's own component only.
+                    if prev_local > vc.get(other_tid):
+                        races.append(
                             RacePair(
-                                first=prev.event,
+                                first=prev,
                                 second=event,
                                 addr=addr,
-                                held_first=prev.held,
+                                held_first=prev_held,
                                 held_second=held_now,
                             )
                         )
-                        if len(self.races) >= self.max_races:
+                        if len(races) >= self.max_races:
                             return
 
         table = writes if is_write else reads
-        table.setdefault(addr, {})[event.tid] = access
+        history = table.get(addr)
+        if history is None:
+            table[addr] = history = {}
+        history[tid] = (event, now, held_now)
         if region != addr:
-            region_addrs.setdefault(region, set()).add(addr)
+            cells = region_addrs.get(region)
+            if cells is None:
+                region_addrs[region] = cells = set()
+            cells.add(addr)
 
 
 def find_races(

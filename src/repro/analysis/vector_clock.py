@@ -22,22 +22,45 @@ class VectorClock:
             tid: ts for tid, ts in (clocks or {}).items() if ts > 0
         }
 
+    @classmethod
+    def _adopt(cls, clocks: Dict[int, int]) -> "VectorClock":
+        """Wrap a dict that holds no zero entries, without copying it."""
+        vc = cls.__new__(cls)
+        vc._clocks = clocks
+        return vc
+
     def get(self, tid: int) -> int:
         return self._clocks.get(tid, 0)
 
     def tick(self, tid: int) -> "VectorClock":
         """Advance one component (a thread performing a step)."""
-        clocks = dict(self._clocks)
+        clocks = self._clocks.copy()
         clocks[tid] = clocks.get(tid, 0) + 1
-        return VectorClock(clocks)
+        return VectorClock._adopt(clocks)
+
+    def advanced(self, tid: int, ts: int) -> "VectorClock":
+        """This clock with ``tid``'s component raised to at least ``ts``."""
+        if ts <= self._clocks.get(tid, 0):
+            return self
+        clocks = self._clocks.copy()
+        clocks[tid] = ts
+        return VectorClock._adopt(clocks)
 
     def join(self, other: "VectorClock") -> "VectorClock":
-        """Pointwise maximum — acquiring another clock's knowledge."""
-        clocks = dict(self._clocks)
+        """Pointwise maximum — acquiring another clock's knowledge.
+
+        Returns ``self`` when ``other`` adds nothing (e.g. the zero clock).
+        """
+        mine = self._clocks
+        merged = None
         for tid, ts in other._clocks.items():
-            if ts > clocks.get(tid, 0):
-                clocks[tid] = ts
-        return VectorClock(clocks)
+            if ts > mine.get(tid, 0):
+                if merged is None:
+                    merged = mine.copy()
+                merged[tid] = ts
+        if merged is None:
+            return self
+        return VectorClock._adopt(merged)
 
     def happens_before(self, other: "VectorClock") -> bool:
         """Strict: self <= other pointwise, and self != other."""
@@ -45,7 +68,11 @@ class VectorClock:
 
     def leq(self, other: "VectorClock") -> bool:
         """Pointwise less-or-equal."""
-        return all(ts <= other.get(tid) for tid, ts in self._clocks.items())
+        theirs = other._clocks
+        for tid, ts in self._clocks.items():
+            if ts > theirs.get(tid, 0):
+                return False
+        return True
 
     def concurrent_with(self, other: "VectorClock") -> bool:
         """Neither clock precedes the other."""

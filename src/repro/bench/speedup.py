@@ -47,6 +47,9 @@ E12_BUG = "radix-order-rank"
 E12_PARAMS: Dict[str, int] = {"workers": 5, "seg": 6}
 E12_NCPUS = 4
 E12_MAX_ATTEMPTS = 300
+#: Timed runs per arm; an arm reports its fastest (min-of-N: runs of the
+#: same command on a shared host vary by about 15%).
+E12_REPEATS = 3
 
 
 def host_cpu_count() -> int:
@@ -128,6 +131,17 @@ def _timed_reproduce(
     return report, time.perf_counter() - started
 
 
+def _fastest_reproduce(
+    recorded: RecordedRun, max_attempts: int, **kwargs: Any
+) -> "tuple[ReproductionReport, float]":
+    """:func:`_timed_reproduce` :data:`E12_REPEATS` times: the first
+    report (runs are deterministic) and the fastest wall time."""
+    report, wall = _timed_reproduce(recorded, max_attempts, **kwargs)
+    for _ in range(E12_REPEATS - 1):
+        wall = min(wall, _timed_reproduce(recorded, max_attempts, **kwargs)[1])
+    return report, wall
+
+
 def _same_outcome(a: ReproductionReport, b: ReproductionReport) -> bool:
     return (
         a.success == b.success
@@ -191,6 +205,10 @@ def run_speedup(
 ) -> BenchResult:
     """E12: serial vs pooled vs cached exploration of one workload.
 
+    Every arm is timed :data:`E12_REPEATS` times and reports its fastest
+    run; the cached re-walk's cold pass runs once, since only the first
+    walk over a fresh cache is cold.
+
     :param obs: optional :class:`~repro.obs.session.ObsSession` shared by
         every arm — each arm pays the same instrumentation cost, so the
         relative speedups stay honest.  Its metrics snapshot is attached
@@ -200,7 +218,7 @@ def run_speedup(
         recorded = e12_workload()
     arms: List[SpeedupArm] = []
 
-    serial_report, serial_wall = _timed_reproduce(
+    serial_report, serial_wall = _fastest_reproduce(
         recorded, max_attempts, obs=obs
     )
     arms.append(
@@ -216,8 +234,8 @@ def run_speedup(
     for n in jobs:
         if n <= 1:
             continue
-        report, wall = _timed_reproduce(recorded, max_attempts, jobs=n,
-                                        obs=obs)
+        report, wall = _fastest_reproduce(recorded, max_attempts, jobs=n,
+                                          obs=obs)
         arms.append(
             SpeedupArm(
                 label=f"pool jobs={n}",
@@ -237,8 +255,8 @@ def run_speedup(
     shared = AttemptCache()
     _cold_report, cold_wall = _timed_reproduce(recorded, max_attempts,
                                                cache=shared, obs=obs)
-    warm_report, warm_wall = _timed_reproduce(recorded, max_attempts,
-                                              cache=shared, obs=obs)
+    warm_report, warm_wall = _fastest_reproduce(recorded, max_attempts,
+                                                cache=shared, obs=obs)
     arms.append(
         SpeedupArm(
             label="cached re-walk",
@@ -275,6 +293,7 @@ def run_speedup(
         "ncpus_simulated": E12_NCPUS,
         "max_attempts": max_attempts,
         "host_cpus": cpus,
+        "repeats": E12_REPEATS,
         "sort_microbench": sort_microbench(repeats=sort_repeats),
         "note": (
             "pool-arm wall time needs spare host cores; attempt "
@@ -305,4 +324,6 @@ def run_speedup(
 
 def build_e12(obs=None) -> BenchResult:
     """Registry entry point (``pres bench e12``)."""
-    return run_speedup(obs=obs)
+    result = run_speedup(obs=obs)
+    result.meta["command"] = "pres bench e12"
+    return result

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.sim.events import Event
-from repro.sim.ops import MEMORY_KINDS, Address, Op, OpKind
+from repro.sim.ops import Address, Op, OpKind
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,7 @@ def _acquire_key(event_kind: OpKind, obj: object, value: object) -> Optional[str
     Mutex LOCK, successful TRYLOCK, and reader-writer acquisitions all
     count: each is a scheduling point whose order a flip can target.
     """
-    if event_kind in (OpKind.LOCK, OpKind.RDLOCK, OpKind.WRLOCK):
-        return obj
-    if event_kind is OpKind.TRYLOCK and value:
+    if event_kind.is_lock and (event_kind is not OpKind.TRYLOCK or value):
         return obj
     return None
 
@@ -159,17 +157,19 @@ class OccurrenceCounter:
         self._region: Dict[Tuple[int, Address], int] = {}
 
     def observe(self, event: Event) -> None:
-        """Account one executed event."""
-        if event.kind in MEMORY_KINDS:
+        """Account one executed event.  Counts only ever grow in a run."""
+        kind = event.kind
+        if kind.is_memory:
+            mem = self._mem
             key = (event.tid, event.addr)
-            self._mem[key] = self._mem.get(key, 0) + 1
+            mem[key] = mem.get(key, 0) + 1
+            region = self._region
             rkey = (event.tid, region_key(event.addr))
-            self._region[rkey] = self._region.get(rkey, 0) + 1
-        else:
-            mutex = _acquire_key(event.kind, event.obj, event.value)
-            if mutex is not None:
-                key = (event.tid, mutex)
-                self._lock[key] = self._lock.get(key, 0) + 1
+            region[rkey] = region.get(rkey, 0) + 1
+        elif kind.is_lock and (kind is not OpKind.TRYLOCK or event.value):
+            lock = self._lock
+            key = (event.tid, event.obj)
+            lock[key] = lock.get(key, 0) + 1
 
     def executed(self, ref: EventRef) -> bool:
         """Whether the named action has already happened."""
@@ -185,23 +185,20 @@ class OccurrenceCounter:
         """Whether executing ``op`` now would *be* the named action."""
         if tid != ref.tid:
             return False
-        if ref.family == "mem":
-            if op.kind not in MEMORY_KINDS or op.addr != ref.key:
+        family = ref.family
+        if family == "mem":
+            if not op.kind.is_memory or op.addr != ref.key:
                 return False
             done = self._mem.get((tid, op.addr), 0)
             return done + 1 == ref.occurrence
-        if ref.family == "region":
-            if op.kind not in MEMORY_KINDS or region_key(op.addr) != ref.key:
+        if family == "region":
+            if not op.kind.is_memory or region_key(op.addr) != ref.key:
                 return False
             done = self._region.get((tid, ref.key), 0)
             return done + 1 == ref.occurrence
         # lock family: TRYLOCK may fail, but blocking it until the
         # constraint is satisfied is still sound (just conservative).
-        if (
-            op.kind not in (OpKind.LOCK, OpKind.TRYLOCK, OpKind.RDLOCK,
-                            OpKind.WRLOCK)
-            or op.obj != ref.key
-        ):
+        if not op.kind.is_lock or op.obj != ref.key:
             return False
         done = self._lock.get((tid, op.obj), 0)
         return done + 1 == ref.occurrence
@@ -238,13 +235,17 @@ class ConstraintGate:
     def __init__(self, constraints: Iterable[OrderConstraint]) -> None:
         self.constraints: List[OrderConstraint] = list(constraints)
         self.counter = OccurrenceCounter()
-        # blocks() runs once per runnable thread per step — the hottest
-        # loop in an attempt.  A constraint can only block the thread its
-        # ``after`` ref names, so index by that tid and scan the (tiny)
-        # relevant slice instead of the whole set.
-        self._by_after_tid: Dict[int, List[OrderConstraint]] = {}
+        #: after-tid -> the constraints that may still block that thread.
+        #: blocks() runs once per runnable thread per step — the hottest
+        #: loop in an attempt.  A constraint can only block the thread its
+        #: ``after`` ref names, so index by that tid and scan the (tiny)
+        #: relevant slice instead of the whole set.  A constraint whose
+        #: ``before`` has executed can never block again (occurrence
+        #: counts only grow within a run), so blocks() drops it, and a
+        #: tid with none left leaves the index.
+        self.live_by_after_tid: Dict[int, List[OrderConstraint]] = {}
         for constraint in self.constraints:
-            self._by_after_tid.setdefault(
+            self.live_by_after_tid.setdefault(
                 constraint.after.tid, []
             ).append(constraint)
 
@@ -253,10 +254,20 @@ class ConstraintGate:
 
     def blocks(self, tid: int, op: Op) -> bool:
         """Whether this thread's pending op must wait for a constraint."""
-        for constraint in self._by_after_tid.get(tid, ()):
-            if self.counter.executed(constraint.before):
-                continue
-            if self.counter.pending_matches(tid, op, constraint.after):
+        live = self.live_by_after_tid.get(tid)
+        if live is None:
+            return False
+        counter = self.counter
+        for constraint in live:
+            if counter.executed(constraint.before):
+                live = [c for c in live if not counter.executed(c.before)]
+                if live:
+                    self.live_by_after_tid[tid] = live
+                else:
+                    del self.live_by_after_tid[tid]
+                break
+        for constraint in live:
+            if counter.pending_matches(tid, op, constraint.after):
                 return True
         return False
 
@@ -272,41 +283,46 @@ class ConstraintGate:
         return True
 
 
+#: An EventRef's fields as a plain tuple: (tid, family, key, occurrence).
+_RefFields = Tuple[int, str, Address, int]
+
+
 class RefIndex:
     """Maps every memory access / lock acquisition of a trace to its EventRef.
 
     One pass over the events assigns occurrence numbers; afterwards
-    :meth:`ref_of` answers by global index.
+    :meth:`ref_of` answers by global index.  Refs are kept as field
+    tuples and built on demand: a trace names every access, and a miner
+    asks about a few dozen.
     """
 
     def __init__(self, events: Iterable[Event]) -> None:
-        self._refs: Dict[int, EventRef] = {}
-        self._gidx: Dict[EventRef, int] = {}
+        self._refs: Dict[int, _RefFields] = {}
+        self._gidx: Optional[Dict[_RefFields, int]] = None
         mem: Dict[Tuple[int, Address], int] = {}
         lock: Dict[Tuple[int, str], int] = {}
         for event in events:
-            if event.kind in MEMORY_KINDS:
+            if event.kind.is_memory:
                 key = (event.tid, event.addr)
-                mem[key] = mem.get(key, 0) + 1
-                ref = EventRef(event.tid, "mem", event.addr, mem[key])
-                self._refs[event.gidx] = ref
-                self._gidx[ref] = event.gidx
+                count = mem[key] = mem.get(key, 0) + 1
+                self._refs[event.gidx] = (event.tid, "mem", event.addr, count)
             else:
                 mutex = _acquire_key(event.kind, event.obj, event.value)
                 if mutex is not None:
                     key = (event.tid, mutex)
-                    lock[key] = lock.get(key, 0) + 1
-                    ref = EventRef(event.tid, "lock", mutex, lock[key])
-                    self._refs[event.gidx] = ref
-                    self._gidx[ref] = event.gidx
+                    count = lock[key] = lock.get(key, 0) + 1
+                    self._refs[event.gidx] = (event.tid, "lock", mutex, count)
 
     def ref_of(self, event: Event) -> Optional[EventRef]:
         """The ref naming this event, or None for unnamed kinds."""
-        return self._refs.get(event.gidx)
+        fields = self._refs.get(event.gidx)
+        return None if fields is None else EventRef(*fields)
 
     def gidx_of(self, ref: EventRef) -> Optional[int]:
         """The global index of the event a ref names, if it executed."""
-        return self._gidx.get(ref)
+        if self._gidx is None:
+            self._gidx = {fields: gidx for gidx, fields in self._refs.items()}
+        return self._gidx.get((ref.tid, ref.family, ref.key, ref.occurrence))
 
     def lock_ref(self, tid: int, mutex: str, occurrence: int) -> EventRef:
         """Explicit lock-family ref (for lifted flips)."""

@@ -112,8 +112,22 @@ class Candidate:
         return (self.tier, major, self.shape, -self.anchor_gidx)
 
 
+#: ``repr`` of each kind, by ``kind.bit``, as it appears inside
+#: ``repr(event.signature())``.
+_KIND_REPRS: Dict[int, str] = {kind.bit: repr(kind) for kind in OpKind}
+
+#: Events rendered per ``digest.update`` call; bounds the transient
+#: string to a chunk, never the whole trace.
+_FINGERPRINT_CHUNK = 512
+
+
 def trace_fingerprint(trace: Trace) -> str:
     """Stable digest of *what* a trace executed (signatures, in order).
+
+    The sha1 of the concatenated ``repr(event.signature())`` of every
+    event — persisted in store shards, so the bytes must never change.
+    They are rendered a chunk of events at a time, with each kind's
+    ``repr`` looked up rather than formatted per event.
 
     ``hashlib`` rather than ``hash()`` so fingerprints computed in pool
     worker processes are comparable with the parent's regardless of each
@@ -125,8 +139,17 @@ def trace_fingerprint(trace: Trace) -> str:
     if cached is not None:
         return cached
     digest = hashlib.sha1()
-    for event in trace.events:
-        digest.update(repr(event.signature()).encode("utf-8"))
+    events = trace.events
+    kinds = _KIND_REPRS
+    for start in range(0, len(events), _FINGERPRINT_CHUNK):
+        chunk = "".join(
+            [
+                "(%r, %s, %r, %r, %r, %r)"
+                % (e.tid, kinds[e.kind.bit], e.addr, e.obj, e.name, e.label)
+                for e in events[start:start + _FINGERPRINT_CHUNK]
+            ]
+        )
+        digest.update(chunk.encode("utf-8"))
     fingerprint = digest.hexdigest()
     trace._fingerprint = fingerprint
     return fingerprint
@@ -297,11 +320,10 @@ class _PrefixIndex:
         self._lock_attempts: Dict[Tuple[int, object], List[Tuple[int, int]]] = {}
         last_by_tid: Dict[int, int] = {}
         acquired: Dict[Tuple[int, object], int] = {}
-        lock_kinds = (OpKind.LOCK, OpKind.TRYLOCK, OpKind.RDLOCK, OpKind.WRLOCK)
         for event in trace.events:
             self._prev_of[event.gidx] = last_by_tid.get(event.tid, -1)
             last_by_tid[event.tid] = event.gidx
-            if event.kind in lock_kinds:
+            if event.kind.is_lock:
                 key = (event.tid, event.obj)
                 self._lock_attempts.setdefault(key, []).append(
                     (event.gidx, acquired.get(key, 0))

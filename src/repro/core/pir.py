@@ -31,7 +31,7 @@ import random
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import ConstraintGate, OrderConstraint
-from repro.core.sketches import SketchKind, entry_for_op, visible_kinds
+from repro.core.sketches import SketchEntry, SketchKind, entry_for_op, visible_mask
 from repro.core.sketchlog import SketchLog
 from repro.errors import ReplayDivergence
 from repro.sim.machine import Machine
@@ -54,9 +54,8 @@ class SketchCursor:
         self.sketch: SketchKind = log.sketch
         self.entries = log.entries
         self.position = 0
-        # gate() runs once per runnable thread per step; a frozenset
-        # membership test beats re-deriving visibility per op.
-        self._visible = visible_kinds(log.sketch)
+        #: ``kind.bit & visible_mask`` is nonzero for sketch-visible kinds.
+        self.visible_mask = visible_mask(log.sketch)
 
     @property
     def exhausted(self) -> bool:
@@ -67,8 +66,9 @@ class SketchCursor:
 
         Raises :class:`ReplayDivergence` when the expected thread's next
         visible action provably differs from the recorded one.
+        :meth:`PIRScheduler.pick` inlines this check on its hot path.
         """
-        if op.kind not in self._visible:
+        if not op.kind.bit & self.visible_mask:
             return Gate.FREE
         if self.exhausted:
             # Past the recorded horizon (the production run ended here,
@@ -79,18 +79,19 @@ class SketchCursor:
             return Gate.BLOCKED
         if expected.matches_op(tid, op):
             return Gate.ALLOWED
-        raise ReplayDivergence(
+        raise self.off_sketch(tid, op, expected)
+
+    def off_sketch(
+        self, tid: int, op: Op, expected: SketchEntry
+    ) -> ReplayDivergence:
+        """The divergence of an in-turn thread whose next visible op is
+        not the recorded entry."""
+        return ReplayDivergence(
             f"thread {tid} is due to produce sketch entry "
             f"[{expected.describe()}] but its next visible op is "
             f"{entry_for_op(tid, op).describe()}",
             step=self.position,
         )
-
-    def observe(self, tid: int, op: Op) -> None:
-        """Advance past an executed sketch-visible op."""
-        if self.exhausted or op.kind not in self._visible:
-            return
-        self.position += 1
 
 
 class BaseChooser:
@@ -194,46 +195,73 @@ class PIRScheduler(Scheduler):
 
     def pick(self, machine: Machine, runnable: Sequence[int]) -> int:
         self._catch_up(machine)
+        threads = machine.threads
+        cursor = self.cursor
+        entries = cursor.entries
+        # The cursor check (SketchCursor.gate), inlined: only the next
+        # entry's thread may run a visible op, and only that entry's op.
+        expected = (
+            entries[cursor.position] if cursor.position < len(entries) else None
+        )
+        visible = cursor.visible_mask
+        constrained = self.gate.live_by_after_tid
+        blocks = self.gate.blocks
         allowed: List[int] = []
-        blocked_reasons: List[str] = []
         for tid in runnable:
-            op = machine.pending_op_of(tid)
-            verdict = self.cursor.gate(tid, op)  # may raise ReplayDivergence
-            if verdict is Gate.BLOCKED:
-                blocked_reasons.append(f"T{tid} awaits its sketch turn")
-                continue
-            if self.gate.blocks(tid, op):
-                blocked_reasons.append(f"T{tid} awaits an order constraint")
-                continue
+            op = threads[tid].pending_op
+            if expected is not None and op.kind.bit & visible:
+                if tid != expected.tid:
+                    continue  # awaits its sketch turn
+                if not expected.matches_op(tid, op):
+                    raise cursor.off_sketch(tid, op, expected)
+            if tid in constrained and blocks(tid, op):
+                continue  # awaits an order constraint
             allowed.append(tid)
         if not allowed:
             raise ReplayDivergence(
-                "no schedulable thread: "
-                + ("; ".join(blocked_reasons) or "all gated"),
+                "no schedulable thread: " + self._blocked_reasons(machine, runnable),
                 step=len(machine.events),
             )
         if len(allowed) == 1:
             return allowed[0]
         return self._chooser.choose(allowed)
 
+    def _blocked_reasons(self, machine: Machine, runnable: Sequence[int]) -> str:
+        """Why each runnable thread is gated (only built to report a stuck
+        attempt, so the per-step path formats nothing)."""
+        reasons: List[str] = []
+        for tid in runnable:
+            op = machine.threads[tid].pending_op
+            if self.cursor.gate(tid, op) is Gate.BLOCKED:
+                reasons.append(f"T{tid} awaits its sketch turn")
+            elif self.gate.blocks(tid, op):
+                reasons.append(f"T{tid} awaits an order constraint")
+        return "; ".join(reasons) or "all gated"
+
     def _catch_up(self, machine: Machine) -> None:
         """Feed events executed since the last pick to cursor and gate."""
         events = machine.events
+        if self._seen_events >= len(events):
+            return
+        observe = self.gate.counter.observe
+        cursor = self.cursor
+        entries = cursor.entries
+        visible = cursor.visible_mask
         while self._seen_events < len(events):
             event = events[self._seen_events]
             self._seen_events += 1
-            self.gate.observe(event)
-            if self.cursor.exhausted:
+            observe(event)
+            if cursor.position >= len(entries):
                 continue
-            expected = self.cursor.entries[self.cursor.position]
-            if event.kind in self.cursor._visible:
+            if event.kind.bit & visible:
+                expected = entries[cursor.position]
                 if event.tid != expected.tid:
                     raise ReplayDivergence(
                         f"executed visible event {event.describe()} out of "
                         f"sketch order (expected {expected.describe()})",
                         step=event.gidx,
                     )
-                self.cursor.position += 1
+                cursor.position += 1
 
     # -- epoch resume ------------------------------------------------------
 

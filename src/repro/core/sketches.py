@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from repro.sim.events import Event
-from repro.sim.ops import MEMORY_KINDS, SYNC_KINDS, Op, OpKind
+from repro.sim.ops import MEMORY_KINDS, SYNC_KINDS, Op, OpKind, kind_mask
 
 
 class SketchKind(enum.Enum):
@@ -77,19 +77,29 @@ _VISIBLE_BY_KIND = {
 }
 
 
+_VISIBLE_MASK_BY_KIND = {
+    sketch: kind_mask(kinds) for sketch, kinds in _VISIBLE_BY_KIND.items()
+}
+
+
 def visible_kinds(sketch: SketchKind) -> frozenset:
     """Op kinds this mechanism records."""
     return _VISIBLE_BY_KIND[sketch]
 
 
+def visible_mask(sketch: SketchKind) -> int:
+    """:func:`visible_kinds` as a mask: ``kind.bit & mask`` tests membership."""
+    return _VISIBLE_MASK_BY_KIND[sketch]
+
+
 def op_visible(sketch: SketchKind, op: Op) -> bool:
     """Whether an op about to execute would be recorded by this sketch."""
-    return op.kind in _VISIBLE_BY_KIND[sketch]
+    return bool(op.kind.bit & _VISIBLE_MASK_BY_KIND[sketch])
 
 
 def event_visible(sketch: SketchKind, event: Event) -> bool:
     """Whether an executed event is recorded by this sketch."""
-    return event.kind in _VISIBLE_BY_KIND[sketch]
+    return bool(event.kind.bit & _VISIBLE_MASK_BY_KIND[sketch])
 
 
 def op_key(kind: OpKind, op_or_event: Any) -> Any:
@@ -99,7 +109,7 @@ def op_key(kind: OpKind, op_or_event: Any) -> Any:
     (never of racy data values): sync object names, syscall name plus its
     channel/file argument, function names, basic-block labels, addresses.
     """
-    if kind in SYNC_KINDS:
+    if kind.is_sync:
         return op_or_event.obj
     if kind is OpKind.SYSCALL:
         args = op_or_event.args
@@ -111,7 +121,7 @@ def op_key(kind: OpKind, op_or_event: Any) -> Any:
         return op_or_event.name
     if kind is OpKind.BASIC_BLOCK:
         return op_or_event.label
-    if kind in MEMORY_KINDS:
+    if kind.is_memory:
         return op_or_event.addr
     return None
 

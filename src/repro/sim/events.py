@@ -14,7 +14,7 @@ from typing import Any, Optional, Tuple
 from repro.sim.ops import Address, Op, OpKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Event:
     """One executed operation in the global order.
 
@@ -43,21 +43,50 @@ class Event:
     value: Any = None
     cpu: int = 0
 
+    def __init__(
+        self,
+        gidx: int,
+        tid: int,
+        kind: OpKind,
+        addr: Optional[Address] = None,
+        obj: Any = None,
+        name: Optional[str] = None,
+        label: Optional[str] = None,
+        args: Tuple[Any, ...] = (),
+        value: Any = None,
+        cpu: int = 0,
+    ) -> None:
+        # The machine emits one event per step: fill the instance dict
+        # directly rather than paying the generated frozen __init__'s
+        # object.__setattr__ per field (see Op.__init__).
+        attrs = self.__dict__
+        attrs["gidx"] = gidx
+        attrs["tid"] = tid
+        attrs["kind"] = kind
+        attrs["addr"] = addr
+        attrs["obj"] = obj
+        attrs["name"] = name
+        attrs["label"] = label
+        attrs["args"] = args
+        attrs["value"] = value
+        attrs["cpu"] = cpu
+
     @classmethod
     def from_op(
         cls, gidx: int, tid: int, cpu: int, op: Op, value: Any = None
     ) -> "Event":
+        kind = op.kind
         return cls(
-            gidx=gidx,
-            tid=tid,
-            kind=op.kind,
-            addr=op.addr,
-            obj=op.obj,
-            name=op.name,
-            label=op.label,
-            args=op.args if op.kind is OpKind.SYSCALL else (),
-            value=value,
-            cpu=cpu,
+            gidx,
+            tid,
+            kind,
+            op.addr,
+            op.obj,
+            op.name,
+            op.label,
+            op.args if kind is OpKind.SYSCALL else (),
+            value,
+            cpu,
         )
 
     def signature(self) -> Tuple[Any, ...]:

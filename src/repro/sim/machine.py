@@ -11,7 +11,8 @@ Execution model
 Each thread is a generator with exactly one *pending* operation — the op it
 yielded and is waiting to have performed.  A step is:
 
-1. compute the runnable set (threads whose pending op can complete now);
+1. bring the runnable set (threads whose pending op can complete now) up
+   to date — incrementally, see :meth:`Machine.runnable_tids`;
 2. ask the scheduler to pick one;
 3. perform the op's effect, emit an :class:`~repro.sim.events.Event`,
    charge virtual time, notify observers;
@@ -36,7 +37,7 @@ import enum
 import pickle
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     ReplayDivergence,
@@ -151,6 +152,7 @@ class Machine:
         self._next_tid = 0
         self._ran = False
         self._resumed = False
+        self._reset_runnable()
 
     # -- public API -------------------------------------------------------
 
@@ -188,14 +190,17 @@ class Machine:
             observer.on_start(self)
 
         depths = frozenset(snapshot_depths)
+        schedule = self.schedule
+        pick = self.scheduler.pick
+        max_steps = self.config.max_steps
 
         while self.failure is None:
             if on_snapshot is not None and (
-                len(self.schedule) in depths
+                len(schedule) in depths
                 or (snapshot_when is not None and snapshot_when(self))
             ):
                 on_snapshot(self)
-            if stop_after is not None and len(self.schedule) >= stop_after:
+            if stop_after is not None and len(schedule) >= stop_after:
                 break
             runnable = self.runnable_tids()
             if not runnable:
@@ -203,7 +208,7 @@ class Machine:
                     break
                 self.failure = self._diagnose_stuck()
                 break
-            if len(self.schedule) >= self.config.max_steps:
+            if len(schedule) >= max_steps:
                 self.failure = Failure(
                     kind=FailureKind.TIMEOUT,
                     where="step budget exhausted",
@@ -211,14 +216,14 @@ class Machine:
                 )
                 break
             try:
-                tid = self.scheduler.pick(self, runnable)
+                tid = pick(self, runnable)
             except ReplayDivergence as diverged:
                 # A replay scheduler proved the attempt cannot follow its
                 # recorded order; end the run with the prefix trace.
                 self.divergence = diverged.reason
                 break
             validate_pick(tid, runnable)
-            self.schedule.append(tid)
+            schedule.append(tid)
             self._step(tid)
 
         trace = self._build_trace()
@@ -232,20 +237,19 @@ class Machine:
         return trace
 
     def runnable_tids(self) -> List[int]:
-        """Threads whose pending operation can complete now (ascending)."""
-        return [
-            ts.tid
-            for ts in self.threads.values()
-            if ts.status is ThreadStatus.READY and self._can_execute(ts)
-        ]
+        """Threads whose pending operation can complete now (ascending).
 
-    def pending_op_of(self, tid: int) -> Optional[Op]:
-        """The operation thread ``tid`` will perform when next scheduled.
-
-        For a thread re-acquiring a condition-variable mutex this is the
-        synthetic LOCK op, which is also what its next event will be.
+        Always equal to filtering every READY thread through
+        :meth:`_can_execute`, but maintained incrementally: a step
+        re-evaluates only the threads whose status or pending op it
+        changed, plus the waiters of the guards (mutex, rwlock,
+        semaphore, join target, kernel) whose state it changed.  The
+        returned list is replaced, never mutated, when the set changes;
+        treat it as read-only.
         """
-        return self.threads[tid].pending_op
+        if self._touched or self._touched_guards:
+            self._refresh_runnable()
+        return self._runnable
 
     # -- mid-run snapshots -------------------------------------------------
 
@@ -338,6 +342,10 @@ class Machine:
         for meta in mutable["threads"]:
             ts = self._rebuild_thread(meta)
             self.threads[ts.tid] = ts
+        # The runnable set is not part of a snapshot: rebuild it from
+        # scratch on the first runnable_tids() call.
+        self._reset_runnable()
+        self._touched.extend(self.threads)
         self._resumed = True
 
     def _rebuild_thread(self, meta: Dict[str, Any]) -> ThreadState:
@@ -397,6 +405,7 @@ class Machine:
 
     def _advance(self, ts: ThreadState, send_value: Any) -> None:
         """Resume a thread's generator and stash its next pending op."""
+        self._touched.append(ts.tid)
         ts.feeds.append(send_value)
         try:
             op = ts.gen.send(send_value)
@@ -441,6 +450,68 @@ class Machine:
 
     # -- runnability ------------------------------------------------------------
 
+    def _reset_runnable(self) -> None:
+        """Empty the incremental runnable-set bookkeeping."""
+        self._runnable: List[int] = []
+        self._runnable_set: Set[int] = set()
+        #: threads whose status or pending op changed since the last
+        #: refresh, and guard keys whose state an executed op changed.
+        self._touched: List[int] = []
+        self._touched_guards: List[Tuple[str, Any]] = []
+        #: the guard each READY thread's guarded pending op waits on,
+        #: and the threads waiting on each guard.
+        self._guard_of: Dict[int, Tuple[str, Any]] = {}
+        self._guard_waiters: Dict[Tuple[str, Any], Set[int]] = {}
+
+    def _refresh_runnable(self) -> None:
+        """Re-evaluate what changed since the last step (see runnable_tids).
+
+        Touched threads are evaluated in ascending tid order, which is
+        the order a full scan would first evaluate their pending ops in,
+        so sync objects are created in the same order either way; the
+        waiters of touched guards follow.
+        """
+        threads = self.threads
+        runnable = self._runnable_set
+        guard_of = self._guard_of
+        guard_waiters = self._guard_waiters
+        touched = self._touched
+        if len(touched) > 1:
+            touched.sort()
+        for key in self._touched_guards:
+            touched.extend(guard_waiters.get(key, ()))
+        changed = False
+        for tid in touched:  # grows when a finished thread adds its joiners
+            ts = threads[tid]
+            old = guard_of.pop(tid, None)
+            if old is not None:
+                guard_waiters[old].discard(tid)
+            op = ts.pending_op
+            if op is None or ts.status is not ThreadStatus.READY:
+                ready = False
+                if ts.finished:
+                    touched.extend(guard_waiters.get(("thread", tid), ()))
+            elif op.kind.is_guarded:
+                key = _guard_key(op)
+                guard_of[tid] = key
+                waiters = guard_waiters.get(key)
+                if waiters is None:
+                    guard_waiters[key] = waiters = set()
+                waiters.add(tid)
+                ready = self._can_execute(ts)
+            else:
+                ready = True
+            if ready != (tid in runnable):
+                changed = True
+                if ready:
+                    runnable.add(tid)
+                else:
+                    runnable.discard(tid)
+        touched.clear()
+        self._touched_guards.clear()
+        if changed:
+            self._runnable = sorted(runnable)
+
     def _can_execute(self, ts: ThreadState) -> bool:
         op = ts.pending_op
         if op is None:
@@ -472,111 +543,123 @@ class Machine:
         self.clock.charge_op(cpu, op.cost)
 
         try:
-            result, emit, advance = self._perform(ts, op)
+            result, advance = self._perform(ts, op)
         except SimProgramError as exc:
+            self._touched.append(tid)
             self._fail_thread(ts, exc)
             return
 
-        if emit:
-            event = Event.from_op(len(self.events), tid, cpu, op, value=result)
-            self.events.append(event)
-            if self.event_journal is not None:
-                self.event_journal.append(event_row(event))
-            for observer in self.observers:
-                observer.on_event(self, event)
-            if self.failure is not None and self.failure.gidx is None:
-                # an ASSERT failure points at its own event
-                self.failure = Failure(
-                    kind=self.failure.kind,
-                    where=self.failure.where,
-                    tid=self.failure.tid,
-                    gidx=event.gidx,
-                    detail=self.failure.detail,
-                )
+        event = Event.from_op(len(self.events), tid, cpu, op, result)
+        self.events.append(event)
+        if self.event_journal is not None:
+            self.event_journal.append(event_row(event))
+        for observer in self.observers:
+            observer.on_event(self, event)
+        if self.failure is not None and self.failure.gidx is None:
+            # an ASSERT failure points at its own event
+            self.failure = Failure(
+                kind=self.failure.kind,
+                where=self.failure.where,
+                tid=self.failure.tid,
+                gidx=event.gidx,
+                detail=self.failure.detail,
+            )
         if advance and self.failure is None:
             self._advance(ts, result)
+        else:
+            self._touched.append(tid)
 
     def _perform(self, ts: ThreadState, op: Op):
         """Apply the op's effect.
 
-        Returns ``(result, emit_event, advance_generator)``.
+        Returns ``(result, advance_generator)``.  An effect that changes
+        the state a guard reads (see :data:`~repro.sim.ops.GUARDED_KINDS`)
+        reports the guard's key in ``_touched_guards``.
         """
         kind = op.kind
         tid = ts.tid
 
         # Memory -----------------------------------------------------------
         if kind is OpKind.READ:
-            return self.memory.load(op.addr), True, True
+            return self.memory.load(op.addr), True
         if kind is OpKind.WRITE:
             self.memory.store(op.addr, op.value)
-            return op.value, True, True
+            return op.value, True
         if kind is OpKind.RMW:
-            return self.memory.rmw(op.addr, op.value), True, True
+            return self.memory.rmw(op.addr, op.value), True
         if kind is OpKind.CAS:
             expected, new = op.value
-            return self.memory.cas(op.addr, expected, new), True, True
+            return self.memory.cas(op.addr, expected, new), True
         if kind is OpKind.FREE:
             victims = self.memory.free(op.addr)
-            return len(victims), True, True
+            return len(victims), True
 
         # Mutexes -------------------------------------------------------------
         if kind is OpKind.LOCK:
             self.sync.mutex(op.obj).acquire(tid)
+            self._touched_guards.append(("mutex", op.obj))
             if ts.resuming_wait is not None:
                 # Second phase of a condition wait: the mutex is back, the
                 # original COND_WAIT finally returns.
                 ts.resuming_wait = None
-                return None, True, True
-            return None, True, True
+            return None, True
         if kind is OpKind.TRYLOCK:
             mutex = self.sync.mutex(op.obj)
             if mutex.is_free:
                 mutex.acquire(tid)
-                return True, True, True
-            return False, True, True
+                self._touched_guards.append(("mutex", op.obj))
+                return True, True
+            return False, True
         if kind is OpKind.UNLOCK:
             self.sync.mutex(op.obj).release(tid)
-            return None, True, True
+            self._touched_guards.append(("mutex", op.obj))
+            return None, True
 
         # Reader-writer locks ---------------------------------------------------
         if kind is OpKind.RDLOCK:
             self.sync.rwlock(op.obj).acquire_read(tid)
-            return None, True, True
+            self._touched_guards.append(("rwlock", op.obj))
+            return None, True
         if kind is OpKind.WRLOCK:
             self.sync.rwlock(op.obj).acquire_write(tid)
-            return None, True, True
+            self._touched_guards.append(("rwlock", op.obj))
+            return None, True
         if kind is OpKind.RWUNLOCK:
             self.sync.rwlock(op.obj).release(tid)
-            return None, True, True
+            self._touched_guards.append(("rwlock", op.obj))
+            return None, True
 
         # Condition variables ---------------------------------------------------
         if kind is OpKind.COND_WAIT:
             cond_name, lock_name = op.obj
             self.sync.mutex(lock_name).release(tid)  # raises if not owner
+            self._touched_guards.append(("mutex", lock_name))
             self.sync.cond(cond_name).add_waiter(tid)
             ts.status = ThreadStatus.WAITING_COND
             # The generator is resumed only after the wakeup + re-acquire.
-            return None, True, False
+            return None, False
         if kind is OpKind.COND_SIGNAL:
             woken = self.sync.cond(op.obj).wake_one()
             if woken is not None:
                 self._wake_from_cond(woken)
             # The woken tid is the event value so offline happens-before
             # analysis can draw the signal -> wakeup edge.
-            return woken, True, True
+            return woken, True
         if kind is OpKind.COND_BROADCAST:
             woken = self.sync.cond(op.obj).wake_all()
             for wtid in woken:
                 self._wake_from_cond(wtid)
-            return tuple(woken), True, True
+            return tuple(woken), True
 
         # Semaphores --------------------------------------------------------------
         if kind is OpKind.SEM_ACQUIRE:
             self.sync.semaphore(op.obj).acquire(tid)
-            return None, True, True
+            self._touched_guards.append(("semaphore", op.obj))
+            return None, True
         if kind is OpKind.SEM_RELEASE:
             self.sync.semaphore(op.obj).release()
-            return None, True, True
+            self._touched_guards.append(("semaphore", op.obj))
+            return None, True
 
         # Barriers ------------------------------------------------------------------
         if kind is OpKind.BARRIER_WAIT:
@@ -591,30 +674,32 @@ class Machine:
                     wts = self.threads[wtid]
                     wts.status = ThreadStatus.READY
                     self._advance(wts, generation)
-                return generation, True, True
+                return generation, True
             ts.status = ThreadStatus.WAITING_BARRIER
-            return None, True, False
+            return None, False
 
         # Thread lifecycle ----------------------------------------------------------
         if kind is OpKind.SPAWN:
             child = self._spawn_thread(op.func, op.args)
-            return child, True, True
+            return child, True
         if kind is OpKind.JOIN:
             target = self.threads[op.obj]
-            return target.retval, True, True
+            return target.retval, True
 
         # Environment ------------------------------------------------------------------
         if kind is OpKind.SYSCALL:
             if op.name == "sleep":
                 self.clock.advance(self.clock.cpu_of(tid), op.args[0])
+            # Any syscall may change what a blocked syscall waits for.
+            self._touched_guards.append(_KERNEL_GUARD)
             result = self.kernel.execute(op.name, op.args, now=len(self.events))
-            return result, True, True
+            return result, True
 
         # Markers, local work, checks ---------------------------------------------------
         if kind in (OpKind.FUNC_ENTER, OpKind.FUNC_EXIT, OpKind.BASIC_BLOCK):
-            return None, True, True
+            return None, True
         if kind in (OpKind.LOCAL, OpKind.YIELD):
-            return None, True, True
+            return None, True
         if kind is OpKind.ASSERT:
             if not op.value:
                 self.failure = Failure(
@@ -625,8 +710,8 @@ class Machine:
                 )
                 ts.status = ThreadStatus.FAILED
                 ts.pending_op = None
-                return False, True, False
-            return True, True, True
+                return False, False
+            return True, True
 
         raise SimUsageError(f"machine cannot perform op kind {kind}")
 
@@ -638,6 +723,7 @@ class Machine:
         ts.resuming_wait = wait_op
         ts.pending_op = Op(OpKind.LOCK, obj=lock_name)
         ts.status = ThreadStatus.READY
+        self._touched.append(tid)
 
     # -- stuck diagnosis -------------------------------------------------------
 
@@ -724,6 +810,27 @@ class Machine:
             ncpus=self.config.ncpus,
             divergence=self.divergence,
         )
+
+
+#: Guard key of every syscall: kernel state changes only when a syscall
+#: executes, so any syscall re-evaluates every blocked one.
+_KERNEL_GUARD: Tuple[str, Any] = ("kernel", None)
+
+
+def _guard_key(op: Op) -> Tuple[str, Any]:
+    """The state a guarded pending op waits on (see ``_can_execute``)."""
+    kind = op.kind
+    if kind is OpKind.LOCK:
+        return ("mutex", op.obj)
+    if kind is OpKind.RDLOCK or kind is OpKind.WRLOCK:
+        return ("rwlock", op.obj)
+    if kind is OpKind.SEM_ACQUIRE:
+        return ("semaphore", op.obj)
+    if kind is OpKind.JOIN:
+        return ("thread", op.obj)
+    if kind is OpKind.SYSCALL:
+        return _KERNEL_GUARD
+    raise SimUsageError(f"op kind {kind} has no guard")
 
 
 def _find_cycle(edges: Dict[int, int]) -> List[int]:

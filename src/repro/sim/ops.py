@@ -18,13 +18,28 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 Address = Any  # a string, or a tuple like ("buf", 3); must be hashable
 
 
 class OpKind(enum.Enum):
-    """Kinds of operations a simulated thread can perform."""
+    """Kinds of operations a simulated thread can perform.
+
+    Every member carries per-kind flags, set once below from the kind
+    sets: a unique ``bit`` (for :func:`kind_mask` masks such as a
+    sketch's visible kinds) and the booleans ``is_memory``, ``is_write``,
+    ``is_sync``, ``is_lock`` and ``is_guarded``.  Hot paths test these
+    instead of frozenset membership, which would call the Python-level
+    ``Enum.__hash__`` once per test.
+    """
+
+    bit: int
+    is_memory: bool
+    is_write: bool
+    is_sync: bool
+    is_lock: bool
+    is_guarded: bool
 
     # Shared-memory accesses.
     READ = "read"
@@ -112,8 +127,45 @@ BLOCKING_KINDS = frozenset(
     }
 )
 
+#: Kinds whose pending op completes only once a machine-state guard
+#: holds: a free mutex, a readable/writable rwlock, a semaphore count, a
+#: finished join target, a ready syscall.  ``Machine._can_execute``
+#: checks exactly these; every other pending op of a READY thread can
+#: always run.  (COND_WAIT and BARRIER_WAIT block through the thread's
+#: status, not a guard.)
+GUARDED_KINDS = frozenset(
+    {
+        OpKind.LOCK,
+        OpKind.RDLOCK,
+        OpKind.WRLOCK,
+        OpKind.SEM_ACQUIRE,
+        OpKind.JOIN,
+        OpKind.SYSCALL,
+    }
+)
 
-@dataclass(frozen=True)
+#: Kinds that try to acquire a lock (a TRYLOCK may fail to).
+LOCK_KINDS = frozenset({OpKind.LOCK, OpKind.TRYLOCK, OpKind.RDLOCK, OpKind.WRLOCK})
+
+for _index, _kind in enumerate(OpKind):
+    _kind.bit = 1 << _index
+    _kind.is_memory = _kind in MEMORY_KINDS
+    _kind.is_write = _kind in WRITE_KINDS
+    _kind.is_sync = _kind in SYNC_KINDS
+    _kind.is_lock = _kind in LOCK_KINDS
+    _kind.is_guarded = _kind in GUARDED_KINDS
+del _index, _kind
+
+
+def kind_mask(kinds: Iterable[OpKind]) -> int:
+    """The union of the kinds' ``bit`` flags (test with ``kind.bit & mask``)."""
+    mask = 0
+    for kind in kinds:
+        mask |= kind.bit
+    return mask
+
+
+@dataclass(frozen=True, init=False)
 class Op:
     """One operation yielded by a simulated thread.
 
@@ -146,24 +198,54 @@ class Op:
     msg: Optional[str] = None
     cost: int = 1
 
+    def __init__(
+        self,
+        kind: OpKind,
+        addr: Optional[Address] = None,
+        value: Any = None,
+        obj: Any = None,
+        name: Optional[str] = None,
+        args: Tuple[Any, ...] = (),
+        func: Optional[Callable[..., Any]] = None,
+        label: Optional[str] = None,
+        msg: Optional[str] = None,
+        cost: int = 1,
+    ) -> None:
+        # One op is built per simulated step.  The generated frozen
+        # __init__ pays an object.__setattr__ call per field; filling the
+        # instance dict directly is the same state at well under half
+        # the cost.  Assignment after construction still raises
+        # FrozenInstanceError.
+        attrs = self.__dict__
+        attrs["kind"] = kind
+        attrs["addr"] = addr
+        attrs["value"] = value
+        attrs["obj"] = obj
+        attrs["name"] = name
+        attrs["args"] = args
+        attrs["func"] = func
+        attrs["label"] = label
+        attrs["msg"] = msg
+        attrs["cost"] = cost
+
     def is_memory_access(self) -> bool:
         """Whether this op reads or writes shared memory."""
-        return self.kind in MEMORY_KINDS
+        return self.kind.is_memory
 
     def is_write(self) -> bool:
         """Whether this op may modify shared memory."""
-        return self.kind in WRITE_KINDS
+        return self.kind.is_write
 
     def is_sync(self) -> bool:
         """Whether this op is a synchronization operation."""
-        return self.kind in SYNC_KINDS
+        return self.kind.is_sync
 
     def describe(self) -> str:
         """Short human-readable rendering, used in logs and error messages."""
         kind = self.kind.value
-        if self.kind in MEMORY_KINDS:
+        if self.kind.is_memory:
             return f"{kind}({self.addr!r})"
-        if self.kind in SYNC_KINDS:
+        if self.kind.is_sync:
             return f"{kind}({self.obj!r})"
         if self.kind is OpKind.SYSCALL:
             return f"syscall {self.name}{self.args!r}"

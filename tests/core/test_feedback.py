@@ -1,15 +1,21 @@
 """Tests for feedback generation from failed attempts."""
 
+import hashlib
+
 import pytest
 
+from repro.apps import get_bug
 from repro.core.constraints import ConstraintSet, OrderConstraint
 from repro.core.feedback import (
     AttemptCache,
     FeedbackDB,
     FeedbackGenerator,
     _inverse,
+    trace_fingerprint,
 )
+from repro.core.recorder import apply_oracle
 from repro.core.sketches import SketchKind
+from repro.sim import Machine, MachineConfig, RandomScheduler
 from repro.sim.ops import OpKind
 
 from tests.conftest import (
@@ -145,6 +151,45 @@ class TestFeedbackDB:
         assert db.record_trace(same) is False
         assert db.duplicate_traces == 1
         assert db.record_trace(other) is True
+
+
+class TestTraceFingerprintPinned:
+    """Store shards persist trace fingerprints, so a warm store written by
+    an earlier version must keep deduplicating: the digests are pinned to
+    literals, not just to another run of the same code."""
+
+    @staticmethod
+    def _radix(seed, **params):
+        spec = get_bug("radix-order-rank")
+        trace = Machine(
+            spec.make_program(**params), RandomScheduler(seed),
+            MachineConfig(ncpus=4),
+        ).run()
+        return trace, apply_oracle(trace, spec.oracle)
+
+    def test_e12_recording_trace(self):
+        # seed 6 is the first failing seed of the E12 request
+        for seed in range(6):
+            assert self._radix(seed, workers=5, seg=6)[1] is None
+        trace, failure = self._radix(6, workers=5, seg=6)
+        assert failure is not None and trace.steps == 412
+        assert trace_fingerprint(trace) == (
+            "a0d8fdf8dd2320d04c5ebcb89af62d316cf24c73"
+        )
+
+    def test_trace_spanning_several_digest_chunks(self):
+        trace, _ = self._radix(0, workers=6, seg=30)
+        assert trace.steps == 1799
+        assert trace_fingerprint(trace) == (
+            "ffd1facdf08479161b4096c1c785f93d11daf7b4"
+        )
+
+    def test_digest_is_sha1_of_signature_reprs(self):
+        trace = run_program(counter_program(), seed=5)
+        expected = hashlib.sha1(
+            "".join(repr(e.signature()) for e in trace.events).encode("utf-8")
+        ).hexdigest()
+        assert trace_fingerprint(trace) == expected
 
 
 def _ref(tid, key, occ):

@@ -9,6 +9,7 @@ from repro.core.sketches import SketchEntry, SketchKind, event_visible
 from repro.core.sketchlog import SketchLog
 from repro.errors import ReplayDivergence
 from repro.sim import Machine, Program
+from repro.sim.events import Event
 from repro.sim.ops import OpKind
 from repro.sim.program import ThreadContext
 
@@ -57,6 +58,80 @@ class TestSketchCursor:
         cursor = SketchCursor(SketchLog(SketchKind.SYNC))
         assert cursor.exhausted
         assert cursor.gate(1, ctx.lock("m")) is Gate.FREE
+
+
+def _locker(ctx):
+    yield ctx.lock("m")
+    yield ctx.unlock("m")
+
+
+def _two_lockers(ctx):
+    first = yield ctx.spawn(_locker)
+    second = yield ctx.spawn(_locker)
+    yield ctx.join(first)
+    yield ctx.join(second)
+
+
+def _two_lockers_log(first_lock="m"):
+    """SYNC log of ``_two_lockers`` where T1 takes the mutex first."""
+    log = SketchLog(SketchKind.SYNC)
+    for entry in (
+        SketchEntry(0, OpKind.SPAWN, None),
+        SketchEntry(0, OpKind.SPAWN, None),
+        SketchEntry(1, OpKind.LOCK, first_lock),
+        SketchEntry(1, OpKind.UNLOCK, "m"),
+        SketchEntry(2, OpKind.LOCK, "m"),
+        SketchEntry(2, OpKind.UNLOCK, "m"),
+        SketchEntry(0, OpKind.JOIN, 1),
+        SketchEntry(0, OpKind.JOIN, 2),
+    ):
+        log.append(entry)
+    return log
+
+
+class TestDivergenceTexts:
+    """Divergence reasons reach reports and run journals verbatim; the
+    scheduler builds them off its hot path, so pin the exact text."""
+
+    def test_no_schedulable_thread(self):
+        # T1 is due to lock next but must wait for T2's lock, and T2
+        # waits for its own sketch turn: nothing can run.
+        constraint = OrderConstraint(
+            before=EventRef(2, "lock", "m", 1),
+            after=EventRef(1, "lock", "m", 1),
+        )
+        trace = replay(
+            Program("two-lockers", _two_lockers), _two_lockers_log(), [constraint]
+        )
+        assert trace.divergence == (
+            "no schedulable thread: T1 awaits an order constraint; "
+            "T2 awaits its sketch turn"
+        )
+        assert trace.steps == 2
+
+    def test_next_visible_op_is_not_the_recorded_entry(self):
+        trace = replay(
+            Program("two-lockers", _two_lockers), _two_lockers_log("other")
+        )
+        assert trace.divergence == (
+            "thread 1 is due to produce sketch entry [T1 lock 'other'] "
+            "but its next visible op is T1 lock 'm'"
+        )
+
+    def test_visible_event_executed_out_of_turn(self):
+        program = Program("two-lockers", _two_lockers)
+        scheduler = PIRScheduler(_two_lockers_log())
+        machine = Machine(program, scheduler)
+        machine.run(stop_after=2)
+        # T2 takes the mutex although the sketch gives T1 the turn.
+        machine.events.append(Event(2, 2, OpKind.LOCK, obj="m"))
+        with pytest.raises(ReplayDivergence) as diverged:
+            scheduler.pick(machine, machine.runnable_tids())
+        assert diverged.value.reason == (
+            "executed visible event #2 T2 lock 'm' out of sketch order "
+            "(expected T1 lock 'm')"
+        )
+        assert diverged.value.step == 2
 
 
 class TestSketchConformance:

@@ -8,10 +8,11 @@ suite, per bug:
 * **log size** — retained (windowed) log bytes vs the full-history log
   of the same production run; on the long-running server workloads
   (apache, mysql, cherokee) the windowed log must be *strictly* smaller.
-* **attempts** — :func:`~repro.core.reproducer.reproduce_windowed`
-  against the plain :func:`~repro.core.reproducer.reproduce` baseline
-  (E3's SYNC arm): last-epoch in-situ replay must reproduce every bug in
-  no more attempts than the full-history search.
+* **attempts** — :func:`~repro.core.reproducer.reproduce` of the
+  windowed recording (its epoch walk) against the full-history
+  recording's plain session (E3's SYNC arm): last-epoch in-situ replay
+  must reproduce every bug in no more attempts than the full-history
+  search.
 * **determinism** — on the server bugs, the rendered report must be
   byte-identical across ``jobs`` ∈ {1, 2, 4} and across window sizes K
   and K+1 (both cover the bug window, so the walk reproduces on the
@@ -39,7 +40,7 @@ from repro.bench.seeds import find_longest_failing_seed
 from repro.core.epochs import EpochConfig
 from repro.core.explorer import ExplorerConfig
 from repro.core.recorder import RecordedRun, record
-from repro.core.reproducer import render_report, reproduce, reproduce_windowed
+from repro.core.reproducer import render_report, reproduce
 from repro.core.sketches import SketchKind
 from repro.sim import MachineConfig
 
@@ -157,7 +158,7 @@ def epoch_bench_row(
     windowed = _record_windowed(spec, seed, steps, window)
     config = ExplorerConfig(max_attempts=max_attempts)
     full_report = reproduce(full, config)
-    windowed_report = reproduce_windowed(windowed, config)
+    windowed_report = reproduce(windowed, config)
     reproduced_from = ""
     for rung in windowed_report.epoch_path:
         if rung.success:
@@ -192,13 +193,13 @@ def epoch_bench_row(
         baseline = render_report(windowed_report)
         row.jobs_identical = all(
             render_report(
-                reproduce_windowed(windowed, config, jobs=jobs)
+                reproduce(windowed, config, jobs=jobs)
             ) == baseline
             for jobs in E18_JOBS_ARMS
         )
         wider = _record_windowed(spec, seed, steps, window + 1)
         row.window_identical = (
-            render_report(reproduce_windowed(wider, config)) == baseline
+            render_report(reproduce(wider, config)) == baseline
         )
     return row
 

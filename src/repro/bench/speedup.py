@@ -228,6 +228,7 @@ def run_speedup(
             attempts=serial_report.attempts,
             success=serial_report.success,
             wall_time_s=serial_wall,
+            prefix_hits=serial_report.prefix_hits,
         )
     )
 
@@ -251,7 +252,7 @@ def run_speedup(
 
     # Cached re-walk: the second pass over the same exploration answers
     # from the shared AttemptCache instead of replaying — the ladder
-    # re-walk scenario reproduce_degraded leans on.
+    # re-walk scenario reproduce(degrade=True) leans on.
     shared = AttemptCache()
     _cold_report, cold_wall = _timed_reproduce(recorded, max_attempts,
                                                cache=shared, obs=obs)

@@ -91,12 +91,7 @@ from repro.core.full_replay import CompleteLog, replay_complete
 from repro.core.diagnose import diagnose
 from repro.core.epochs import EpochConfig
 from repro.core.recorder import record
-from repro.core.reproducer import (
-    render_report,
-    reproduce,
-    reproduce_degraded,
-    reproduce_windowed,
-)
+from repro.core.reproducer import render_report, reproduce
 from repro.core.sketches import parse_sketch_kind
 from repro.errors import RecorderKilled, SimUsageError, SketchFormatError
 from repro.obs.session import ObsSession
@@ -410,7 +405,8 @@ def cmd_reproduce(args) -> int:
         log, salvage_report = load_sketch_journal(args.journal, allow_salvage=True)
         print(salvage_report.describe())
         recorded = dataclasses.replace(recorded, log=log)
-        if not salvage_report.intact:
+        # The salvage accounting belongs to the degradation report.
+        if args.degrade and not salvage_report.intact:
             salvaged_entries = len(log)
             dropped_records = salvage_report.dropped_lines
 
@@ -481,51 +477,26 @@ def cmd_reproduce(args) -> int:
             run = start_run(args.runs, args.run_id, meta=meta)
             print(f"run journal: {run.path} (resume with "
                   f"--resume {args.run_id})")
-    if args.degrade:
-        report = reproduce_degraded(
-            recorded,
-            config,
-            use_feedback=not args.no_feedback,
-            salvaged_entries=salvaged_entries,
-            dropped_records=dropped_records,
-            store=args.store,
-            obs=obs,
-            plan=plan,
-            static_plan=static_plan,
-            supervise=supervise,
-            chaos=chaos,
-        )
-        for rung in report.degradation_path:
+    report = reproduce(
+        recorded,
+        config,
+        use_feedback=not args.no_feedback,
+        store=args.store,
+        obs=obs,
+        plan=plan,
+        static_plan=static_plan,
+        supervise=supervise,
+        chaos=chaos,
+        run=run,
+        degrade=args.degrade,
+        salvaged_entries=salvaged_entries,
+        dropped_records=dropped_records,
+    )
+    if args.degrade or recorded.epochs is not None:
+        for rung in report.degradation_path + report.epoch_path:
             print(f"  rung {rung.describe()}")
         if report.outcome_reason:
             print(f"  outcome: {report.outcome_reason}")
-    elif epochs is not None:
-        report = reproduce_windowed(
-            recorded,
-            config,
-            use_feedback=not args.no_feedback,
-            store=args.store,
-            obs=obs,
-            supervise=supervise,
-            chaos=chaos,
-        )
-        for rung in report.epoch_path:
-            print(f"  rung {rung.describe()}")
-        if report.outcome_reason:
-            print(f"  outcome: {report.outcome_reason}")
-    else:
-        report = reproduce(
-            recorded,
-            config,
-            use_feedback=not args.no_feedback,
-            store=args.store,
-            obs=obs,
-            plan=plan,
-            static_plan=static_plan,
-            supervise=supervise,
-            chaos=chaos,
-            run=run,
-        )
     if args.store:
         live = report.attempts - report.cache_hits
         print(f"store {args.store}: {report.cache_hits} attempt(s) answered "

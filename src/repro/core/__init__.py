@@ -9,8 +9,9 @@ The paper's contribution, in four movements:
 * :mod:`repro.core.pir` — the Partial-Information Replayer: a scheduler
   that enforces the recorded sketch order plus any accumulated ordering
   constraints, and detects divergence early.
-* :mod:`repro.core.feedback` / :mod:`repro.core.explorer` — feedback
-  generation: failed attempts are mined for happens-before races, races
+* :mod:`repro.core.feedback` / :mod:`repro.core.explorer` /
+  :mod:`repro.core.parallel` — feedback generation and the exploration
+  engine: failed attempts are mined for happens-before races, races
   become flip constraints, duplicates are pruned, and the next attempt is
   steered.
 * :mod:`repro.core.reproducer` / :mod:`repro.core.full_replay` — the
@@ -20,7 +21,7 @@ The paper's contribution, in four movements:
 
 from repro.core.cost import CostModel
 from repro.core.diagnose import Diagnosis, diagnose
-from repro.core.explorer import ExplorerConfig, FeedbackExplorer, RandomExplorer
+from repro.core.explorer import ExplorerConfig
 from repro.core.full_replay import CompleteLog, replay_complete
 from repro.core.recorder import RecordedRun, record
 from repro.core.reproducer import ReproductionReport, Reproducer, reproduce
@@ -32,8 +33,6 @@ __all__ = [
     "CostModel",
     "Diagnosis",
     "ExplorerConfig",
-    "FeedbackExplorer",
-    "RandomExplorer",
     "RecordedRun",
     "Reproducer",
     "ReproductionReport",

@@ -1,14 +1,15 @@
-"""Parallel replay-attempt exploration.
+"""The exploration engine: batched replay attempts, in process or pooled.
 
 The paper's pitch is that PRES trades a cheap sketch for *more replay
 attempts* — which makes attempt throughput, not single-replay latency,
 the number that matters at diagnosis time.  Every attempt is a pure
 function of ``(sketch log, constraint set, base seed)``, so attempts are
-embarrassingly parallel: :class:`ParallelExplorer` dispatches *batches*
-of frontier candidates to a ``ProcessPoolExecutor`` of replay workers,
-each of which reconstructs the machine + PIR scheduler from a pickled
-:class:`~repro.core.recorder.RecordedRun` and sends back a compact
-:class:`AttemptOutcome` (never the full trace).
+embarrassingly parallel: :class:`ParallelExplorer` — the one search loop
+every reproduction runs — evaluates *batches* of frontier candidates,
+in-process at ``jobs=1`` and on a ``ProcessPoolExecutor`` of replay
+workers above, each of which reconstructs the machine + PIR scheduler
+from a pickled :class:`~repro.core.recorder.RecordedRun` and sends back a
+compact :class:`AttemptOutcome` (never the full trace).
 
 Deterministic merge semantics
 -----------------------------
@@ -17,9 +18,8 @@ Parallelism must not change *what* is explored, or the published attempt
 counts would depend on core count.  The engine guarantees that by being
 batch-synchronous:
 
-1. A batch of up to ``batch_size`` candidates is popped from the frontier
-   in canonical best-first order (the same heap order the serial
-   :class:`~repro.core.explorer.FeedbackExplorer` uses).
+1. A batch of up to ``batch_size`` candidates is popped from the
+   :class:`~repro.core.explorer.Frontier` in canonical best-first order.
 2. The batch is evaluated — concurrently or not; each attempt is pure, so
    worker scheduling cannot affect any outcome.
 3. Outcomes are folded back **in pop order**: records are appended, the
@@ -28,9 +28,14 @@ batch-synchronous:
 
 Consequently the exploration schedule depends only on ``batch_size``,
 never on ``jobs``: ``jobs=1`` and ``jobs=64`` report the same winning
-schedule and the same attempt count.  With ``batch_size=1`` the engine
-degenerates to exactly the serial explorer's schedule (property-tested in
-``tests/core/test_parallel.py``).
+schedule and the same attempt count (property-tested in
+``tests/core/test_parallel.py``; ``tests/core/test_report_digests.py``
+pins the E3/E5 reports themselves).
+
+Without feedback (the paper's E5 ablation) the loop is unchanged but
+mines nothing: each batch is the next ``batch_size`` seeds of
+``base_seed, base_seed + 1, ...`` with no constraints, and plan or static
+seeds are ignored.
 
 Early cancellation: once a batch's canonical-first match is known, every
 later future in the batch is cancelled and no further batches are
@@ -54,6 +59,7 @@ byte-identical under injected faults (see ``docs/resilience.md``).  A
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import threading
@@ -61,22 +67,18 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core import shm
 from repro.core.constraints import ConstraintSet, canonical_order
 from repro.core.epochs import EpochResumeBase
 from repro.core.explorer import (
-    EMPTY_SEEDS,
     AttemptRecord,
     ExplorationResult,
     ExplorerConfig,
     Frontier,
-    SeededSets,
-    _classify,
-    observe_attempt_record,
-    observe_plan_match,
-    seed_plan,
+    plan_candidates,
+    static_candidates,
 )
 from repro.core.feedback import (
     TIER_ROOT,
@@ -103,6 +105,39 @@ from repro.sim.machine import Machine
 from repro.sim.trace import Trace
 
 _EMPTY: ConstraintSet = frozenset()
+_ROOT = Candidate(_EMPTY, 0, 0, tier=TIER_ROOT)
+
+
+def recording_token(recorded: RecordedRun) -> Tuple[str, int, str]:
+    """The recording half of every attempt-cache and store key.
+
+    ``(sketch, entries, fingerprint)``, where the fingerprint digests the
+    sketch log *and* the recording it constrains: the program with its
+    parameters, the machine config, the recorded failure signature and
+    the recorded output.  A log alone does not identify a recording —
+    every NONE log is empty, and short SYNC/SYS logs of different
+    programs coincide — and a key on the log alone would let one
+    recording's memoized outcome answer another's attempt.  The
+    fingerprint also names the store shard (and the epoch-base registry
+    entry) the attempts land in.
+    """
+    failure = recorded.failure.signature() if recorded.failure is not None else None
+    identity = (
+        recorded.program.describe(), recorded.config, failure, recorded.stdout
+    )
+    digest = hashlib.sha1(recorded.log.fingerprint().encode("utf-8"))
+    digest.update(repr(identity).encode("utf-8"))
+    return recorded.sketch.value, len(recorded.log), digest.hexdigest()
+
+
+def _classify(trace: Trace, matched: bool) -> Tuple[str, str]:
+    if matched:
+        return "matched", trace.failure.describe() if trace.failure else ""
+    if trace.diverged:
+        return "diverged", trace.divergence or ""
+    if trace.failure is not None:
+        return "other_failure", trace.failure.describe()
+    return "no_failure", ""
 
 
 @dataclass
@@ -192,8 +227,8 @@ def run_attempt(
 ) -> Tuple[Trace, bool]:
     """One replay attempt; the single source of attempt semantics.
 
-    Shared by the serial :class:`~repro.core.reproducer.Reproducer`, the
-    in-process fast path, and pool workers, so all three cannot drift.
+    Shared by the engine's in-process path, pool workers, and the
+    winner's rematerialization, so none of them can drift.
 
     ``resume``/``tree`` opt into prefix memoization: the machine starts
     from a snapshot of the parent attempt inside the candidate's safe
@@ -440,17 +475,17 @@ class _LeasedPool:
 
 
 class ParallelExplorer:
-    """Batch-deterministic exploration over a pool of replay workers.
+    """Batch-deterministic exploration, in-process or over a worker pool.
 
-    Drop-in peer of :class:`~repro.core.explorer.FeedbackExplorer` /
-    :class:`~repro.core.explorer.RandomExplorer` that owns its attempt
-    execution (the serial explorers are handed a runner callable; this
-    one must ship work to other processes, so it holds the
-    :class:`AttemptContext` itself).
+    The one search loop: ``jobs=1`` evaluates every batch in this
+    process (with the same prefix memoization a pool gets), ``jobs > 1``
+    ships batches to pool workers.  It holds the :class:`AttemptContext`
+    itself, since pooled attempts must be able to rebuild it elsewhere.
 
-    :param use_feedback: with False, explores the predetermined seed
-        sequence of :class:`RandomExplorer` (the E5 ablation arm), still
-        batched and cached.
+    :param use_feedback: with False, mining is off and the search
+        explores the seed sequence ``base_seed, base_seed + 1, ...`` with
+        no constraints (the E5 ablation arm), still batched and cached;
+        plan and static seeds are ignored.
     :param cache: optional shared :class:`AttemptCache`; hits are folded
         without dispatching a replay.
     :param supervise: retry/deadline/rebuild policy for the worker pool
@@ -500,8 +535,6 @@ class ParallelExplorer:
         if isinstance(chaos, ChaosSpec):
             chaos = ChaosInjector(chaos) if chaos.active else None
         self.chaos: Optional[ChaosInjector] = chaos
-        #: partial result captured so a KeyboardInterrupt can report it.
-        self._partial: Optional[ExplorationResult] = None
         bind = getattr(cache, "bind_metrics", None)
         if bind is not None:
             # A persistent cache tier charges its store.* counters into
@@ -517,20 +550,17 @@ class ParallelExplorer:
         #: before any dispatch can happen (the supervisor builds the pool
         #: before submitting its first task).
         self._session_token: Optional[shm.SegmentToken] = None
-        self._log_token = (
-            recorded.sketch.value,
-            len(recorded.log),
-            recorded.log.fingerprint(),
-        )
+        self._log_token = recording_token(recorded)
         # Worker lanes are assigned by first appearance *at fold time*,
         # which happens in pop order — so lane numbering is deterministic
         # even though OS pids are not.
         self._parent_pid = os.getpid()
         self._lanes: Dict[int, int] = {}
-        #: constraint sets seeded from the sanitizer plan and the static
-        #: analyzer (feedback mode only), for the match attribution at
-        #: fold time.
-        self._plan_sets: SeededSets = EMPTY_SEEDS
+        #: constraint sets seeded from the sanitizer plan and from the
+        #: static analyzer (feedback mode only), for the match
+        #: attribution at fold time.
+        self._plan_sets: FrozenSet[ConstraintSet] = frozenset()
+        self._static_sets: FrozenSet[ConstraintSet] = frozenset()
         #: prefix snapshots for attempts evaluated in this process (the
         #: inline path and supervisor fallbacks); pool workers hold their
         #: own trees (see :func:`_worker_init`).
@@ -557,8 +587,8 @@ class ParallelExplorer:
         configured = self.config.batch_size
         if configured > 0:
             return configured
-        # Auto: serial stays exactly serial (batch of 1 == the serial
-        # explorer's schedule); pools speculate two batches per worker —
+        # Auto: serial stays exactly serial (batches of one); pools
+        # speculate two batches per worker —
         # doubled when folded attempts measure as cheap, where dispatch
         # latency dominates and deeper speculation amortizes it.  The
         # tuning signal is virtual steps folded so far (never wall
@@ -582,9 +612,11 @@ class ParallelExplorer:
         workers joined and returns the partial result, flagged
         ``interrupted``, instead of propagating.
         """
-        self.obs.metrics.gauge("jobs").set(self.config.jobs)
-        self.obs.metrics.gauge("batch_size").set(self.batch_size)
+        metrics = self.obs.metrics
+        metrics.gauge("jobs").set(self.config.jobs)
+        metrics.gauge("batch_size").set(self.batch_size)
         self._charge_resumed()
+        result = ExplorationResult(success=False)
         with self.obs.tracer.span(
             "explore", category="engine",
             jobs=self.config.jobs, batch_size=self.batch_size,
@@ -592,23 +624,19 @@ class ParallelExplorer:
         ):
             supervisor = self._make_supervisor()
             try:
-                if self.use_feedback:
-                    result = self._explore_feedback(supervisor)
-                else:
-                    result = self._explore_random(supervisor)
+                self._search(result, supervisor)
             except KeyboardInterrupt:
                 supervisor.shutdown(wait=True)
-                result = self._partial or ExplorationResult(success=False)
                 result.interrupted = True
-                result.duplicate_traces = self.db.duplicate_traces
-                if self.cache is not None:
-                    result.cache_hits = self.cache.hits
-                self.obs.metrics.counter("supervise.interrupted").inc()
+                metrics.counter("supervise.interrupted").inc()
                 self.obs.tracer.instant("interrupted", category="supervise")
             finally:
                 supervisor.shutdown(wait=False)
-        self.obs.metrics.counter("duplicate_traces").inc(result.duplicate_traces)
+        result.duplicate_traces = self.db.duplicate_traces
+        if self.cache is not None:
+            result.cache_hits = self.cache.hits
         result.prefix_hits = self._prefix_hits
+        metrics.counter("duplicate_traces").inc(result.duplicate_traces)
         return result
 
     # -- supervision ----------------------------------------------------
@@ -736,23 +764,7 @@ class ParallelExplorer:
             )
             return None
 
-    # -- batch evaluation ------------------------------------------------
-
-    def _evaluate_batch(
-        self,
-        supervisor: Supervisor,
-        tasks: Sequence[
-            Tuple[ConstraintSet, int, Optional[AttemptOutcome], Optional[ResumePlan]]
-        ],
-    ) -> List[AttemptOutcome]:
-        """Evaluate one batch, returning outcomes in canonical pop order.
-
-        Stops at the first matched outcome *in pop order*: later entries
-        are cancelled (pool) or never run (inline), so the result list is
-        identical however many workers raced on it.  Execution — pooled
-        with retries, or in-process — is the supervisor's business.
-        """
-        return supervisor.evaluate_batch(tasks, self.use_feedback)
+    # -- batch assembly -------------------------------------------------
 
     def _cache_key(self, constraints: ConstraintSet, seed: int) -> Tuple:
         return AttemptCache.key_for(
@@ -825,28 +837,55 @@ class ParallelExplorer:
             self._lanes[pid] = lane
         return lane
 
-    # -- feedback-driven search ------------------------------------------
+    # -- the search ------------------------------------------------------
 
-    def _explore_feedback(self, supervisor: Supervisor) -> ExplorationResult:
-        result = ExplorationResult(success=False)
-        self._partial = result
+    def _seed_plan(self, push) -> None:
+        """Push the config's plan and static seeds right behind the root.
+
+        Dynamic plan seeds go first; static seeds that duplicate a
+        dynamic seed are dropped (the dynamic plan dominates), and the
+        frontier routes the rest to its interleave lane.  Remembers both
+        sets for the match attribution on success.
+        """
+        config, metrics = self.config, self.obs.metrics
+        seeded = plan_candidates(config.plan_seeds)
+        self._plan_sets = frozenset(c.constraints for c in seeded)
+        statics = [
+            c for c in static_candidates(config.static_seeds)
+            if c.constraints not in self._plan_sets
+        ]
+        self._static_sets = frozenset(c.constraints for c in statics)
+        for candidate in seeded + statics:
+            push(candidate, config.base_seed)
+        if seeded:
+            metrics.counter("sanitize.plan_seeded").inc(len(seeded))
+        if statics:
+            metrics.counter("sanitize.static.seeded").inc(len(statics))
+
+    def _search(self, result: ExplorationResult, supervisor: Supervisor) -> None:
         config = self.config
         tracer = self.obs.tracer
         metrics = self.obs.metrics
         frontier = Frontier()
-        restarts_used = 0
         push = frontier.push
-
-        push(Candidate(_EMPTY, 0, 0, tier=TIER_ROOT), config.base_seed)
-        self._plan_sets = seed_plan(push, config, metrics)
+        rolled = 0  # no-feedback seeds handed out so far
+        restarts_used = 0
+        if self.use_feedback:
+            push(_ROOT, config.base_seed)
+            self._seed_plan(push)
 
         while result.attempt_count < config.max_attempts:
+            want = min(self.batch_size, config.max_attempts - result.attempt_count)
+            if not self.use_feedback:
+                # No feedback: every attempt re-rolls the unrecorded
+                # choices with the next seed of the sequence.
+                for seed in range(rolled, rolled + want):
+                    push(_ROOT, config.base_seed + seed)
+                rolled += want
             # Assemble the next batch in canonical best-first order.
             batch: List[
                 Tuple[ConstraintSet, int, Optional[AttemptOutcome], Optional[ResumePlan]]
             ] = []
-            budget_left = config.max_attempts - result.attempt_count
-            want = min(self.batch_size, budget_left)
             while len(batch) < want and frontier:
                 constraints, seed, candidate = frontier.pop()
                 if self.db.tried(constraints, seed):
@@ -856,14 +895,13 @@ class ParallelExplorer:
                 resume = None if cached is not None else self._resume_plan(candidate)
                 batch.append((constraints, seed, cached, resume))
             if not batch:
+                # A restart re-rolls every unrecorded choice: same (empty)
+                # constraint set, fresh base seed.
                 restarts_used += 1
                 if restarts_used > config.seed_restarts:
                     break
                 metrics.counter("seed_restarts").inc()
-                push(
-                    Candidate(_EMPTY, 0, 0, tier=TIER_ROOT),
-                    config.base_seed + restarts_used,
-                )
+                push(_ROOT, config.base_seed + restarts_used)
                 continue
 
             metrics.counter("batches").inc()
@@ -871,18 +909,20 @@ class ParallelExplorer:
                 "batch", category="explore", size=len(batch),
                 first_attempt=result.attempt_count,
             ):
-                outcomes = self._evaluate_batch(supervisor, batch)
+                outcomes = supervisor.evaluate_batch(batch, self.use_feedback)
             for outcome in outcomes:
-                if result.attempt_count >= config.max_attempts:
-                    break  # speculative overshoot: discard deterministically
                 if self._fold(result, outcome, push):
-                    return result
+                    return
             metrics.gauge("frontier_peak").max(len(frontier))
-        result.duplicate_traces = self.db.duplicate_traces
-        return result
 
     def _fold(self, result: ExplorationResult, outcome: AttemptOutcome, push) -> bool:
-        """Merge one outcome into the running result; True when done."""
+        """Merge one outcome into the running result; True when done.
+
+        Called only in pop order, which is what makes every counter and
+        histogram charged here ``jobs``-invariant for a fixed
+        ``batch_size``.
+        """
+        metrics = self.obs.metrics
         record = AttemptRecord(
             index=result.attempt_count,
             base_seed=outcome.seed,
@@ -892,7 +932,12 @@ class ParallelExplorer:
             detail=outcome.detail,
         )
         result.attempts.append(record)
-        observe_attempt_record(self.obs.metrics, record)
+        metrics.counter("attempts").inc()
+        metrics.counter(f"attempts_{record.outcome}").inc()
+        metrics.histogram("constraint_set_size").observe(record.n_constraints)
+        metrics.histogram("attempt_steps").observe(record.steps)
+        if record.outcome == "diverged":
+            metrics.histogram("divergence_depth").observe(record.steps)
         self._folded_attempts += 1
         self._folded_steps += outcome.steps
         if outcome.spans:
@@ -905,11 +950,13 @@ class ParallelExplorer:
             result.success = True
             result.winning_constraints = outcome.constraints
             result.winning_seed = outcome.seed
-            observe_plan_match(
-                self.obs.metrics, self._plan_sets, outcome.constraints
-            )
+            # A seeded win is charged to its source; the root never is.
+            if outcome.constraints and outcome.constraints in self._plan_sets:
+                metrics.counter("sanitize.plan_matched").inc()
+            elif outcome.constraints and outcome.constraints in self._static_sets:
+                metrics.counter("sanitize.static.matched").inc()
             # Attempts are pure, so re-running the winner in-process
-            # reconstructs the full winning trace the workers did not ship.
+            # reconstructs the full winning trace the batch did not keep.
             with self.obs.tracer.span(
                 "rematerialize-winner", category="replay", seed=outcome.seed
             ):
@@ -918,43 +965,20 @@ class ParallelExplorer:
                 )
             assert matched, "winning attempt must re-match deterministically"
             result.winning_trace = trace
-            result.duplicate_traces = self.db.duplicate_traces
-            if self.cache is not None:
-                result.cache_hits = self.cache.hits
             return True
-        if self.db.record_fingerprint(outcome.fingerprint):
-            self.obs.metrics.counter("candidates_mined").inc(
-                len(outcome.candidates)
-            )
+        new_execution = self.db.record_fingerprint(outcome.fingerprint)
+        if new_execution:
+            metrics.counter("candidates_mined").inc(len(outcome.candidates))
             for candidate in outcome.candidates:
                 push(candidate, outcome.seed)
-        if self.cache is not None:
-            result.cache_hits = self.cache.hits
+        if self._prefix_tree:
+            # Only the children just pushed can ever resume from this
+            # attempt's in-process snapshots, none deeper than its plan.
+            depths = [
+                resume_depth(c.parent_steps, c.safe_prefix)
+                for c in (outcome.candidates if new_execution else ())
+            ]
+            self._prefix_tree.discard(
+                outcome.constraints, outcome.seed, max(depths, default=0)
+            )
         return False
-
-    # -- feedback-free (ablation) search ----------------------------------
-
-    def _explore_random(self, supervisor: Supervisor) -> ExplorationResult:
-        result = ExplorationResult(success=False)
-        self._partial = result
-        config = self.config
-        tracer = self.obs.tracer
-        metrics = self.obs.metrics
-        next_index = 0
-        while next_index < config.max_attempts:
-            size = min(self.batch_size, config.max_attempts - next_index)
-            batch = []
-            for offset in range(size):
-                seed = config.base_seed + next_index + offset
-                batch.append((_EMPTY, seed, self._cached(_EMPTY, seed), None))
-            next_index += size
-            metrics.counter("batches").inc()
-            with tracer.span(
-                "batch", category="explore", size=len(batch),
-                first_attempt=result.attempt_count,
-            ):
-                outcomes = self._evaluate_batch(supervisor, batch)
-            for outcome in outcomes:
-                if self._fold(result, outcome, lambda *_: None):
-                    return result
-        return result

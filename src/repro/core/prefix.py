@@ -33,7 +33,9 @@ Design constraints, in order:
 * **Bounded memory and overhead.**  Capture depths double
   (48, 96, 192, ...), so a live attempt pays O(log steps) snapshots,
   and the tree holds at most ``max_nodes`` snapshots, evicting
-  least-recently-used.
+  least-recently-used.  The engine's own (``jobs=1``) tree also drops,
+  as each attempt folds, the snapshots none of its pushed children can
+  resume from (:meth:`PrefixTree.discard`).
 """
 
 from __future__ import annotations
@@ -147,6 +149,15 @@ class PrefixTree:
         self.aliases += 1
         while len(self._nodes) > self.max_nodes:
             del self._nodes[next(iter(self._nodes))]
+
+    def discard(
+        self, constraints: ConstraintSet, seed: int, keep_below: int = 0
+    ) -> None:
+        """Drop the snapshots of attempt ``(constraints, seed)`` deeper
+        than ``keep_below`` — the ones no child of it can resume from."""
+        for depth in CAPTURE_DEPTHS:
+            if depth > keep_below:
+                self._nodes.pop((constraints, seed, depth), None)
 
     def __len__(self) -> int:
         return len(self._nodes)

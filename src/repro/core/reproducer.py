@@ -12,42 +12,42 @@ The usual flow::
     report = reproduce(recorded)
     assert report.success and report.attempts <= 10
     trace = replay_complete(program, report.complete_log)   # every time
+
+:func:`reproduce` is the one entry point.  It walks a list of *rungs*,
+each a recorded run plus a share of the attempt budget: one full-history
+rung by default, the epoch ladder when the recording is epoch-windowed,
+and the sketch degradation ladder with ``degrade=True``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.core.constraints import ConstraintSet
-from repro.core.explorer import (
-    AttemptRecord,
-    ExplorationResult,
-    ExplorerConfig,
-    FeedbackExplorer,
-    RandomExplorer,
-)
+from repro.core.explorer import AttemptRecord, ExplorationResult, ExplorerConfig
 from repro.core.epochs import EpochBoundary, EpochResumeBase, suffix_log
 from repro.core.feedback import AttemptCache
 from repro.core.full_replay import CompleteLog
-from repro.core.parallel import (
-    AttemptContext,
-    ParallelExplorer,
-    PoolLease,
-    run_attempt,
-)
+from repro.core.parallel import ParallelExplorer, PoolLease, recording_token
 from repro.core.recorder import RecordedRun
 from repro.core.sketches import SKETCH_ORDER, SketchKind
 from repro.core.sketchlog import derive_coarser
 from repro.errors import SimUsageError
 from repro.obs.session import ObsSession, resolve_session
 from repro.robust.supervise import SuperviseConfig
-from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # avoid core -> sanitize/analysis imports at runtime
     from repro.analysis.static_.model import StaticPlan
     from repro.sanitize.plan import ReplayPlan
+
+#: base-seed offset between consecutive rungs of a walk
+#: (``base_seed + rung_index * SEED_BACKOFF``): each rung re-rolls the
+#: unrecorded choices from its own deterministic seed range.
+SEED_BACKOFF = 101
 
 
 @dataclass
@@ -105,11 +105,12 @@ class EpochRung:
 class ReproductionReport:
     """Outcome of one reproduction session.
 
-    The salvage/degradation fields are populated by
-    :func:`reproduce_degraded`; a plain :func:`reproduce` leaves them at
-    their defaults.  They exist so a run against a damaged log ends in a
-    *structured* answer — what was salvaged, which rung succeeded, why it
-    stopped — instead of an unhandled traceback.
+    The salvage and rung fields are filled by the ladder walks of
+    :func:`reproduce` (``degrade=True``, or an epoch-windowed recording);
+    a plain session leaves them at their defaults.  They exist so a run
+    against a damaged or windowed log ends in a *structured* answer —
+    what was salvaged, which rung succeeded, why it stopped — instead of
+    an unhandled traceback.
     """
 
     program_name: str
@@ -124,7 +125,7 @@ class ReproductionReport:
     #: attempts answered from the attempt cache instead of a fresh replay.
     cache_hits: int = 0
     #: attempts dispatched with a schedule-prefix resume plan (see
-    #: :mod:`repro.core.prefix`).  Jobs-invariant; 0 for serial runs.
+    #: :mod:`repro.core.prefix`).  Jobs-invariant.
     prefix_hits: int = 0
     #: entries available after salvage, when the log came from salvage
     #: (``None`` when the log was pristine).
@@ -133,8 +134,8 @@ class ReproductionReport:
     dropped_records: int = 0
     #: every rung the degradation ladder tried, in order.
     degradation_path: List[DegradationRung] = field(default_factory=list)
-    #: every replay base the epoch walk tried, newest first (populated by
-    #: :func:`reproduce_windowed`; empty for full-history sessions).
+    #: every replay base the epoch walk tried, newest first (empty for
+    #: full-history recordings).
     epoch_path: List[EpochRung] = field(default_factory=list)
     #: the sketch level that finally reproduced the bug (success only).
     winning_sketch: Optional[SketchKind] = None
@@ -193,7 +194,13 @@ def render_report(report: ReproductionReport) -> str:
 
 
 class Reproducer:
-    """Runs replay attempts against one recorded run."""
+    """Explores one recorded run (one rung of a :func:`reproduce` walk).
+
+    Narrows the sanitizer and static plans to the candidates applicable
+    at the recording's sketch, runs the exploration engine
+    (:class:`~repro.core.parallel.ParallelExplorer`) and packages its
+    result as a :class:`ReproductionReport`.
+    """
 
     def __init__(
         self,
@@ -229,58 +236,27 @@ class Reproducer:
                 static_seeds=static_plan.seeds_for(recorded.sketch),
             )
         self.obs = resolve_session(self.config, obs)
-        self.base_policy = base_policy
-        #: ODR-style strictness: besides re-triggering the failure, the
-        #: attempt must reproduce the production run's observable output.
-        self.match_output = match_output
-        #: shared attempt semantics: sorts each constraint set once per
-        #: session (canonical order) instead of once per replay.
-        self.context = AttemptContext(
-            recorded=recorded,
+        #: ``match_output`` is ODR-style strictness: besides re-triggering
+        #: the failure, an attempt must reproduce the production run's
+        #: observable output.
+        self.explorer = ParallelExplorer(
+            recorded,
+            self.config,
             base_policy=base_policy,
             match_output=match_output,
-            max_candidates_per_attempt=self.config.max_candidates_per_attempt,
-            max_constraint_depth=self.config.max_constraint_depth,
+            use_feedback=use_feedback,
+            cache=cache,
+            obs=self.obs,
+            supervise=supervise,
+            chaos=chaos,
+            pool=pool,
             epoch_base=epoch_base,
         )
-        self.explorer: object
-        # Supervision and chaos live in the batch engine, so asking for
-        # either routes through it even at jobs=1 (where it runs the
-        # exact serial schedule: batch_size defaults to 1).
-        if (
-            self.config.jobs > 1
-            or self.config.batch_size > 1
-            or cache is not None
-            or supervise is not None
-            or chaos is not None
-            or pool is not None
-        ):
-            self.explorer = ParallelExplorer(
-                recorded,
-                self.config,
-                base_policy=base_policy,
-                match_output=match_output,
-                use_feedback=use_feedback,
-                cache=cache,
-                obs=self.obs,
-                supervise=supervise,
-                chaos=chaos,
-                pool=pool,
-                epoch_base=epoch_base,
-            )
-        elif use_feedback:
-            self.explorer = FeedbackExplorer(
-                recorded.sketch, self.config, obs=self.obs
-            )
-        else:
-            self.explorer = RandomExplorer(
-                recorded.sketch, self.config, obs=self.obs
-            )
 
     def run(self) -> ReproductionReport:
         """Run the exploration loop and package the outcome."""
+        metrics = self.obs.metrics
         if self.plan is not None:
-            metrics = self.obs.metrics
             metrics.counter("sanitize.races_predicted").inc(
                 len(self.plan.races)
             )
@@ -297,7 +273,6 @@ class Reproducer:
                 len(self.config.plan_seeds)
             )
         if self.static_plan is not None:
-            metrics = self.obs.metrics
             metrics.counter("sanitize.static.races").inc(
                 len(self.static_plan.races)
             )
@@ -318,24 +293,13 @@ class Reproducer:
             program=self.recorded.program.name,
             sketch=self.recorded.sketch.value,
         ):
-            if isinstance(self.explorer, ParallelExplorer):
-                result = self.explorer.explore()
-            else:
-                result = self.explorer.explore(self._attempt)
+            result = self.explorer.explore()
         report = self._package(result)
-        metrics = self.obs.metrics
         metrics.counter("reproductions").inc()
         if report.success:
             metrics.counter("reproductions_succeeded").inc()
             metrics.histogram("attempts_to_match").observe(report.attempts)
         return report
-
-    # -- one attempt -------------------------------------------------------
-
-    def _attempt(self, constraints: ConstraintSet, seed: int) -> Tuple[Trace, bool]:
-        return run_attempt(self.context, constraints, seed)
-
-    # -- packaging ------------------------------------------------------------
 
     def _package(self, result: ExplorationResult) -> ReproductionReport:
         complete_log = None
@@ -359,11 +323,6 @@ class Reproducer:
             cache_hits=result.cache_hits,
             prefix_hits=result.prefix_hits,
             interrupted=result.interrupted,
-            outcome_reason=(
-                f"interrupted after {result.attempt_count} attempt(s); "
-                "partial results only"
-                if result.interrupted else ""
-            ),
         )
 
 
@@ -415,8 +374,33 @@ def reproduce(
     chaos: object = None,
     run: object = None,
     pool: Optional[PoolLease] = None,
+    degrade: bool = False,
+    salvaged_entries: Optional[int] = None,
+    dropped_records: int = 0,
 ) -> ReproductionReport:
-    """Reproduce a recorded failure; see :class:`Reproducer`.
+    """Reproduce a recorded failure: the one reproduction entry point.
+
+    The session walks a list of rungs, each a recorded run explored by
+    :class:`Reproducer` under a share of ``config.max_attempts``:
+
+    * a full-history recording is one rung — a plain session;
+    * an epoch-windowed recording (``recorded.epochs`` set) walks its
+      replay bases newest first, restoring each boundary snapshot and
+      searching only the epoch-local suffix of the sketch; the
+      full-history rung runs last, and only when the window truncated
+      nothing (see :func:`epoch_replay_ladder`);
+    * ``degrade=True`` walks the sketch degradation ladder
+      ``recorded.sketch`` → ... → SYNC, each rung's log derived from the
+      previous (finer) one (see :func:`degradation_ladder`).
+
+    The budget splits exactly across rungs (remainders to the first,
+    finest or newest, rungs), rung ``i`` starts at ``base_seed + i *``
+    :data:`SEED_BACKOFF`, and every rung shares one attempt cache, so the
+    walk is a pure function of its inputs: the report is byte-identical
+    across ``jobs``, store state, chaos and resume.  It stops at the
+    first rung that reproduces the failure (or at an interrupt) and
+    always returns a structured :class:`ReproductionReport`; neither
+    ``SketchFormatError`` nor ``ReplayDivergence`` escapes.
 
     :param base_policy: how unconstrained choices are made within an
         attempt — ``"random"`` (uniform) or ``"pct"`` (PCT priorities,
@@ -428,18 +412,23 @@ def reproduce(
         identical for every value; >1 dispatches attempt batches to a
         process pool (:class:`~repro.core.parallel.ParallelExplorer`).
     :param cache: optional shared :class:`AttemptCache`; memoized attempt
-        outcomes are folded in without re-running the replay.
+        outcomes are folded in without re-running the replay.  A ladder
+        walk creates one for its rungs when none is given.
     :param store: optional cross-run attempt store — a store directory
         path or an open :class:`~repro.store.attempt_store.AttemptStore`.
         Outcomes are written through to it and a warm store answers
         attempts without live replays; the reported schedule and winner
         are identical with the store cold, warm, or partially populated.
+        An epoch walk first expires entries persisted under boundaries
+        the window has since dropped (see
+        :meth:`~repro.store.attempt_store.AttemptStore.expire_epochs`).
         Mutually exclusive with ``cache``.
-    :param obs: optional :class:`~repro.obs.session.ObsSession` to record
-        spans and metrics into; defaults to the ``config.trace`` /
-        ``config.metrics`` knobs (off = zero cost).
+    :param obs: optional :class:`~repro.obs.session.ObsSession` shared by
+        every rung, so the exported timeline shows the whole walk;
+        defaults to the ``config.trace`` / ``config.metrics`` knobs (off
+        = zero cost).
     :param plan: optional sanitizer :class:`~repro.sanitize.plan.ReplayPlan`;
-        its candidates applicable at ``recorded.sketch`` seed the first
+        its candidates applicable at each rung's sketch seed the first
         attempts (after the baseline empty attempt).
     :param static_plan: optional
         :class:`~repro.analysis.static_.model.StaticPlan` from
@@ -463,26 +452,63 @@ def reproduce(
         (:class:`~repro.robust.runs.RunJournalCache`): decided attempts
         are journaled as they fold, an interrupted run can be resumed,
         and the journal is committed when the report completes.  Layers
-        *over* ``cache``/``store`` (they become its inner tier).
+        *over* ``cache``/``store`` (they become its inner tier).  Plain
+        sessions only.
     :param pool: optional shared :class:`~repro.core.parallel.PoolLease`
         — borrow a host-owned warm worker pool instead of building a
         private one (the reproduction service lends one pool to every
         concurrent job).  Identical results either way.
+    :param degrade: walk the sketch degradation ladder instead of the
+        recorded sketch alone.
+    :param salvaged_entries: entry count recovered by salvage, recorded
+        on the report for the bug ticket (``None`` = log was pristine).
+    :param dropped_records: journal lines salvage had to discard.
+    :raises SimUsageError: for walks that do not compose — ``degrade``
+        with an epoch-windowed recording, a ``run`` journal with either
+        ladder, or ``plan``/``static_plan``/salvage accounting with an
+        epoch-windowed recording (those describe full-history logs).
     """
+    windowed = recorded.epochs is not None
+    if degrade and windowed:
+        raise SimUsageError(
+            "degrade does not compose with an epoch-windowed recording "
+            "(both are rung walks over their own exploration)"
+        )
+    if run is not None and (degrade or windowed):
+        raise SimUsageError(
+            "a run journal does not compose with a ladder walk (each "
+            "rung is its own exploration)"
+        )
+    if windowed and (plan is not None or static_plan is not None
+                     or salvaged_entries is not None or dropped_records):
+        raise SimUsageError(
+            "plans and salvage describe full-history logs; an "
+            "epoch-windowed recording replays windowed suffixes"
+        )
+    config = config or ExplorerConfig()
     if jobs is not None:
-        config = dataclasses.replace(config or ExplorerConfig(), jobs=jobs)
+        config = dataclasses.replace(config, jobs=jobs)
+    session = resolve_session(config, obs)
     cache, close_after = _resolve_store(store, cache)
     if run is not None:
         if cache is not None:
             run.attach_inner(cache)
         cache = run
     try:
-        report = Reproducer(
-            recorded, config=config, use_feedback=use_feedback,
-            base_policy=base_policy, match_output=match_output, cache=cache,
-            obs=obs, plan=plan, static_plan=static_plan,
-            supervise=supervise, chaos=chaos, pool=pool,
-        ).run()
+        rungs = _rungs(recorded, degrade)
+        if windowed:
+            _expire_dropped_epochs(cache, recorded, rungs, session)
+        if cache is None and (degrade or windowed):
+            cache = AttemptCache()
+        explorer = functools.partial(
+            Reproducer, use_feedback=use_feedback, base_policy=base_policy,
+            match_output=match_output, cache=cache, obs=session, plan=plan,
+            static_plan=static_plan, supervise=supervise, chaos=chaos,
+            pool=pool,
+        )
+        report = _walk(recorded, rungs, config, session, cache, degrade, explorer)
+        report.salvaged_entries = salvaged_entries
+        report.dropped_records = dropped_records
         if run is not None and not report.interrupted:
             run.commit(report)
         return report
@@ -493,7 +519,186 @@ def reproduce(
             close_after.close()
 
 
-# -- epoch-windowed reproduction ---------------------------------------------
+@dataclass
+class _Rung:
+    """One recorded run a :func:`reproduce` walk explores."""
+
+    recorded: RecordedRun
+    #: ladder span name; empty for the lone rung of a plain session.
+    span: str = ""
+    #: the outcome reason when this rung reproduces the failure.
+    won: str = ""
+    #: the epoch boundary replayed from (epoch walks; ``None`` = full
+    #: history).
+    boundary: Optional[EpochBoundary] = None
+
+    @property
+    def epoch_base(self) -> Optional[EpochResumeBase]:
+        boundary = self.boundary
+        if boundary is None:
+            return None
+        return EpochResumeBase(
+            state=boundary.snapshot, step=boundary.step, epoch=boundary.epoch
+        )
+
+
+def _rungs(recorded: RecordedRun, degrade: bool) -> List[_Rung]:
+    """The rungs a walk over ``recorded`` tries, in order."""
+    timeline = recorded.epochs
+    if degrade:
+        # Mechanisms are cumulative, so deriving each rung from the
+        # previous (finer) one equals projecting from the original log
+        # but touches ever-shrinking entry lists.
+        rungs, log = [], recorded.log
+        for sketch in degradation_ladder(recorded.sketch):
+            log = derive_coarser(log, sketch)
+            rungs.append(_Rung(
+                dataclasses.replace(recorded, sketch=sketch, log=log),
+                span=f"rung {sketch.value}",
+                won=f"reproduced at the {sketch.value} rung" + (
+                    "" if sketch is recorded.sketch
+                    else f" (degraded from {recorded.sketch.value})"
+                ),
+            ))
+        return rungs
+    if timeline is None:
+        return [_Rung(recorded)]
+    rungs = []
+    for boundary in epoch_replay_ladder(recorded):
+        if boundary is None:
+            rungs.append(_Rung(
+                recorded, span="epoch rung full-history",
+                won="reproduced from the full history",
+            ))
+            continue
+        log = suffix_log(
+            recorded.log, timeline, boundary,
+            program_name=recorded.program.name, seed=recorded.seed,
+        )
+        rungs.append(_Rung(
+            dataclasses.replace(recorded, log=log),
+            span=f"epoch rung epoch {boundary.epoch}",
+            won=f"reproduced from the epoch {boundary.epoch} boundary "
+                f"(step {boundary.step})",
+            boundary=boundary,
+        ))
+    return rungs
+
+
+def _walk(
+    recorded: RecordedRun,
+    rungs: List[_Rung],
+    config: ExplorerConfig,
+    session: ObsSession,
+    cache: Optional[AttemptCache],
+    degrade: bool,
+    explorer: Callable[..., Reproducer],
+) -> ReproductionReport:
+    """Explore ``rungs`` in order under one budget; one aggregate report.
+
+    ``explorer(recorded, config=..., epoch_base=...)`` builds the
+    :class:`Reproducer` for one rung with the session-wide settings.
+    """
+    metrics = session.metrics
+    timeline = recorded.epochs
+    budgets = split_rung_budgets(config.max_attempts, len(rungs))
+    if timeline is not None:
+        metrics.counter("epoch.replay_bases").inc(len(rungs))
+    records: List[AttemptRecord] = []
+    degradation_path: List[DegradationRung] = []
+    epoch_path: List[EpochRung] = []
+    steps = duplicates = prefix_hits = 0
+    last: Optional[ReproductionReport] = None
+    rung = rungs[0]
+    for index, rung in enumerate(rungs):
+        budget = budgets[index]
+        if budget <= 0:
+            continue
+        entries = len(rung.recorded.log)
+        if degrade:
+            metrics.counter("ladder_rungs").inc()
+            metrics.histogram("rung_budget").observe(budget)
+        elif timeline is not None:
+            metrics.counter("epoch.rungs").inc()
+        rung_config = dataclasses.replace(
+            config,
+            max_attempts=budget,
+            base_seed=config.base_seed + index * SEED_BACKOFF,
+        )
+        with (
+            session.tracer.span(
+                rung.span, category="ladder", budget=budget, entries=entries
+            ) if rung.span else contextlib.nullcontext()
+        ):
+            last = explorer(
+                rung.recorded, config=rung_config, epoch_base=rung.epoch_base
+            ).run()
+        records.extend(last.records)
+        steps += last.total_replay_steps
+        duplicates += last.duplicate_traces
+        prefix_hits += last.prefix_hits
+        why = "" if last.success else _rung_failure_reason(last)
+        if degrade:
+            degradation_path.append(DegradationRung(
+                rung.recorded.sketch, last.attempts, last.success, entries, why
+            ))
+        elif timeline is not None:
+            boundary = rung.boundary
+            epoch_path.append(EpochRung(
+                0 if boundary is None else boundary.epoch,
+                0 if boundary is None else boundary.step,
+                last.attempts, last.success, entries, why,
+            ))
+        if last.success or last.interrupted:
+            break
+
+    success = last is not None and last.success
+    interrupted = last is not None and last.interrupted
+    reason = ""
+    if interrupted:
+        reason = (
+            f"interrupted after {len(records)} attempt(s); "
+            "partial results only"
+        )
+    elif success:
+        reason = rung.won
+        if timeline is not None:
+            metrics.counter("epoch.reproduced").inc()
+    elif degrade:
+        reason = (
+            "exhausted the degradation ladder "
+            f"({' -> '.join(r.sketch.value for r in degradation_path)}) "
+            f"within {len(records)} total attempt(s)"
+        )
+    elif timeline is not None:
+        reason = (
+            f"exhausted the epoch ladder within {len(records)} total "
+            "attempt(s)"
+        )
+        if timeline.truncated_epochs > 0 or timeline.truncated_entries > 0:
+            reason += (
+                "; the epoch window was too tight to reach full history "
+                f"({timeline.truncated_epochs} truncated epoch(s) are "
+                "unreachable)"
+            )
+    return ReproductionReport(
+        program_name=recorded.program.name,
+        sketch=recorded.sketch,
+        success=success,
+        attempts=len(records),
+        records=records,
+        complete_log=last.complete_log if success else None,
+        winning_constraints=last.winning_constraints if success else frozenset(),
+        total_replay_steps=steps,
+        duplicate_traces=duplicates,
+        cache_hits=cache.hits if cache is not None else 0,
+        prefix_hits=prefix_hits,
+        degradation_path=degradation_path,
+        epoch_path=epoch_path,
+        winning_sketch=rung.recorded.sketch if success else None,
+        outcome_reason=reason,
+        interrupted=interrupted,
+    )
 
 
 def epoch_replay_ladder(recorded: RecordedRun) -> List[Optional[EpochBoundary]]:
@@ -515,203 +720,34 @@ def epoch_replay_ladder(recorded: RecordedRun) -> List[Optional[EpochBoundary]]:
     return ladder or [None]
 
 
-def reproduce_windowed(
-    recorded: RecordedRun,
-    config: Optional[ExplorerConfig] = None,
-    use_feedback: bool = True,
-    base_policy: str = "random",
-    match_output: bool = False,
-    seed_backoff: int = 101,
-    jobs: Optional[int] = None,
-    cache: Optional[AttemptCache] = None,
-    store: object = None,
-    obs: Optional[ObsSession] = None,
-    supervise: Optional[SuperviseConfig] = None,
-    chaos: object = None,
-) -> ReproductionReport:
-    """Reproduce an epoch-windowed recording by last-epoch in-situ replay.
-
-    Instead of re-simulating from step 0, each rung restores one
-    boundary snapshot (newest healthy boundary first) and searches only
-    the epoch-local suffix of the sketch; older boundaries widen the
-    search window, and the full-history rung runs last — but only when
-    the window truncated nothing, the ladder's fallback rule.  The walk
-    is a pure function of its inputs: budgets split exactly across rungs
-    (remainder to the newest — the PRES bet is that the bug lives in the
-    last epoch) and the base seed backs off deterministically per rung,
-    so reports are byte-identical across ``jobs`` and across window
-    sizes that cover the reproducing epoch.
-
-    A recording without an epoch timeline falls back to plain
-    :func:`reproduce` untouched.
-
-    With a ``store``, attempt entries persisted under boundaries that
-    have since been dropped from the window are expired before the walk
-    (see :meth:`~repro.store.attempt_store.AttemptStore.expire_epochs`).
-    """
-    timeline = recorded.epochs
-    if timeline is None:
-        return reproduce(
-            recorded, config=config, use_feedback=use_feedback,
-            base_policy=base_policy, match_output=match_output, jobs=jobs,
-            cache=cache, store=store, obs=obs, supervise=supervise,
-            chaos=chaos,
-        )
-    base_config = config or ExplorerConfig()
-    if jobs is not None:
-        base_config = dataclasses.replace(base_config, jobs=jobs)
-    session = resolve_session(base_config, obs)
-    cache, close_after = _resolve_store(store, cache)
-    try:
-        ladder = epoch_replay_ladder(recorded)
-        rung_logs = [
-            recorded.log if boundary is None else suffix_log(
-                recorded.log, timeline, boundary,
-                program_name=recorded.program.name, seed=recorded.seed,
-            )
-            for boundary in ladder
-        ]
-        _expire_dropped_epochs(cache, recorded, rung_logs, session)
-        budgets = split_rung_budgets(base_config.max_attempts, len(ladder))
-        shared_cache = cache if cache is not None else AttemptCache()
-        path: List[EpochRung] = []
-        merged_records: List[AttemptRecord] = []
-        total_attempts = 0
-        total_steps = 0
-        duplicates = 0
-        cache_hits = 0
-        prefix_hits = 0
-        session.metrics.counter("epoch.replay_bases").inc(len(ladder))
-
-        for index, boundary in enumerate(ladder):
-            if budgets[index] <= 0:
-                continue
-            session.metrics.counter("epoch.rungs").inc()
-            rung_log = rung_logs[index]
-            epoch_base = None
-            if boundary is not None:
-                epoch_base = EpochResumeBase(
-                    state=boundary.snapshot,
-                    step=boundary.step,
-                    epoch=boundary.epoch,
-                )
-            rung_recorded = dataclasses.replace(recorded, log=rung_log)
-            rung_config = dataclasses.replace(
-                base_config,
-                max_attempts=budgets[index],
-                base_seed=base_config.base_seed + index * seed_backoff,
-            )
-            span_base = "full-history" if boundary is None else (
-                f"epoch {boundary.epoch}"
-            )
-            with session.tracer.span(
-                f"epoch rung {span_base}", category="ladder",
-                budget=budgets[index], entries=len(rung_log),
-            ):
-                report = Reproducer(
-                    rung_recorded,
-                    config=rung_config,
-                    use_feedback=use_feedback,
-                    base_policy=base_policy,
-                    match_output=match_output,
-                    cache=shared_cache,
-                    obs=session,
-                    supervise=supervise,
-                    chaos=chaos,
-                    epoch_base=epoch_base,
-                ).run()
-            total_attempts += report.attempts
-            total_steps += report.total_replay_steps
-            duplicates += report.duplicate_traces
-            cache_hits = shared_cache.hits
-            prefix_hits += report.prefix_hits
-            merged_records.extend(report.records)
-            path.append(
-                EpochRung(
-                    epoch=0 if boundary is None else boundary.epoch,
-                    step=0 if boundary is None else boundary.step,
-                    attempts=report.attempts,
-                    success=report.success,
-                    entries=len(rung_log),
-                    reason="" if report.success else _rung_failure_reason(report),
-                )
-            )
-            if report.interrupted or report.success:
-                reason = ""
-                if report.success:
-                    session.metrics.counter("epoch.reproduced").inc()
-                    reason = (
-                        "reproduced from the full history"
-                        if boundary is None else
-                        f"reproduced from the epoch {boundary.epoch} "
-                        f"boundary (step {boundary.step})"
-                    )
-                return dataclasses.replace(
-                    report,
-                    attempts=total_attempts,
-                    records=merged_records,
-                    total_replay_steps=total_steps,
-                    duplicate_traces=duplicates,
-                    cache_hits=cache_hits,
-                    prefix_hits=prefix_hits,
-                    epoch_path=path,
-                    outcome_reason=reason or report.outcome_reason,
-                )
-
-        truncated = timeline.truncated_epochs > 0 or timeline.truncated_entries > 0
-        return ReproductionReport(
-            program_name=recorded.program.name,
-            sketch=recorded.sketch,
-            success=False,
-            attempts=total_attempts,
-            records=merged_records,
-            total_replay_steps=total_steps,
-            duplicate_traces=duplicates,
-            cache_hits=cache_hits,
-            prefix_hits=prefix_hits,
-            epoch_path=path,
-            outcome_reason=(
-                "exhausted the epoch ladder within "
-                f"{total_attempts} total attempt(s)"
-                + (
-                    "; the epoch window was too tight to reach full "
-                    f"history ({timeline.truncated_epochs} truncated "
-                    "epoch(s) are unreachable)"
-                    if truncated else ""
-                )
-            ),
-        )
-    finally:
-        if close_after is not None:
-            close_after.close()
-
-
 def _expire_dropped_epochs(
     cache: Optional[AttemptCache],
     recorded: RecordedRun,
-    rung_logs: List["object"],
+    rungs: List[_Rung],
     session: ObsSession,
 ) -> None:
     """Expire store entries persisted under no-longer-live epoch bases.
 
     Only fires when the cache is store-backed: the live set is the
-    fingerprints of this timeline's replay-base suffix logs (plus the
-    retained full log); registered epoch entries outside it belong to
-    boundaries the rolling window has dropped and can never be looked up
-    again.
+    recording tokens (see :func:`~repro.core.parallel.recording_token`)
+    of this timeline's replay-base rungs plus the retained full log;
+    registered epoch entries outside it belong to boundaries the rolling
+    window has dropped and can never be looked up again.
     """
     store = getattr(cache, "store", None)
     if store is None or not hasattr(store, "expire_epochs"):
         return
     tags = {}
-    for log in rung_logs:
-        if getattr(log, "base_tag", ""):
-            tags[log.fingerprint()] = {
+    live = set()
+    for rung in rungs:
+        fingerprint = recording_token(rung.recorded)[2]
+        live.add(fingerprint)
+        if rung.recorded.log.base_tag:
+            tags[fingerprint] = {
                 "program": recorded.program.name,
                 "seed": recorded.seed,
-                "base": log.base_tag,
+                "base": rung.recorded.log.base_tag,
             }
-    live = {log.fingerprint() for log in rung_logs}
     store.register_epoch_fingerprints(tags)
     report = store.expire_epochs(live)
     if report.expired:
@@ -747,229 +783,6 @@ def split_rung_budgets(total: int, rungs: int) -> List[int]:
         return []
     base, remainder = divmod(max(0, total), rungs)
     return [base + (1 if index < remainder else 0) for index in range(rungs)]
-
-
-def reproduce_degraded(
-    recorded: RecordedRun,
-    config: Optional[ExplorerConfig] = None,
-    use_feedback: bool = True,
-    base_policy: str = "random",
-    match_output: bool = False,
-    salvaged_entries: Optional[int] = None,
-    dropped_records: int = 0,
-    seed_backoff: int = 101,
-    jobs: Optional[int] = None,
-    cache: Optional[AttemptCache] = None,
-    store: object = None,
-    obs: Optional[ObsSession] = None,
-    plan: Optional["ReplayPlan"] = None,
-    static_plan: Optional["StaticPlan"] = None,
-    supervise: Optional[SuperviseConfig] = None,
-    chaos: object = None,
-) -> ReproductionReport:
-    """Reproduce with graceful degradation over the sketch ladder.
-
-    Walks ``recorded.sketch`` → ... → SYNC, deriving each coarser sketch
-    from the (possibly salvaged) log, splitting the attempt budget across
-    rungs (exactly — remainders go to the finest rungs) and backing the
-    base seed off deterministically per rung
-    (``base_seed + rung_index * seed_backoff``), so the whole session is
-    still a pure function of its inputs.  Always returns a structured
-    :class:`ReproductionReport`; neither ``SketchFormatError`` nor
-    ``ReplayDivergence`` can escape (divergences are already absorbed per
-    attempt by the machine/explorer).
-
-    Each rung's log is derived from the previous (finer) rung's — the
-    mechanisms are cumulative, so chained projection is equivalent to
-    projecting from the original log but touches ever-shrinking entry
-    lists; :func:`derive_coarser` additionally memoizes per source log.
-
-    :param salvaged_entries: entry count recovered by salvage, recorded
-        on the report for the bug ticket (``None`` = log was pristine).
-    :param dropped_records: journal lines salvage had to discard.
-    :param jobs: replay workers per rung (overrides ``config.jobs``).
-    :param cache: shared :class:`AttemptCache` for all rungs (one is
-        created when ``None``), so a re-walk of the ladder replays
-        nothing it has already learned.
-    :param store: optional cross-run attempt store (a directory path or
-        an open :class:`~repro.store.attempt_store.AttemptStore`); every
-        rung shares the one persistent tier, so a crashed or re-run
-        ladder walk resumes warm from whatever earlier rungs persisted.
-        Mutually exclusive with ``cache``.
-    :param obs: optional :class:`~repro.obs.session.ObsSession` shared by
-        every rung, so the exported timeline shows the whole ladder walk;
-        defaults to the ``config.trace`` / ``config.metrics`` knobs.
-    :param plan: optional sanitizer plan; each rung seeds the candidates
-        applicable at *its* sketch level, so a plan built from a rich log
-        keeps helping as the ladder coarsens.
-    :param static_plan: optional static plan (see :func:`reproduce`);
-        each rung re-filters its candidates at that rung's sketch level,
-        still behind any dynamic plan seeds.
-    :param supervise: optional supervision policy, shared by every rung
-        (see :func:`reproduce`).
-    :param chaos: optional fault injection, shared by every rung.
-    """
-    cache, close_after = _resolve_store(store, cache)
-    try:
-        return _degraded_walk(
-            recorded,
-            config=config,
-            use_feedback=use_feedback,
-            base_policy=base_policy,
-            match_output=match_output,
-            salvaged_entries=salvaged_entries,
-            dropped_records=dropped_records,
-            seed_backoff=seed_backoff,
-            jobs=jobs,
-            cache=cache,
-            obs=obs,
-            plan=plan,
-            static_plan=static_plan,
-            supervise=supervise,
-            chaos=chaos,
-        )
-    finally:
-        if close_after is not None:
-            close_after.close()
-
-
-def _degraded_walk(
-    recorded: RecordedRun,
-    *,
-    config: Optional[ExplorerConfig],
-    use_feedback: bool,
-    base_policy: str,
-    match_output: bool,
-    salvaged_entries: Optional[int],
-    dropped_records: int,
-    seed_backoff: int,
-    jobs: Optional[int],
-    cache: Optional[AttemptCache],
-    obs: Optional[ObsSession],
-    plan: Optional["ReplayPlan"],
-    static_plan: Optional["StaticPlan"],
-    supervise: Optional[SuperviseConfig],
-    chaos: object,
-) -> ReproductionReport:
-    """The ladder walk behind :func:`reproduce_degraded`."""
-    base_config = config or ExplorerConfig()
-    if jobs is not None:
-        base_config = dataclasses.replace(base_config, jobs=jobs)
-    session = resolve_session(base_config, obs)
-    rungs = degradation_ladder(recorded.sketch)
-    budgets = split_rung_budgets(base_config.max_attempts, len(rungs))
-    shared_cache = cache if cache is not None else AttemptCache()
-    path: List[DegradationRung] = []
-    merged_records: List[AttemptRecord] = []
-    total_attempts = 0
-    total_steps = 0
-    duplicates = 0
-    cache_hits = 0
-    prefix_hits = 0
-    source_log = recorded.log
-
-    for index, rung in enumerate(rungs):
-        if budgets[index] <= 0:
-            continue
-        session.metrics.counter("ladder_rungs").inc()
-        session.metrics.histogram("rung_budget").observe(budgets[index])
-        rung_log = derive_coarser(source_log, rung)
-        source_log = rung_log
-        rung_recorded = dataclasses.replace(
-            recorded, sketch=rung, log=rung_log
-        )
-        rung_config = dataclasses.replace(
-            base_config,
-            max_attempts=budgets[index],
-            base_seed=base_config.base_seed + index * seed_backoff,
-        )
-        with session.tracer.span(
-            f"rung {rung.value}", category="ladder",
-            budget=budgets[index], entries=len(rung_log),
-        ):
-            report = Reproducer(
-                rung_recorded,
-                config=rung_config,
-                use_feedback=use_feedback,
-                base_policy=base_policy,
-                match_output=match_output,
-                cache=shared_cache,
-                obs=session,
-                plan=plan,
-                static_plan=static_plan,
-                supervise=supervise,
-                chaos=chaos,
-            ).run()
-        total_attempts += report.attempts
-        total_steps += report.total_replay_steps
-        duplicates += report.duplicate_traces
-        cache_hits = shared_cache.hits
-        prefix_hits += report.prefix_hits
-        merged_records.extend(report.records)
-        path.append(
-            DegradationRung(
-                sketch=rung,
-                attempts=report.attempts,
-                success=report.success,
-                entries=len(rung_log),
-                reason="" if report.success else _rung_failure_reason(report),
-            )
-        )
-        if report.interrupted:
-            # Ctrl-C mid-rung: stop the walk and report partial progress
-            # instead of burning the remaining rungs' budgets.
-            return dataclasses.replace(
-                report,
-                sketch=recorded.sketch,
-                attempts=total_attempts,
-                records=merged_records,
-                total_replay_steps=total_steps,
-                duplicate_traces=duplicates,
-                cache_hits=cache_hits,
-                prefix_hits=prefix_hits,
-                salvaged_entries=salvaged_entries,
-                dropped_records=dropped_records,
-                degradation_path=path,
-            )
-        if report.success:
-            return dataclasses.replace(
-                report,
-                sketch=recorded.sketch,
-                attempts=total_attempts,
-                records=merged_records,
-                total_replay_steps=total_steps,
-                duplicate_traces=duplicates,
-                prefix_hits=prefix_hits,
-                salvaged_entries=salvaged_entries,
-                dropped_records=dropped_records,
-                degradation_path=path,
-                winning_sketch=rung,
-                outcome_reason=(
-                    f"reproduced at the {rung.value} rung"
-                    + ("" if rung is recorded.sketch else
-                       f" (degraded from {recorded.sketch.value})")
-                ),
-            )
-
-    return ReproductionReport(
-        program_name=recorded.program.name,
-        sketch=recorded.sketch,
-        success=False,
-        attempts=total_attempts,
-        records=merged_records,
-        total_replay_steps=total_steps,
-        duplicate_traces=duplicates,
-        cache_hits=cache_hits,
-        prefix_hits=prefix_hits,
-        salvaged_entries=salvaged_entries,
-        dropped_records=dropped_records,
-        degradation_path=path,
-        outcome_reason=(
-            "exhausted the degradation ladder "
-            f"({' -> '.join(r.sketch.value for r in path)}) within "
-            f"{total_attempts} total attempt(s)"
-        ),
-    )
 
 
 def _rung_failure_reason(report: ReproductionReport) -> str:

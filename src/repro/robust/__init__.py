@@ -24,8 +24,9 @@ that assumption made executable:
   fsync, atomic rename) for every serialize-the-whole-artifact path.
 
 The replay-side counterpart — the degradation ladder that re-derives
-coarser sketches from a salvaged prefix and retries — lives with the
-reproduction driver in :func:`repro.core.reproducer.reproduce_degraded`.
+coarser sketches from a salvaged prefix and retries — is one of the rung
+walks of the reproduction driver,
+:func:`repro.core.reproducer.reproduce` with ``degrade=True``.
 Resumable run journals live in :mod:`repro.robust.runs`, which is *not*
 re-exported here: it imports the store codec, whose import chain reaches
 :mod:`repro.robust.supervise`, and must not run during this package's

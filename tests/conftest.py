@@ -175,6 +175,35 @@ def find_seed(program: Program, want_failure: bool = True, limit: int = 300) -> 
     )
 
 
+def explore_stub(monkeypatch, runner, config, sketch, use_feedback=True):
+    """Run the exploration engine with ``runner`` standing in for replay.
+
+    ``runner(constraints, seed) -> (trace, matched)`` replaces
+    :func:`repro.core.parallel.run_attempt`; the engine still mines the
+    traces it returns (under ``sketch``), so stub traces steer the search
+    like real ones.  Attempts are pure, so the stub answers each
+    ``(constraints, seed)`` once: the engine's in-process re-run of the
+    winner sees the same answer without calling ``runner`` again.
+    Returns ``(explorer, result)``.
+    """
+    from repro.core import parallel
+    from repro.core.recorder import record
+
+    answers = {}
+
+    def stub(ctx, constraints, seed, resume=None, tree=None):
+        if (constraints, seed) not in answers:
+            answers[constraints, seed] = runner(constraints, seed)
+        return answers[constraints, seed]
+
+    monkeypatch.setattr(parallel, "run_attempt", stub)
+    recorded = record(counter_program(), sketch=sketch, seed=0)
+    explorer = parallel.ParallelExplorer(
+        recorded, config, use_feedback=use_feedback
+    )
+    return explorer, explorer.explore()
+
+
 @pytest.fixture
 def counter() -> Program:
     return counter_program()

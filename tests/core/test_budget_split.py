@@ -18,7 +18,7 @@ from repro.core.explorer import ExplorerConfig
 from repro.core.recorder import record
 from repro.core.reproducer import (
     degradation_ladder,
-    reproduce_degraded,
+    reproduce,
     split_rung_budgets,
 )
 from repro.core.sketches import SketchKind
@@ -69,11 +69,12 @@ class TestLadderBudgetExact:
         recorded = _doomed_recorded()
         rungs = degradation_ladder(recorded.sketch)
         assert len(rungs) == 5  # rw -> bb -> func -> sys -> sync
-        report = reproduce_degraded(
+        report = reproduce(
             recorded,
             ExplorerConfig(max_attempts=7),
             use_feedback=False,
             match_output=True,
+            degrade=True,
         )
         assert not report.success
         assert report.attempts == 7
@@ -81,11 +82,12 @@ class TestLadderBudgetExact:
 
     def test_tiny_budget_skips_zero_rungs(self):
         recorded = _doomed_recorded()
-        report = reproduce_degraded(
+        report = reproduce(
             recorded,
             ExplorerConfig(max_attempts=3),
             use_feedback=False,
             match_output=True,
+            degrade=True,
         )
         assert not report.success
         assert report.attempts == 3

@@ -19,10 +19,10 @@ from repro.core.epochs import (
 from repro.core.explorer import ExplorerConfig
 from repro.core.recorder import record
 from repro.core.reproducer import (
+    Reproducer,
     epoch_replay_ladder,
     render_report,
     reproduce,
-    reproduce_windowed,
 )
 from repro.core.sketches import SketchKind
 from repro.errors import SimUsageError
@@ -224,17 +224,17 @@ class TestWindowedReproduce:
     def test_windowed_reproduction_succeeds(self):
         recorded = failing_epoch_record(10, 2)
         assert recorded.failed
-        report = reproduce_windowed(recorded, self.CONFIG)
+        report = reproduce(recorded, self.CONFIG)
         assert report.success
         assert report.epoch_path
         assert any(r.success for r in report.epoch_path)
 
     def test_report_identical_across_jobs(self):
         recorded = failing_epoch_record(10, 2)
-        serial = render_report(reproduce_windowed(recorded, self.CONFIG))
+        serial = render_report(reproduce(recorded, self.CONFIG))
         for jobs in (2, 4):
             parallel = render_report(
-                reproduce_windowed(recorded, self.CONFIG, jobs=jobs)
+                reproduce(recorded, self.CONFIG, jobs=jobs)
             )
             assert parallel == serial, f"jobs={jobs} diverged"
 
@@ -255,14 +255,29 @@ class TestWindowedReproduce:
             config=MachineConfig(ncpus=4),
         )
         assert recorded.epochs is None
-        windowed = reproduce_windowed(recorded, self.CONFIG)
-        plain = reproduce(recorded, self.CONFIG)
-        assert render_report(windowed) == render_report(plain)
-        assert windowed.epoch_path == []
+        walked = reproduce(recorded, self.CONFIG)
+        plain = Reproducer(recorded, self.CONFIG).run()
+        assert render_report(walked) == render_report(plain)
+        assert walked.complete_log == plain.complete_log
+        assert walked.epoch_path == [] and walked.degradation_path == []
+        assert walked.outcome_reason == ""
+
+    def test_walks_that_do_not_compose_are_refused(self, tmp_path):
+        from repro.robust.runs import start_run
+
+        recorded = failing_epoch_record(10, 2)
+        with pytest.raises(SimUsageError, match="degrade"):
+            reproduce(recorded, self.CONFIG, degrade=True)
+        with pytest.raises(SimUsageError, match="full-history"):
+            reproduce(recorded, self.CONFIG, salvaged_entries=3)
+        run = start_run(str(tmp_path), "r", meta={})
+        with pytest.raises(SimUsageError, match="run journal"):
+            reproduce(recorded, self.CONFIG, run=run)
+        run.close()
 
     def test_outcome_reason_names_the_rung(self):
         recorded = failing_epoch_record(10, 2)
-        report = reproduce_windowed(recorded, self.CONFIG)
+        report = reproduce(recorded, self.CONFIG)
         assert report.success
         assert "epoch" in report.outcome_reason or \
             "full history" in report.outcome_reason

@@ -16,7 +16,7 @@ from repro.bench.seeds import find_failing_seed
 from repro.core.explorer import ExplorerConfig
 from repro.core.feedback import AttemptCache
 from repro.core.recorder import record
-from repro.core.reproducer import Reproducer, reproduce
+from repro.core.reproducer import Reproducer, render_report, reproduce
 from repro.core.sketches import SketchKind
 from repro.sim import MachineConfig, Program
 
@@ -75,7 +75,7 @@ class TestJobsEquivalence:
 
 
 class TestSerialDegeneration:
-    """batch_size=1 is exactly the serial FeedbackExplorer's schedule."""
+    """batch_size=1 is exactly the serial (jobs=1) schedule, at any jobs."""
 
     @pytest.mark.parametrize(
         "bug_id", ["pbzip2-order-free", "openldap-deadlock", "fft-order-sync"]
@@ -83,10 +83,11 @@ class TestSerialDegeneration:
     def test_batch_of_one_matches_serial_explorer(self, bug_id):
         recorded = _recorded(bug_id)
         serial = reproduce(recorded, ExplorerConfig(max_attempts=40))
-        # A cache forces the ParallelExplorer path; with jobs=1 and no
-        # explicit batch_size it runs batches of exactly one.
+        # A pool fed one candidate per batch, through a cache, must walk
+        # the serial schedule the frozen report digests pin.
         engine = reproduce(
-            recorded, ExplorerConfig(max_attempts=40), cache=AttemptCache()
+            recorded, ExplorerConfig(max_attempts=40, batch_size=1), jobs=2,
+            cache=AttemptCache(),
         )
         assert engine.success == serial.success
         assert engine.attempts == serial.attempts
@@ -118,6 +119,28 @@ class TestAttemptCache:
             cache=cache,
         )
         assert cache.hits == 0
+
+    def test_one_cache_serves_every_suite_recording(self):
+        # Equal sketch logs do not make equal recordings: every NONE log
+        # is empty, and SYNC/SYS logs of different programs can coincide.
+        # A cache shared across the whole suite must never answer one
+        # recording's attempt with another's outcome.
+        config = ExplorerConfig(max_attempts=100)
+        shared = AttemptCache()
+        broken = []
+        for bug_id in BUG_IDS:
+            for sketch in (SketchKind.NONE, SketchKind.SYNC, SketchKind.SYS):
+                recorded = _recorded(bug_id, sketch)
+                alone = render_report(reproduce(recorded, config))
+                try:
+                    together = render_report(
+                        reproduce(recorded, config, cache=shared)
+                    )
+                except AssertionError as exc:
+                    together = f"raised: {exc}"
+                if together != alone:
+                    broken.append(f"{bug_id}/{sketch.value}")
+        assert broken == []
 
 
 def _local_order_violation() -> Program:

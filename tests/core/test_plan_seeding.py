@@ -1,11 +1,8 @@
-"""Plan seeding in the explorers: ordering, tiers, metrics, determinism."""
+"""Plan seeding in the exploration engine: ordering, tiers, metrics,
+determinism."""
 
 from repro.core.constraints import EventRef, OrderConstraint
-from repro.core.explorer import (
-    ExplorerConfig,
-    FeedbackExplorer,
-    plan_candidates,
-)
+from repro.core.explorer import ExplorerConfig, plan_candidates
 from repro.core.feedback import TIER_PLAN
 from repro.core.recorder import record
 from repro.core.reproducer import Reproducer, reproduce
@@ -15,7 +12,7 @@ from repro.sim import Program
 from repro.sim.failures import Failure, FailureKind
 from repro.sim.trace import Trace
 
-from tests.conftest import find_seed, order_violation_program
+from tests.conftest import explore_stub, find_seed, order_violation_program
 
 
 def _racy_worker(ctx, iters):
@@ -79,7 +76,9 @@ class TestCandidateWrapping:
 
 
 class TestSerialExplorer:
-    def test_root_attempt_runs_before_the_plan(self):
+    """The engine at ``jobs=1``, replay stubbed out (see ``explore_stub``)."""
+
+    def test_root_attempt_runs_before_the_plan(self, monkeypatch):
         seen = []
 
         def runner(constraints, seed):
@@ -87,37 +86,52 @@ class TestSerialExplorer:
             return _trace(), False
 
         config = ExplorerConfig(max_attempts=4, plan_seeds=SEEDS)
-        FeedbackExplorer(SketchKind.SYNC, config).explore(runner)
+        explore_stub(monkeypatch, runner, config, SketchKind.SYNC)
         assert seen[0] == frozenset()
         assert seen[1:4] == list(SEEDS)
 
-    def test_plan_match_is_charged_to_metrics(self):
+    def test_plan_match_is_charged_to_metrics(self, monkeypatch):
         def runner(constraints, seed):
             return _trace(failed=bool(constraints)), bool(constraints)
 
         config = ExplorerConfig(
             max_attempts=4, plan_seeds=SEEDS, metrics=True
         )
-        explorer = FeedbackExplorer(SketchKind.SYNC, config)
-        result = explorer.explore(runner)
+        explorer, result = explore_stub(
+            monkeypatch, runner, config, SketchKind.SYNC
+        )
         assert result.success
         assert result.winning_constraints == SEEDS[0]
         metrics = explorer.obs.metrics
         assert metrics.counter("sanitize.plan_seeded").value == len(SEEDS)
         assert metrics.counter("sanitize.plan_matched").value == 1
 
-    def test_baseline_win_is_not_a_plan_match(self):
+    def test_baseline_win_is_not_a_plan_match(self, monkeypatch):
         def runner(constraints, seed):
             return _trace(failed=True), True  # attempt 1 wins outright
 
         config = ExplorerConfig(
             max_attempts=4, plan_seeds=SEEDS, metrics=True
         )
-        explorer = FeedbackExplorer(SketchKind.SYNC, config)
-        result = explorer.explore(runner)
+        explorer, result = explore_stub(
+            monkeypatch, runner, config, SketchKind.SYNC
+        )
         assert result.success
         assert result.attempt_count == 1
         assert explorer.obs.metrics.counter("sanitize.plan_matched").value == 0
+
+    def test_no_feedback_ignores_the_plan(self, monkeypatch):
+        seen = []
+
+        def runner(constraints, seed):
+            seen.append((constraints, seed))
+            return _trace(), False
+
+        config = ExplorerConfig(max_attempts=4, plan_seeds=SEEDS)
+        explore_stub(
+            monkeypatch, runner, config, SketchKind.SYNC, use_feedback=False
+        )
+        assert seen == [(frozenset(), seed) for seed in range(4)]
 
 
 class TestReproducerIntegration:

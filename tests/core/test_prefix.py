@@ -80,6 +80,20 @@ class TestPrefixTree:
         tree.get("k")
         assert tree.misses == 1 and tree.hits == 1
 
+    def test_discard_drops_only_the_attempts_deeper_rungs(self):
+        tree = PrefixTree()
+        mine, other = frozenset({"a"}), frozenset({"b"})
+        for depth in CAPTURE_DEPTHS[:4]:
+            tree.put((mine, 0, depth), (depth, 0))
+            tree.put((other, 0, depth), (depth, 0))
+        tree.discard(mine, 0, keep_below=CAPTURE_DEPTHS[1])
+        assert sorted(d for c, _, d in tree._nodes if c == mine) == list(
+            CAPTURE_DEPTHS[:2]
+        )
+        assert sum(1 for c, _, _ in tree._nodes if c == other) == 4
+        tree.discard(mine, 0)
+        assert all(c == other for c, _, _ in tree._nodes)
+
 
 def _context(bug_id: str) -> AttemptContext:
     spec = get_bug(bug_id)
@@ -238,3 +252,22 @@ class TestResumedTraceIdentity:
         cold, _ = run_attempt(ctx, frozenset(), 0)
         via_plan, _ = run_attempt(ctx, frozenset(), 0, resume=bogus, tree=tree)
         assert _trace_identity(cold) == _trace_identity(via_plan)
+
+
+class TestInProcessEngine:
+    def test_serial_session_realizes_nearly_every_planned_resume(self):
+        # jobs=1 keeps its snapshots in the engine's own tree, and each
+        # fold drops the ones no pushed child can resume from, so the
+        # bounded tree still holds the parents the next batches need.
+        from repro.bench.speedup import e12_workload
+        from repro.core.explorer import ExplorerConfig
+        from repro.core.reproducer import Reproducer
+
+        reproducer = Reproducer(
+            e12_workload(), ExplorerConfig(max_attempts=300), match_output=True
+        )
+        report = reproducer.run()
+        tree = reproducer.explorer._prefix_tree
+        assert report.prefix_hits == tree.resumes + tree.misses + tree.fallbacks
+        assert tree.fallbacks == 0
+        assert tree.resumes >= 0.9 * report.prefix_hits

@@ -4,18 +4,13 @@ Static candidates do not form a strict tier: the :class:`Frontier`
 keeps them in a FIFO lane and alternates them with mined feedback —
 root first, every dynamic plan seed next, then mined/static/mined/...
 These tests pin the alternation directly on the frontier, through the
-serial explorer, and end-to-end through :func:`reproduce` with a real
-:class:`StaticPlan`.
+exploration engine with replay stubbed out, and end-to-end through
+:func:`reproduce` with a real :class:`StaticPlan`.
 """
 
 from repro.analysis.static_ import analyze_program
 from repro.core.constraints import EventRef, OrderConstraint
-from repro.core.explorer import (
-    ExplorerConfig,
-    FeedbackExplorer,
-    Frontier,
-    static_candidates,
-)
+from repro.core.explorer import ExplorerConfig, Frontier, static_candidates
 from repro.core.feedback import TIER_PLAN, TIER_ROOT, TIER_STATIC, Candidate
 from repro.core.recorder import record
 from repro.core.reproducer import reproduce
@@ -24,7 +19,7 @@ from repro.sim.failures import Failure, FailureKind
 from repro.sim.trace import Trace
 
 from tests.analysis.test_static_analyzer import racy_counter_program
-from tests.conftest import find_seed
+from tests.conftest import explore_stub, find_seed
 
 
 def _pin(key, tid_a=1, tid_b=2, occ=1):
@@ -118,7 +113,9 @@ class TestFrontierInterleave:
 
 
 class TestSerialExplorer:
-    def test_statics_follow_the_root_when_nothing_is_mined(self):
+    """The engine at ``jobs=1``, replay stubbed out (see ``explore_stub``)."""
+
+    def test_statics_follow_the_root_when_nothing_is_mined(self, monkeypatch):
         seen = []
 
         def runner(constraints, seed):
@@ -126,19 +123,20 @@ class TestSerialExplorer:
             return _trace(), False  # stub traces mine no candidates
 
         config = ExplorerConfig(max_attempts=4, static_seeds=STATICS)
-        FeedbackExplorer(SketchKind.NONE, config).explore(runner)
+        explore_stub(monkeypatch, runner, config, SketchKind.NONE)
         assert seen[0] == frozenset()
         assert seen[1:4] == list(STATICS)
 
-    def test_static_match_is_charged_to_metrics(self):
+    def test_static_match_is_charged_to_metrics(self, monkeypatch):
         def runner(constraints, seed):
             return _trace(failed=bool(constraints)), bool(constraints)
 
         config = ExplorerConfig(
             max_attempts=4, static_seeds=STATICS, metrics=True
         )
-        explorer = FeedbackExplorer(SketchKind.NONE, config)
-        result = explorer.explore(runner)
+        explorer, result = explore_stub(
+            monkeypatch, runner, config, SketchKind.NONE
+        )
         assert result.success
         assert result.winning_constraints == STATICS[0]
         metrics = explorer.obs.metrics
@@ -146,7 +144,7 @@ class TestSerialExplorer:
         assert metrics.counter("sanitize.static.matched").value == 1
         assert metrics.counter("sanitize.plan_matched").value == 0
 
-    def test_duplicate_of_a_plan_seed_is_dropped(self):
+    def test_duplicate_of_a_plan_seed_is_dropped(self, monkeypatch):
         seen = []
 
         def runner(constraints, seed):
@@ -159,8 +157,9 @@ class TestSerialExplorer:
             static_seeds=STATICS,  # first one duplicates the plan seed
             metrics=True,
         )
-        explorer = FeedbackExplorer(SketchKind.NONE, config)
-        explorer.explore(runner)
+        explorer, _ = explore_stub(
+            monkeypatch, runner, config, SketchKind.NONE
+        )
         assert seen.count(STATICS[0]) == 1
         assert explorer.obs.metrics.counter(
             "sanitize.static.seeded"

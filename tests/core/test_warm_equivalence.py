@@ -6,7 +6,7 @@ second (warm — published session segment and worker state reused)
 pooled run, and a chaos-supervised pooled run all produce the same
 ``report_signature``.  ``batch_size`` is pinned to 1 because the
 exploration schedule is a function of batch size (not of jobs); at
-batch 1 the engine's schedule is exactly the serial explorer's.
+batch 1 every pooled schedule is exactly the serial (``jobs=1``) one.
 """
 
 from __future__ import annotations

@@ -7,10 +7,7 @@ import pytest
 from repro.apps import get_bug
 from repro.core.explorer import ExplorerConfig
 from repro.core.recorder import record
-from repro.core.reproducer import (
-    degradation_ladder,
-    reproduce_degraded,
-)
+from repro.core.reproducer import degradation_ladder, reproduce
 from repro.core.sketches import SketchKind, visible_kinds
 from repro.core.sketchlog import SketchLog, derive_coarser
 from repro.errors import SimUsageError
@@ -67,8 +64,8 @@ class TestLadder:
 
 class TestReproduceDegraded:
     def test_pristine_log_wins_at_the_top_rung(self, recorded):
-        report = reproduce_degraded(
-            recorded, config=ExplorerConfig(max_attempts=100)
+        report = reproduce(
+            recorded, config=ExplorerConfig(max_attempts=100), degrade=True
         )
         assert report.success
         assert report.winning_sketch is SketchKind.RW
@@ -82,9 +79,10 @@ class TestReproduceDegraded:
         for entry in recorded.log.entries[:50]:
             partial.append(entry)
         damaged = dataclasses.replace(recorded, log=partial)
-        report = reproduce_degraded(
+        report = reproduce(
             damaged,
             config=ExplorerConfig(max_attempts=100),
+            degrade=True,
             salvaged_entries=50,
             dropped_records=3,
         )
@@ -99,7 +97,9 @@ class TestReproduceDegraded:
         # run out of attempts, and the report must say so cleanly.
         never = Failure(kind=FailureKind.ASSERTION, where="unreachable sentinel")
         doomed = dataclasses.replace(recorded, failure=never)
-        report = reproduce_degraded(doomed, config=ExplorerConfig(max_attempts=10))
+        report = reproduce(
+            doomed, config=ExplorerConfig(max_attempts=10), degrade=True
+        )
         assert not report.success
         assert report.winning_sketch is None
         assert "exhausted the degradation ladder" in report.outcome_reason
@@ -116,10 +116,36 @@ class TestReproduceDegraded:
             partial.append(entry)
         damaged = dataclasses.replace(recorded, log=partial)
         config = ExplorerConfig(max_attempts=40)
-        first = reproduce_degraded(damaged, config=config)
-        second = reproduce_degraded(damaged, config=config)
+        first = reproduce(damaged, config=config, degrade=True)
+        second = reproduce(damaged, config=config, degrade=True)
         assert first.success == second.success
         assert first.attempts == second.attempts
         assert [r.sketch for r in first.degradation_path] == [
             r.sketch for r in second.degradation_path
         ]
+
+    def test_interrupt_stops_the_walk_with_walk_totals(self, recorded, monkeypatch):
+        from repro.robust.supervise import Supervisor
+
+        never = Failure(kind=FailureKind.ASSERTION, where="unreachable sentinel")
+        doomed = dataclasses.replace(recorded, failure=never)
+        evaluate = Supervisor.evaluate_batch
+        calls = []
+
+        def interrupt_fourth_batch(self, tasks, mine):
+            calls.append(len(tasks))
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return evaluate(self, tasks, mine)
+
+        monkeypatch.setattr(Supervisor, "evaluate_batch", interrupt_fourth_batch)
+        report = reproduce(
+            doomed, config=ExplorerConfig(max_attempts=10), degrade=True
+        )
+        # rung rw ran its 2 attempts; rung bb folded 1 before the interrupt
+        assert report.interrupted and not report.success
+        assert [r.attempts for r in report.degradation_path] == [2, 1]
+        assert report.attempts == 3
+        assert report.outcome_reason == (
+            "interrupted after 3 attempt(s); partial results only"
+        )

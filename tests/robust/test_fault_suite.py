@@ -14,7 +14,7 @@ import pytest
 from repro.apps import get_bug
 from repro.core.explorer import ExplorerConfig
 from repro.core.recorder import record
-from repro.core.reproducer import ReproductionReport, reproduce_degraded
+from repro.core.reproducer import ReproductionReport, reproduce
 from repro.core.sketches import SketchKind
 from repro.robust.inject import FaultPlan, apply_fault, seeded_truncate_offset
 from repro.robust.journal import load_sketch_journal
@@ -57,9 +57,10 @@ def test_damaged_journal_ends_in_structured_report(tmp_path, sketch, fault):
     assert log.entries == pristine.log.entries[: len(log)]
 
     damaged = dataclasses.replace(pristine, log=log)
-    outcome = reproduce_degraded(
+    outcome = reproduce(
         damaged,
         config=ExplorerConfig(max_attempts=50),
+        degrade=True,
         salvaged_entries=len(log),
         dropped_records=report.dropped_lines,
     )

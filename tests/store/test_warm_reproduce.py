@@ -14,7 +14,7 @@ from repro.bench.seeds import find_failing_seed
 from repro.core.explorer import ExplorerConfig
 from repro.core.feedback import AttemptCache
 from repro.core.recorder import record
-from repro.core.reproducer import reproduce, reproduce_degraded
+from repro.core.reproducer import reproduce
 from repro.core.sketches import SketchKind
 from repro.errors import SimUsageError
 from repro.obs.session import ObsSession
@@ -84,8 +84,8 @@ class TestWarmStart:
 
     def test_degraded_ladder_shares_the_store(self, recorded, tmp_path):
         store_dir = str(tmp_path / "store")
-        cold = reproduce_degraded(recorded, CFG, store=store_dir)
-        warm = reproduce_degraded(recorded, CFG, store=store_dir)
+        cold = reproduce(recorded, CFG, store=store_dir, degrade=True)
+        warm = reproduce(recorded, CFG, store=store_dir, degrade=True)
         assert warm.cache_hits == warm.attempts
         _assert_identical(warm, cold)
 

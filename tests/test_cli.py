@@ -334,16 +334,17 @@ class TestResilience:
         assert "no run journal" in capsys.readouterr().err
 
     def test_interrupt_mid_exploration_exits_130(self, capsys, monkeypatch):
-        from repro.core.explorer import FeedbackExplorer
+        from repro.robust.supervise import Supervisor
 
-        def boom(self, result, runner):
+        def boom(self, tasks, mine):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(FeedbackExplorer, "_search", boom)
+        monkeypatch.setattr(Supervisor, "evaluate_batch", boom)
         code = main(["reproduce", "pbzip2-order-free", "--seed", "3"])
         out = capsys.readouterr().out
         assert code == 130
         assert "interrupted: true" in out
+        assert "INTERRUPTED after 0 attempt(s)" in out
 
     def test_doctor_triages_and_cleans_a_store_directory(
         self, capsys, tmp_path

@@ -11,7 +11,11 @@ fails (exit 1) when the parallel engine has regressed:
   actually beat serial);
 * the ``pool jobs=4`` arm made no schedule-prefix resumes
   (``prefix_hits == 0``) — the memoization path silently stopped
-  engaging.
+  engaging;
+* the arms that replayed live (every arm but the ``cached re-walk``,
+  whose attempts are answered from the cache) disagree on
+  ``prefix_hits`` — one engine plans its resumes from the exploration
+  schedule alone, so ``jobs`` must not move the count.
 
 The speedup floor is only enforced when the host really had more usable
 cores than the arm asked for (``meta.host_cpus``); on a starved runner
@@ -31,6 +35,8 @@ from typing import Any, Dict, List
 #: deliberately looser so runner noise cannot flake the build).
 SPEEDUP_FLOOR = 1.5
 GATED_ARM = "pool jobs=4"
+#: the arm whose attempts come from the cache, so it plans no resumes.
+CACHED_ARM = "cached re-walk"
 
 
 def check(data: Dict[str, Any], floor: float = SPEEDUP_FLOOR) -> List[str]:
@@ -47,6 +53,17 @@ def check(data: Dict[str, Any], floor: float = SPEEDUP_FLOOR) -> List[str]:
                 f"{arm.get('label', '?')}: matches_serial is false — "
                 "the deterministic-merge contract broke"
             )
+
+    live = {
+        arm.get("label", "?"): int(arm.get("prefix_hits", 0))
+        for arm in records if arm.get("label") != CACHED_ARM
+    }
+    if len(set(live.values())) > 1:
+        failures.append(
+            "live arms disagree on prefix_hits ("
+            + ", ".join(f"{label}: {hits}" for label, hits in live.items())
+            + ") — resume planning must depend on the schedule alone"
+        )
 
     gated = next((a for a in records if a.get("label") == GATED_ARM), None)
     if gated is None:

@@ -9,7 +9,7 @@ the baseline's empty attempt and best mined flip by construction), it
 strictly reduces attempts on at least three bugs, static-seeded
 parallel exploration stays ``--jobs``-invariant at a fixed batch size,
 and the analyzer is bytewise deterministic (two independent analyses
-serialize to identical :class:`StaticPlan` JSON).
+serialize to identical plan JSON).
 """
 
 import pytest

@@ -16,8 +16,8 @@ same families of analyses over recorded sketch logs instead of traces)
 are re-exported lazily — ``from repro.analysis import build_plan`` works,
 without this package importing the sanitizer at import time.  The
 *static* analyzer (:mod:`repro.analysis.static_`), which needs no log
-at all, is re-exported the same way: ``analyze_program`` and
-``StaticPlan`` resolve on first use.
+at all, is re-exported the same way: ``analyze_program`` resolves on
+first use.  Both passes return a :class:`repro.core.plan.Plan`.
 """
 
 from repro.analysis.hb_race import HBAnalysis, RacePair, find_races
@@ -46,10 +46,8 @@ from repro.analysis.waitfor import WaitForGraph
 #: from this package during their own initialization.
 _SANITIZE_EXPORTS = (
     "AtomicityViolation",
-    "PlannedCandidate",
     "PredictedDeadlock",
     "PredictedRace",
-    "ReplayPlan",
     "SketchHB",
     "build_plan",
     "predict_atomicity",
@@ -60,8 +58,6 @@ _SANITIZE_EXPORTS = (
 #: static-analyzer entry points, lazily resolved for symmetry (and so
 #: `import repro.analysis` stays cheap for trace-only consumers).
 _STATIC_EXPORTS = (
-    "StaticCandidate",
-    "StaticPlan",
     "analyze_program",
     "extract_program",
 )
@@ -74,15 +70,11 @@ __all__ = [
     "LockOrderEdge",
     "LockOrderReport",
     "LocksetReport",
-    "PlannedCandidate",
     "PotentialDeadlock",
     "PredictedDeadlock",
     "PredictedRace",
     "RacePair",
-    "ReplayPlan",
     "SketchHB",
-    "StaticCandidate",
-    "StaticPlan",
     "VectorClock",
     "WaitForGraph",
     "analyze_program",

@@ -6,7 +6,7 @@ from a recorded sketch log; this package predicts them from the program
 *source* alone — the bug-report scenario where no recording exists.
 ``analyze_program`` walks thread bodies abstractly (:mod:`.extract`),
 mines the access map for race/atomicity/deadlock candidates
-(:mod:`.analyzer`) and returns a serializable :class:`.model.StaticPlan`
+(:mod:`.analyzer`) and returns a static :class:`~repro.core.plan.Plan`
 whose candidates seed exploration at ``TIER_STATIC``.
 """
 
@@ -21,25 +21,19 @@ from repro.analysis.static_.extract import (
     extract_program,
 )
 from repro.analysis.static_.model import (
-    LockEdge,
     StaticAccess,
     StaticAtomicity,
-    StaticCandidate,
     StaticDeadlock,
-    StaticPlan,
     StaticRace,
     ThreadRole,
 )
 
 __all__ = [
     "Extraction",
-    "LockEdge",
     "MAX_STATIC_CANDIDATES",
     "StaticAccess",
     "StaticAtomicity",
-    "StaticCandidate",
     "StaticDeadlock",
-    "StaticPlan",
     "StaticRace",
     "ThreadRole",
     "ThreadWalk",

@@ -1,7 +1,7 @@
 """Static concurrency analysis over extracted program structure.
 
 Consumes an :class:`~repro.analysis.static_.extract.Extraction` and
-produces a :class:`~repro.analysis.static_.model.StaticPlan`:
+produces a static :class:`~repro.core.plan.Plan`:
 
 * a shared-region access map with static (must-hold) locksets,
 * a may-happen-in-parallel (MHP) approximation from the spawn/join
@@ -20,7 +20,6 @@ plans, which CI checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import (
@@ -31,6 +30,7 @@ from repro.core.constraints import (
     ordered_constraints,
     region_key,
 )
+from repro.core.plan import STATIC, Finding, Plan, PlanCandidate
 from repro.sim.ops import Address, OpKind
 from repro.sim.program import Program
 
@@ -45,12 +45,9 @@ from repro.analysis.static_.extract import (
 )
 from repro.analysis.static_.model import (
     LOCK_SHARED,
-    LockEdge,
     StaticAccess,
     StaticAtomicity,
-    StaticCandidate,
     StaticDeadlock,
-    StaticPlan,
     StaticRace,
     ThreadRole,
     region_sort_key,
@@ -86,15 +83,19 @@ _BASE_SCORE = {
 }
 
 
-@dataclass(frozen=True)
-class _Finding:
-    """A candidate before ranking."""
+#: A candidate before ranking, with the regions it touches (the
+#: failure-hint filter keeps only candidates touching relevant regions).
+_Ranked = Tuple[PlanCandidate, Tuple[Address, ...]]
 
-    constraints: ConstraintSet
-    source: str
-    score: float
-    regions: Tuple[Address, ...]
-    note: str
+
+def _ranked(
+    pins: Sequence[OrderConstraint],
+    source: str,
+    score: float,
+    regions: Tuple[Address, ...],
+    note: str,
+) -> _Ranked:
+    return PlanCandidate(frozenset(pins), source, score, note), regions
 
 
 class _Analysis:
@@ -276,8 +277,8 @@ class _Analysis:
                 )
         return races
 
-    def race_findings(self, races: Sequence[StaticRace]) -> List[_Finding]:
-        findings: List[_Finding] = []
+    def race_candidates(self, races: Sequence[StaticRace]) -> List[_Ranked]:
+        candidates: List[_Ranked] = []
         for race in races:
             a, b = race.first, race.second
             if not (a.reliable and b.reliable):
@@ -286,17 +287,11 @@ class _Analysis:
                 free, victim = (a, b) if a.kind is OpKind.FREE else (b, a)
                 if victim.kind is OpKind.FREE:
                     continue  # double free: ordering cannot crash it
-                findings.append(
-                    _Finding(
-                        constraints=frozenset(
-                            {OrderConstraint(free.ref(), victim.ref())}
-                        ),
-                        source="use-after-free",
-                        score=race.score,
-                        regions=(race.region,),
-                        note=f"free in T{free.tid} before use in T{victim.tid}",
-                    )
-                )
+                candidates.append(_ranked(
+                    [OrderConstraint(free.ref(), victim.ref())],
+                    "use-after-free", race.score, (race.region,),
+                    f"free in T{free.tid} before use in T{victim.tid}",
+                ))
                 continue
             if race.kind == "use-before-init":
                 if a.kind in _WRITE_KINDS and b.kind is OpKind.READ:
@@ -305,34 +300,20 @@ class _Analysis:
                     writer, reader = b, a
                 else:
                     continue
-                findings.append(
-                    _Finding(
-                        constraints=frozenset(
-                            {OrderConstraint(reader.ref(), writer.ref())}
-                        ),
-                        source="use-before-init",
-                        score=race.score,
-                        regions=(race.region,),
-                        note=(
-                            f"T{reader.tid} reads {race.region!r} before "
-                            f"T{writer.tid} initializes it"
-                        ),
-                    )
-                )
+                candidates.append(_ranked(
+                    [OrderConstraint(reader.ref(), writer.ref())],
+                    "use-before-init", race.score, (race.region,),
+                    f"T{reader.tid} reads {race.region!r} before "
+                    f"T{writer.tid} initializes it",
+                ))
                 continue
             for before, after in ((a, b), (b, a)):
-                findings.append(
-                    _Finding(
-                        constraints=frozenset(
-                            {OrderConstraint(before.ref(), after.ref())}
-                        ),
-                        source="race",
-                        score=race.score,
-                        regions=(race.region,),
-                        note=f"order T{before.tid} before T{after.tid}",
-                    )
-                )
-        return findings
+                candidates.append(_ranked(
+                    [OrderConstraint(before.ref(), after.ref())],
+                    "race", race.score, (race.region,),
+                    f"order T{before.tid} before T{after.tid}",
+                ))
+        return candidates
 
     # -- atomicity windows -----------------------------------------------
 
@@ -433,10 +414,10 @@ class _Analysis:
                 )
         return results
 
-    def atomicity_findings(
+    def atomicity_candidates(
         self, violations: Sequence[StaticAtomicity]
-    ) -> List[_Finding]:
-        findings: List[_Finding] = []
+    ) -> List[_Ranked]:
+        candidates: List[_Ranked] = []
         for violation in violations:
             a1 = violation.window_first
             a2 = violation.window_second
@@ -446,70 +427,26 @@ class _Analysis:
                 sorted({a1.region, a2.region}, key=region_sort_key)
             )
             # D1: the writer lands inside the window
-            findings.append(
-                _Finding(
-                    constraints=frozenset(
-                        {
-                            OrderConstraint(a1.ref(), w1.ref()),
-                            OrderConstraint(w2.ref(), a2.ref()),
-                        }
-                    ),
-                    source="atomicity",
-                    score=violation.score,
-                    regions=regions,
-                    note=(
-                        f"T{w1.tid} writes between T{a1.tid}'s "
-                        f"{violation.pattern} window"
-                    ),
-                )
-            )
+            candidates.append(_ranked(
+                [OrderConstraint(a1.ref(), w1.ref()),
+                 OrderConstraint(w2.ref(), a2.ref())],
+                "atomicity", violation.score, regions,
+                f"T{w1.tid} writes between T{a1.tid}'s "
+                f"{violation.pattern} window",
+            ))
             # D2: the window lands inside the writer's section (skip when
             # the writer is a single access: that set contradicts itself)
             if w1.ref() != w2.ref():
-                findings.append(
-                    _Finding(
-                        constraints=frozenset(
-                            {
-                                OrderConstraint(w1.ref(), a1.ref()),
-                                OrderConstraint(a2.ref(), w2.ref()),
-                            }
-                        ),
-                        source="atomicity",
-                        score=round(violation.score * 0.95, 4),
-                        regions=regions,
-                        note=(
-                            f"T{a1.tid}'s window lands inside T{w1.tid}'s "
-                            f"write section"
-                        ),
-                    )
-                )
-        return findings
+                candidates.append(_ranked(
+                    [OrderConstraint(w1.ref(), a1.ref()),
+                     OrderConstraint(a2.ref(), w2.ref())],
+                    "atomicity", round(violation.score * 0.95, 4), regions,
+                    f"T{a1.tid}'s window lands inside T{w1.tid}'s "
+                    f"write section",
+                ))
+        return candidates
 
     # -- deadlocks -------------------------------------------------------
-
-    def lock_edges(self) -> List[LockEdge]:
-        edges: List[LockEdge] = []
-        seen: Set[Tuple[int, str, str]] = set()
-        for tid in self.tids:
-            for rec in self.walks[tid].acquires:
-                for held_text, _mode in rec.held:
-                    key = (tid, held_text, rec.name.text)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    edges.append(
-                        LockEdge(
-                            tid=tid,
-                            holder=held_text,
-                            acquired=rec.name.text,
-                            holder_occ=0,
-                            acquired_occ=rec.occurrence,
-                            phase=rec.phase,
-                            func=rec.func,
-                            line=rec.line,
-                        )
-                    )
-        return edges
 
     def find_deadlocks(self) -> List[StaticDeadlock]:
         """Cross-thread 2-cycles in the static lock graph, pattern-aware."""
@@ -620,16 +557,13 @@ class _Analysis:
             )
         return frozenset(constraints)
 
-    def deadlock_findings(
+    def deadlock_candidates(
         self, deadlocks: Sequence[StaticDeadlock]
-    ) -> List[_Finding]:
+    ) -> List[_Ranked]:
         return [
-            _Finding(
-                constraints=deadlock.trigger,
-                source="deadlock",
-                score=deadlock.score,
-                regions=(),
-                note=f"lock cycle {'/'.join(deadlock.cycle)}",
+            _ranked(
+                deadlock.trigger, "deadlock", deadlock.score, (),
+                f"lock cycle {'/'.join(deadlock.cycle)}",
             )
             for deadlock in deadlocks
         ]
@@ -687,48 +621,32 @@ class _Analysis:
     # -- assembly --------------------------------------------------------
 
     def rank(
-        self, findings: Sequence[_Finding], max_candidates: int
-    ) -> Tuple[List[StaticCandidate], bool]:
+        self, candidates: Sequence[_Ranked], max_candidates: int
+    ) -> Tuple[List[PlanCandidate], bool]:
         relevant = self.relevant_regions()
-        kept: List[_Finding] = []
-        for finding in findings:
-            if not finding.constraints:
+        best: Dict[ConstraintSet, PlanCandidate] = {}
+        for candidate, regions in candidates:
+            if not candidate.constraints:
                 continue
-            if relevant is not None and finding.regions and not (
-                set(finding.regions) & relevant
+            if relevant is not None and regions and not (
+                set(regions) & relevant
             ):
                 continue
-            kept.append(finding)
-        best: Dict[ConstraintSet, _Finding] = {}
-        for finding in kept:
-            current = best.get(finding.constraints)
-            if current is None or finding.score > current.score:
-                best[finding.constraints] = finding
+            current = best.get(candidate.constraints)
+            if current is None or candidate.confidence > current.confidence:
+                best[candidate.constraints] = candidate
         ranked = sorted(
             best.values(),
-            key=lambda f: (
-                -f.score,
-                f.source,
+            key=lambda c: (
+                -c.confidence,
+                c.source,
                 tuple(
-                    constraint_sort_key(c)
-                    for c in ordered_constraints(f.constraints)
+                    constraint_sort_key(x)
+                    for x in ordered_constraints(c.constraints)
                 ),
             ),
         )
-        truncated = len(ranked) > max_candidates
-        return (
-            [
-                StaticCandidate(
-                    constraints=finding.constraints,
-                    source=finding.source,
-                    score=finding.score,
-                    regions=finding.regions,
-                    note=finding.note,
-                )
-                for finding in ranked[:max_candidates]
-            ],
-            truncated,
-        )
+        return ranked[:max_candidates], len(ranked) > max_candidates
 
 
 def analyze_extraction(
@@ -736,7 +654,7 @@ def analyze_extraction(
     failure: Optional[str] = None,
     max_candidates: int = MAX_STATIC_CANDIDATES,
     max_findings: int = MAX_STORED_FINDINGS,
-) -> StaticPlan:
+) -> Plan:
     """Run the full static analysis over an extraction.
 
     ``max_findings`` caps the races/atomicity windows *stored* on the
@@ -748,12 +666,12 @@ def analyze_extraction(
     races = analysis.find_races()
     violations = analysis.find_atomicity()
     deadlocks = analysis.find_deadlocks()
-    findings = (
-        analysis.race_findings(races)
-        + analysis.atomicity_findings(violations)
-        + analysis.deadlock_findings(deadlocks)
+    candidates, truncated = analysis.rank(
+        analysis.race_candidates(races)
+        + analysis.atomicity_candidates(violations)
+        + analysis.deadlock_candidates(deadlocks),
+        max_candidates,
     )
-    candidates, truncated = analysis.rank(findings, max_candidates)
     if truncated:
         analysis.notes.append(
             f"candidate list capped at {max_candidates}"
@@ -777,19 +695,40 @@ def analyze_extraction(
         spawn_pos=0,
         join_pos=-1,
     )
-    return StaticPlan(
-        program=program.name,
-        params=tuple(sorted(program.params.items())),
-        threads=(main_role,) + tuple(extraction.roles),
-        regions=analysis.regions(),
-        lock_edges=tuple(analysis.lock_edges()),
-        races=tuple(stored_races),
-        violations=tuple(stored_violations),
-        deadlocks=tuple(deadlocks),
+    findings = [
+        Finding(
+            "race", (race.first.tid, race.second.tid), (race.region,),
+            race.score, race.describe(),
+        )
+        for race in stored_races
+    ] + [
+        Finding(
+            "atomicity", (v.window_first.tid, v.writer_first.tid),
+            tuple(sorted(
+                {v.window_first.region, v.window_second.region},
+                key=region_sort_key,
+            )),
+            v.score, v.describe(),
+        )
+        for v in stored_violations
+    ] + [
+        Finding(
+            "deadlock", d.tids, d.cycle, d.score, d.describe(), d.trigger
+        )
+        for d in deadlocks
+    ]
+    return Plan(
+        provenance=STATIC,
+        subject=program.name,
+        findings=tuple(findings),
         candidates=tuple(candidates),
+        notes=tuple(analysis.notes),
+        threads=tuple(
+            role.describe() for role in (main_role,) + tuple(extraction.roles)
+        ),
+        regions=analysis.regions(),
         failure=analysis.failure,
         complete=extraction.complete,
-        notes=tuple(analysis.notes),
     )
 
 
@@ -806,7 +745,7 @@ def analyze_program(
     failure: Optional[str] = None,
     max_candidates: int = MAX_STATIC_CANDIDATES,
     max_findings: int = MAX_STORED_FINDINGS,
-) -> StaticPlan:
+) -> Plan:
     """Extract and analyze a program in one step (the CLI entry point)."""
     return analyze_extraction(
         extract_program(program),

@@ -5,8 +5,8 @@ program *structure* — thread bodies as Python generators, never executed
 — and reports what it can prove or suspect about shared-state access:
 who touches which region, under which locks, which accesses may happen
 in parallel, and which interleavings look like race / atomicity /
-deadlock triggers.  Everything lands in a :class:`StaticPlan`, the
-sketchless sibling of the dynamic ``ReplayPlan``.
+deadlock triggers.  :func:`~repro.analysis.static_.analyze_program`
+turns these findings into a static :class:`~repro.core.plan.Plan`.
 
 Static refs live in the ``region`` constraint family: the analyzer sees
 ``("row", i)`` with a loop-dependent ``i``, so it names accesses by the
@@ -16,20 +16,10 @@ resolves through :func:`repro.core.constraints.region_key`.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
-from repro.core.constraints import (
-    ConstraintSet,
-    EventRef,
-    OrderConstraint,
-    canonical_order,
-    constraint_sort_key,
-    _key_token,
-)
-from repro.core.sketches import SketchKind
-from repro.core.sketchlog import _from_jsonable, _jsonable
+from repro.core.constraints import ConstraintSet, EventRef, _key_token
 from repro.sim.ops import Address, OpKind
 
 #: Lock modes recorded in static locksets: "x" exclusive, "s" shared.
@@ -92,23 +82,6 @@ class ThreadRole:
 
 
 @dataclass(frozen=True)
-class LockEdge:
-    """Acquired ``acquired`` while holding ``holder`` (static lock graph)."""
-
-    tid: int
-    holder: str
-    acquired: str
-    holder_occ: int = 0
-    acquired_occ: int = 0
-    phase: int = 0
-    func: str = ""
-    line: int = 0
-
-    def describe(self) -> str:
-        return f"T{self.tid}: {self.holder} -> {self.acquired} @{self.func}:{self.line}"
-
-
-@dataclass(frozen=True)
 class StaticRace:
     """Two MHP accesses to one region, at least one write, no common lock."""
 
@@ -162,347 +135,6 @@ class StaticDeadlock:
         )
 
 
-@dataclass(frozen=True)
-class StaticCandidate:
-    """A ranked constraint set the explorer can try without any sketch."""
-
-    constraints: ConstraintSet
-    source: str  # "race" | "atomicity" | "deadlock" | "use-after-free" | ...
-    score: float
-    regions: Tuple[Address, ...] = ()
-    note: str = ""
-
-    @property
-    def family(self) -> str:
-        """"lock" if any ref pins a lock acquisition, else "region"."""
-        for constraint in self.constraints:
-            for ref in (constraint.before, constraint.after):
-                if ref.family == "lock":
-                    return "lock"
-        return "region"
-
-    def describe(self) -> str:
-        pins = "; ".join(
-            c.describe() for c in canonical_order(self.constraints)
-        )
-        return f"[{self.source} {self.score:.2f}] {pins}"
-
-
-@dataclass(frozen=True)
-class StaticPlan:
-    """The static analyzer's output: candidates plus the raw evidence.
-
-    Subordinate to the dynamic plan by construction: the explorer seeds
-    static candidates at ``TIER_STATIC``, *after* every ``TIER_PLAN``
-    candidate, and drops any that duplicate a dynamic seed.
-    """
-
-    program: str
-    params: Tuple[Tuple[str, Any], ...] = ()
-    threads: Tuple[ThreadRole, ...] = ()
-    regions: Tuple[Address, ...] = ()
-    lock_edges: Tuple[LockEdge, ...] = ()
-    races: Tuple[StaticRace, ...] = ()
-    violations: Tuple[StaticAtomicity, ...] = ()
-    deadlocks: Tuple[StaticDeadlock, ...] = ()
-    candidates: Tuple[StaticCandidate, ...] = ()
-    failure: str = ""  # failure-artifact hint the candidates were filtered by
-    complete: bool = True  # False: the walk hit an unmodeled construct
-    notes: Tuple[str, ...] = ()
-
-    def seeds_for(self, replay_sketch: SketchKind) -> Tuple[ConstraintSet, ...]:
-        """Candidate constraint sets applicable at a replay level.
-
-        Mirrors ``ReplayPlan.seeds_for``: an RW sketch already pins every
-        access, so nothing ships; lock-family candidates (deadlock
-        triggers that invert an order) apply only to sketchless replay;
-        region-family candidates apply below RW.  No evidence-mass gate —
-        static analysis has no production witness to weigh, the tier
-        ordering itself keeps these behind dynamic seeds.
-        """
-        if replay_sketch.includes(SketchKind.RW):
-            return ()
-        seeds: List[ConstraintSet] = []
-        for candidate in self.candidates:
-            if (
-                candidate.family == "lock"
-                and replay_sketch is not SketchKind.NONE
-            ):
-                continue
-            seeds.append(candidate.constraints)
-        return tuple(seeds)
-
-    def describe(self) -> str:
-        """Multi-line human report: findings first, then ranked candidates."""
-        lines = [
-            f"static plan for {self.program}: {len(self.threads)} thread(s), "
-            f"{len(self.regions)} shared region(s), {len(self.races)} race(s), "
-            f"{len(self.violations)} atomicity window(s), "
-            f"{len(self.deadlocks)} deadlock cycle(s), "
-            f"{len(self.candidates)} candidate(s)"
-        ]
-        if self.failure:
-            lines.append(f"  failure hint: {self.failure!r}")
-        if not self.complete:
-            lines.append("  (incomplete: unmodeled constructs, see notes)")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
-        for role in self.threads:
-            lines.append(f"  {role.describe()}")
-        for race in self.races:
-            lines.append(f"  {race.describe()}")
-        for violation in self.violations:
-            lines.append(f"  {violation.describe()}")
-        for deadlock in self.deadlocks:
-            lines.append(f"  {deadlock.describe()}")
-        for rank, candidate in enumerate(self.candidates):
-            lines.append(f"  #{rank} {candidate.describe()}")
-        return "\n".join(lines)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize the full plan to JSON (byte-deterministic)."""
-        payload = {
-            "format": "pres-static-plan-v1",
-            "program": self.program,
-            "params": [[k, _jsonable(v)] for k, v in self.params],
-            "threads": [_role_json(r) for r in self.threads],
-            "regions": [_jsonable(r) for r in self.regions],
-            "lock_edges": [_edge_json(e) for e in self.lock_edges],
-            "races": [_race_json(r) for r in self.races],
-            "violations": [_violation_json(v) for v in self.violations],
-            "deadlocks": [_deadlock_json(d) for d in self.deadlocks],
-            "candidates": [_candidate_json(c) for c in self.candidates],
-            "failure": self.failure,
-            "complete": self.complete,
-            "notes": list(self.notes),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StaticPlan":
-        """Rebuild a plan from :meth:`to_json` output."""
-        payload = json.loads(text)
-        if payload.get("format") != "pres-static-plan-v1":
-            raise ValueError("not a PRES static plan (missing format tag)")
-        return cls(
-            program=payload["program"],
-            params=tuple(
-                (k, _from_jsonable(v)) for k, v in payload["params"]
-            ),
-            threads=tuple(_role_from(r) for r in payload["threads"]),
-            regions=tuple(_from_jsonable(r) for r in payload["regions"]),
-            lock_edges=tuple(_edge_from(e) for e in payload["lock_edges"]),
-            races=tuple(_race_from(r) for r in payload["races"]),
-            violations=tuple(
-                _violation_from(v) for v in payload["violations"]
-            ),
-            deadlocks=tuple(_deadlock_from(d) for d in payload["deadlocks"]),
-            candidates=tuple(
-                _candidate_from(c) for c in payload["candidates"]
-            ),
-            failure=payload.get("failure", ""),
-            complete=payload.get("complete", True),
-            notes=tuple(payload.get("notes", ())),
-        )
-
-
 def region_sort_key(region: Address) -> Tuple:
     """Total order over region keys (str / int / tuple mixtures)."""
     return _key_token(region)
-
-
-# -- JSON helpers --------------------------------------------------------
-# Local to this module: repro.sanitize has its own (private) equivalents
-# and importing them here would couple the static pass to the dynamic
-# sanitizer's module graph.
-
-
-def _ref_json(ref: EventRef) -> Dict[str, Any]:
-    return {
-        "tid": ref.tid,
-        "family": ref.family,
-        "key": _jsonable(ref.key),
-        "occurrence": ref.occurrence,
-    }
-
-
-def _ref_from(payload: Dict[str, Any]) -> EventRef:
-    return EventRef(
-        tid=int(payload["tid"]),
-        family=payload["family"],
-        key=_from_jsonable(payload["key"]),
-        occurrence=int(payload["occurrence"]),
-    )
-
-
-def _constraints_json(constraints: ConstraintSet) -> List[Dict[str, Any]]:
-    return [
-        {"before": _ref_json(c.before), "after": _ref_json(c.after)}
-        for c in canonical_order(constraints)
-    ]
-
-
-def _constraints_from(payload: Sequence[Dict[str, Any]]) -> ConstraintSet:
-    return frozenset(
-        OrderConstraint(
-            before=_ref_from(item["before"]), after=_ref_from(item["after"])
-        )
-        for item in payload
-    )
-
-
-def _access_json(access: StaticAccess) -> Dict[str, Any]:
-    return {
-        "tid": access.tid,
-        "kind": access.kind.name,
-        "region": _jsonable(access.region),
-        "occurrence": access.occurrence,
-        "lockset": [[name, mode] for name, mode in access.lockset],
-        "func": access.func,
-        "line": access.line,
-        "phase": access.phase,
-        "addr": None if access.addr is None else _jsonable(access.addr),
-    }
-
-
-def _access_from(payload: Dict[str, Any]) -> StaticAccess:
-    addr = payload.get("addr")
-    return StaticAccess(
-        tid=int(payload["tid"]),
-        kind=OpKind[payload["kind"]],
-        region=_from_jsonable(payload["region"]),
-        occurrence=int(payload["occurrence"]),
-        lockset=tuple((name, mode) for name, mode in payload["lockset"]),
-        func=payload["func"],
-        line=int(payload["line"]),
-        phase=int(payload["phase"]),
-        addr=None if addr is None else _from_jsonable(addr),
-    )
-
-
-def _role_json(role: ThreadRole) -> Dict[str, Any]:
-    return {
-        "tid": role.tid,
-        "name": role.name,
-        "args": [_jsonable(a) for a in role.args],
-        "spawn_pos": role.spawn_pos,
-        "join_pos": role.join_pos,
-    }
-
-
-def _role_from(payload: Dict[str, Any]) -> ThreadRole:
-    return ThreadRole(
-        tid=int(payload["tid"]),
-        name=payload["name"],
-        args=tuple(_from_jsonable(a) for a in payload["args"]),
-        spawn_pos=int(payload["spawn_pos"]),
-        join_pos=int(payload["join_pos"]),
-    )
-
-
-def _edge_json(edge: LockEdge) -> Dict[str, Any]:
-    return {
-        "tid": edge.tid,
-        "holder": edge.holder,
-        "acquired": edge.acquired,
-        "holder_occ": edge.holder_occ,
-        "acquired_occ": edge.acquired_occ,
-        "phase": edge.phase,
-        "func": edge.func,
-        "line": edge.line,
-    }
-
-
-def _edge_from(payload: Dict[str, Any]) -> LockEdge:
-    return LockEdge(
-        tid=int(payload["tid"]),
-        holder=payload["holder"],
-        acquired=payload["acquired"],
-        holder_occ=int(payload["holder_occ"]),
-        acquired_occ=int(payload["acquired_occ"]),
-        phase=int(payload["phase"]),
-        func=payload["func"],
-        line=int(payload["line"]),
-    )
-
-
-def _race_json(race: StaticRace) -> Dict[str, Any]:
-    return {
-        "region": _jsonable(race.region),
-        "first": _access_json(race.first),
-        "second": _access_json(race.second),
-        "score": race.score,
-        "kind": race.kind,
-    }
-
-
-def _race_from(payload: Dict[str, Any]) -> StaticRace:
-    return StaticRace(
-        region=_from_jsonable(payload["region"]),
-        first=_access_from(payload["first"]),
-        second=_access_from(payload["second"]),
-        score=float(payload["score"]),
-        kind=payload["kind"],
-    )
-
-
-def _violation_json(violation: StaticAtomicity) -> Dict[str, Any]:
-    return {
-        "window_first": _access_json(violation.window_first),
-        "window_second": _access_json(violation.window_second),
-        "writer_first": _access_json(violation.writer_first),
-        "writer_second": _access_json(violation.writer_second),
-        "score": violation.score,
-        "pattern": violation.pattern,
-    }
-
-
-def _violation_from(payload: Dict[str, Any]) -> StaticAtomicity:
-    return StaticAtomicity(
-        window_first=_access_from(payload["window_first"]),
-        window_second=_access_from(payload["window_second"]),
-        writer_first=_access_from(payload["writer_first"]),
-        writer_second=_access_from(payload["writer_second"]),
-        score=float(payload["score"]),
-        pattern=payload["pattern"],
-    )
-
-
-def _deadlock_json(deadlock: StaticDeadlock) -> Dict[str, Any]:
-    return {
-        "cycle": list(deadlock.cycle),
-        "tids": list(deadlock.tids),
-        "trigger": _constraints_json(deadlock.trigger),
-        "score": deadlock.score,
-    }
-
-
-def _deadlock_from(payload: Dict[str, Any]) -> StaticDeadlock:
-    return StaticDeadlock(
-        cycle=tuple(payload["cycle"]),
-        tids=tuple(int(t) for t in payload["tids"]),
-        trigger=_constraints_from(payload["trigger"]),
-        score=float(payload["score"]),
-    )
-
-
-def _candidate_json(candidate: StaticCandidate) -> Dict[str, Any]:
-    return {
-        "constraints": _constraints_json(candidate.constraints),
-        "source": candidate.source,
-        "score": candidate.score,
-        "regions": [_jsonable(r) for r in candidate.regions],
-        "note": candidate.note,
-    }
-
-
-def _candidate_from(payload: Dict[str, Any]) -> StaticCandidate:
-    return StaticCandidate(
-        constraints=_constraints_from(payload["constraints"]),
-        source=payload["source"],
-        score=float(payload["score"]),
-        regions=tuple(_from_jsonable(r) for r in payload["regions"]),
-        note=payload.get("note", ""),
-    )

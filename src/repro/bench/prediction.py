@@ -108,7 +108,7 @@ def prediction_row(
     config = ExplorerConfig(max_attempts=max_attempts)
     kwargs = {} if obs is None else {"obs": obs}
     baseline = reproduce(replayable, config, **kwargs)
-    planned = reproduce(replayable, config, plan=plan, **kwargs)
+    planned = reproduce(replayable, config, plans=[plan], **kwargs)
     return PredictionRow(
         bug_id=spec.bug_id,
         seed=seed,
@@ -167,7 +167,7 @@ def plan_jobs_invariant(
                     jobs=jobs,
                     batch_size=batch_size,
                 ),
-                plan=plan,
+                plans=[plan],
             )
             outcomes.append(
                 (report.success, report.attempts, report.winning_constraints)

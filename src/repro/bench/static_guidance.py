@@ -22,7 +22,7 @@ The harness also checks two invariances:
 * **jobs**: with static seeds and a fixed ``batch_size``, the parallel
   explorer must render byte-identical reports for any ``--jobs`` value;
 * **plan bytes**: two independent analyses of the same program must
-  serialize to byte-identical :class:`StaticPlan` JSON (the analyzer is
+  serialize to byte-identical plan JSON (the analyzer is
   a pure function of the source).
 """
 
@@ -112,7 +112,7 @@ def static_row(
     config = ExplorerConfig(max_attempts=max_attempts)
     kwargs = {} if obs is None else {"obs": obs}
     baseline = reproduce(recorded, config, **kwargs)
-    guided = reproduce(recorded, config, static_plan=plan, **kwargs)
+    guided = reproduce(recorded, config, plans=[plan], **kwargs)
     return StaticRow(
         bug_id=spec.bug_id,
         seed=seed,
@@ -184,7 +184,7 @@ def static_jobs_invariant(
                     jobs=jobs,
                     batch_size=batch_size,
                 ),
-                static_plan=plan,
+                plans=[plan],
             )
             reports.append(render_report(report))
         if any(text != reports[0] for text in reports[1:]):

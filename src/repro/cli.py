@@ -32,13 +32,13 @@ recording replays nothing live and reports the identical schedule.
 totals), ``verify`` (per-shard integrity; exit 1 on damage), and ``gc
 --max-records N`` (deterministic oldest-recorded-first eviction).
 
-Predictive analysis (see docs/internals.md, "Predictive analysis"):
-``analyze`` runs the sanitizer over a saved sketch log (binary,
-compressed, or JSON — sniffed by magic) and prints the ranked
-:class:`~repro.sanitize.plan.ReplayPlan`; ``reproduce --plan`` records a
-rich RW sketch of the same run, builds the plan from it, and seeds the
-plan's candidates into the first replay attempts at the requested
-(coarser) ``--sketch`` level.
+Predictive analysis (see docs/predictive-analysis.md): both passes
+print a ranked :class:`~repro.core.plan.Plan` and ``--out`` saves it as
+``pres-plan-v2`` JSON.  ``analyze`` runs the sanitizer over a saved
+sketch log (binary, compressed, or JSON — sniffed by magic);
+``reproduce --plan`` records a rich RW sketch of the same run, builds
+the dynamic plan from it, and seeds the plan's candidates into the first
+replay attempts at the requested (coarser) ``--sketch`` level.
 
 Static analysis (see docs/predictive-analysis.md, "Static analysis"):
 ``analyze BUG --static`` needs no log at all — it walks the program's
@@ -47,8 +47,8 @@ and may-happen-in-parallel intervals, and prints ranked race /
 atomicity / deadlock candidates (``--failure TEXT`` filters them to a
 bug report's def-use slice).  ``reproduce --static`` seeds those
 candidates into exploration at ``TIER_STATIC`` — after any dynamic plan
-seeds, before mined flips — and ``reproduce --static-plan FILE`` reuses
-a saved plan instead of re-analyzing.
+seeds, interleaved with mined flips — and ``reproduce --static-plan
+FILE`` reuses a saved static plan instead of re-analyzing.
 
 Observability flags (see docs/observability.md): ``reproduce`` accepts
 ``--trace-out FILE`` (Chrome ``trace_event`` JSON — open in Perfetto or
@@ -90,6 +90,7 @@ from repro.core.explorer import ExplorerConfig
 from repro.core.full_replay import CompleteLog, replay_complete
 from repro.core.diagnose import diagnose
 from repro.core.epochs import EpochConfig
+from repro.core.plan import DYNAMIC, STATIC, Plan, PlanFormatError
 from repro.core.recorder import record
 from repro.core.reproducer import render_report, reproduce
 from repro.core.sketches import parse_sketch_kind
@@ -265,7 +266,7 @@ def _load_sketch_log(path: str):
 
 
 def cmd_analyze(args) -> int:
-    from repro.sanitize import build_plan
+    from repro.sanitize.plan import MAX_PLAN_CANDIDATES, build_plan
 
     if args.static:
         return _cmd_analyze_static(args)
@@ -274,7 +275,9 @@ def cmd_analyze(args) -> int:
               "already knows the recorded failure)", file=sys.stderr)
         return 2
     log = _load_sketch_log(args.log)
-    plan = build_plan(log, max_candidates=args.max_candidates)
+    plan = build_plan(
+        log, max_candidates=_candidate_cap(args, MAX_PLAN_CANDIDATES)
+    )
     if args.json:
         print(plan.to_json())
     else:
@@ -287,16 +290,22 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _candidate_cap(args, default: int) -> int:
+    """``--max-candidates``, defaulting to the pass's own cap, so a saved
+    plan seeds exactly what re-analysis inside ``reproduce`` seeds."""
+    return default if args.max_candidates is None else args.max_candidates
+
+
 def _cmd_analyze_static(args) -> int:
     """``pres analyze BUG --static``: no log, no execution — the plan
     comes from walking the program's thread bodies."""
-    from repro.analysis.static_ import analyze_program
+    from repro.analysis.static_ import MAX_STATIC_CANDIDATES, analyze_program
 
     spec = get_bug(args.log)
     plan = analyze_program(
         spec.make_program(),
         failure=args.failure,
-        max_candidates=args.max_candidates,
+        max_candidates=_candidate_cap(args, MAX_STATIC_CANDIDATES),
     )
     if args.json:
         print(plan.to_json())
@@ -309,6 +318,15 @@ def _cmd_analyze_static(args) -> int:
         atomic_write_text(args.out, plan.to_json())
         print(f"static plan written to {args.out}")
     return 0
+
+
+def _print_plan_summary(plan, sketch) -> None:
+    """One line per seeded plan: what it predicts and what applies."""
+    dynamic = plan.provenance == DYNAMIC
+    print(f"{'plan' if dynamic else 'static plan'}: {plan.counts()}"
+          f"{' predicted' if dynamic else ''}; "
+          f"{len(plan.seeds_for(sketch))} of {len(plan.candidates)} "
+          f"candidate(s) applicable at {sketch.value}")
 
 
 def cmd_reproduce(args) -> int:
@@ -410,7 +428,7 @@ def cmd_reproduce(args) -> int:
             salvaged_entries = len(log)
             dropped_records = salvage_report.dropped_lines
 
-    plan = None
+    plans = []
     if args.plan:
         from repro.core.sketches import SketchKind
         from repro.sanitize import build_plan
@@ -425,36 +443,27 @@ def cmd_reproduce(args) -> int:
             config=MachineConfig(ncpus=args.ncpus),
             oracle=spec.oracle,
         )
-        plan = build_plan(rich.log)
-        applicable = len(plan.seeds_for(sketch))
-        print(f"plan: {len(plan.races)} race(s), "
-              f"{len(plan.violations)} atomicity violation(s), "
-              f"{len(plan.deadlocks)} deadlock cycle(s) predicted; "
-              f"{applicable} of {len(plan.candidates)} candidate(s) "
-              f"applicable at {sketch.value}")
+        plans.append(build_plan(rich.log))
 
-    static_plan = None
     if args.static_plan:
-        from repro.analysis.static_.model import StaticPlan
-
         with open(args.static_plan, "r", encoding="utf-8") as handle:
-            static_plan = StaticPlan.from_json(handle.read())
+            plans.append(Plan.from_json(handle.read()))
+        if plans[-1].provenance != STATIC:
+            raise PlanFormatError(
+                f"{args.static_plan} holds a {plans[-1].provenance} plan; "
+                "--static-plan takes `pres analyze BUG --static --out` output"
+            )
     elif args.static:
         from repro.analysis.static_ import analyze_program
 
         # The recorded failure message is the SysPro-style artifact: it
         # narrows the static candidates to the failure's def-use slice.
-        static_plan = analyze_program(
+        plans.append(analyze_program(
             spec.make_program(),
             failure=recorded.failure.describe(),
-        )
-    if static_plan is not None:
-        s_applicable = len(static_plan.seeds_for(sketch))
-        print(f"static plan: {len(static_plan.races)} race(s), "
-              f"{len(static_plan.violations)} atomicity window(s), "
-              f"{len(static_plan.deadlocks)} deadlock cycle(s); "
-              f"{s_applicable} of {len(static_plan.candidates)} "
-              f"candidate(s) applicable at {sketch.value}")
+        ))
+    for plan in plans:
+        _print_plan_summary(plan, sketch)
 
     config = ExplorerConfig(
         max_attempts=args.max_attempts,
@@ -483,8 +492,7 @@ def cmd_reproduce(args) -> int:
         use_feedback=not args.no_feedback,
         store=args.store,
         obs=obs,
-        plan=plan,
-        static_plan=static_plan,
+        plans=plans,
         supervise=supervise,
         chaos=chaos,
         run=run,
@@ -850,12 +858,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 "the human report")
     p_analyze.add_argument("--out",
                            help="also write the replay plan (JSON) here")
-    p_analyze.add_argument("--max-candidates", type=int, default=16,
-                           help="cap on ranked plan candidates (default 16)")
+    p_analyze.add_argument("--max-candidates", type=int, default=None,
+                           help="cap on ranked plan candidates (default 16, "
+                                "or 12 with --static: what `reproduce "
+                                "--plan`/`--static` seed)")
     p_analyze.add_argument("--static", action="store_true",
                            help="analyze a BUG ID statically (no log, no "
                                 "execution): walk the program's thread "
-                                "bodies and print the StaticPlan")
+                                "bodies and print the static plan")
     p_analyze.add_argument("--failure", metavar="TEXT",
                            help="with --static: a failure message from a "
                                 "bug report; candidates are filtered to "
@@ -875,9 +885,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "and seed its candidates after any dynamic "
                               "plan seeds")
     p_repro.add_argument("--static-plan", metavar="FILE",
-                         help="seed candidates from a saved StaticPlan "
-                              "(JSON from `pres analyze BUG --static "
-                              "--out FILE`) instead of re-analyzing")
+                         help="seed candidates from a saved static plan "
+                              "(pres-plan-v2 JSON from `pres analyze BUG "
+                              "--static --out FILE`) instead of "
+                              "re-analyzing")
     p_repro.add_argument("--jobs", type=int, default=1,
                          help="replay workers; >1 explores attempt batches "
                               "on a process pool (same result, less wall "
@@ -1126,6 +1137,9 @@ def main(argv: Optional[list] = None) -> int:
         # later still exits 130 without a traceback.
         print("interrupted", file=sys.stderr)
         return 130
+    except PlanFormatError as exc:  # before ValueError: it is one
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyError as exc:  # unknown bug id
         print(exc.args[0], file=sys.stderr)
         return 2

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from repro.core.sketchlog import _from_jsonable, _jsonable
 from repro.sim.events import Event
 from repro.sim.ops import Address, Op, OpKind
 
@@ -135,6 +136,60 @@ def region_key(addr: Address) -> Address:
     if isinstance(addr, tuple) and addr:
         return addr[0]
     return addr
+
+
+# -- JSON form ---------------------------------------------------------------
+# One encoding for every artifact that stores constraints (attempt-store
+# records, plan files): refs as objects, keys tagged by the sketch-log
+# ``_jsonable`` convention so tuple addresses come back as tuples, sets
+# in canonical order so the same set always encodes to the same bytes.
+
+
+def _ref_to_json(ref: EventRef) -> Dict[str, Any]:
+    return {
+        "tid": ref.tid,
+        "family": ref.family,
+        "key": _jsonable(ref.key),
+        "occurrence": ref.occurrence,
+    }
+
+
+def _ref_from_json(data: Dict[str, Any]) -> EventRef:
+    tid, family, occurrence = data["tid"], data["family"], data["occurrence"]
+    if type(tid) is not int or type(occurrence) is not int or type(family) is not str:
+        raise ValueError(f"malformed event ref {data!r}")
+    key = _from_jsonable(data["key"])
+    hash(key)  # a list or dict key names no action: TypeError
+    return EventRef(tid, family, key, occurrence)
+
+
+def constraint_to_json(constraint: OrderConstraint) -> Dict[str, Any]:
+    """One constraint as a JSON-ready ``{"before": ref, "after": ref}``."""
+    return {
+        "before": _ref_to_json(constraint.before),
+        "after": _ref_to_json(constraint.after),
+    }
+
+
+def constraint_from_json(data: Dict[str, Any]) -> OrderConstraint:
+    """Inverse of :func:`constraint_to_json`.
+
+    Raises ``KeyError``/``TypeError``/``ValueError`` on a malformed
+    payload; each decoder turns those into its own named error.
+    """
+    return OrderConstraint(
+        _ref_from_json(data["before"]), _ref_from_json(data["after"])
+    )
+
+
+def constraints_to_json(constraints: ConstraintSet) -> List[Dict[str, Any]]:
+    """A constraint set as a JSON list, in canonical order."""
+    return [constraint_to_json(c) for c in canonical_order(constraints)]
+
+
+def constraints_from_json(data: List[Dict[str, Any]]) -> ConstraintSet:
+    """Inverse of :func:`constraints_to_json`."""
+    return frozenset(constraint_from_json(c) for c in data)
 
 
 def _acquire_key(event_kind: OpKind, obj: object, value: object) -> Optional[str]:

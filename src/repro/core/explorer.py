@@ -27,9 +27,13 @@ from repro.core.feedback import (
     TIER_STATIC,
     Candidate,
 )
+from repro.core.plan import DYNAMIC, STATIC
 from repro.sim.trace import Trace
 
 _EMPTY: ConstraintSet = frozenset()
+
+#: The frontier tier each plan provenance seeds at.
+SEED_TIERS = {DYNAMIC: TIER_PLAN, STATIC: TIER_STATIC}
 
 
 @dataclass
@@ -100,48 +104,33 @@ class ExplorerConfig:
     #: and histogram values are identical for every ``jobs`` at a fixed
     #: ``batch_size`` — the metrics face of the determinism contract.
     metrics: bool = False
-    #: constraint sets pre-seeded by the predictive sanitizer pass
-    #: (:meth:`repro.sanitize.ReplayPlan.seeds_for`), explored in order
-    #: right after the root empty attempt and before any mined feedback.
-    #: Both seed lanes are ignored without feedback.
-    plan_seeds: Tuple[ConstraintSet, ...] = ()
-    #: constraint sets pre-seeded by the *static* analyzer
-    #: (:meth:`repro.analysis.static_.StaticPlan.seeds_for`), explored
-    #: after the dynamic plan seeds (dynamic evidence dominates static
-    #: approximation), interleaved with mined feedback — one mined
-    #: candidate, then one static candidate (see :class:`Frontier`).
-    static_seeds: Tuple[ConstraintSet, ...] = ()
+    #: ``(provenance, constraints)`` pairs pre-seeded by the predictive
+    #: passes (:meth:`repro.core.plan.Plan.seeds_for`), each plan's in
+    #: rank order.  Dynamic seeds are explored right after the root empty
+    #: attempt and before any mined feedback; static seeds interleave
+    #: with mined feedback — one mined candidate, then one static
+    #: candidate (see :class:`Frontier`) — and any that duplicate a
+    #: dynamic seed are dropped.  Ignored without feedback.
+    plan_seeds: Tuple[Tuple[str, ConstraintSet], ...] = ()
 
 
-def plan_candidates(seeds: Tuple[ConstraintSet, ...]) -> List[Candidate]:
-    """Wrap sanitizer plan seeds as :data:`~repro.core.feedback.TIER_PLAN`
-    frontier candidates, preserving the plan's rank order."""
-    return [
-        Candidate(
+def plan_candidates(
+    seeds: Tuple[Tuple[str, ConstraintSet], ...]
+) -> List[Candidate]:
+    """Wrap plan seeds as frontier candidates at their provenance's tier
+    (:data:`SEED_TIERS`), ranked in order within each provenance."""
+    ranks = dict.fromkeys(SEED_TIERS, 0)
+    candidates = []
+    for provenance, constraints in seeds:
+        candidates.append(Candidate(
             constraints=constraints,
             depth=len(constraints),
             anchor_gidx=0,
-            tier=TIER_PLAN,
-            rank=rank,
-        )
-        for rank, constraints in enumerate(seeds)
-    ]
-
-
-def static_candidates(seeds: Tuple[ConstraintSet, ...]) -> List[Candidate]:
-    """Wrap static-analyzer seeds as
-    :data:`~repro.core.feedback.TIER_STATIC` frontier candidates,
-    preserving the static plan's rank order."""
-    return [
-        Candidate(
-            constraints=constraints,
-            depth=len(constraints),
-            anchor_gidx=0,
-            tier=TIER_STATIC,
-            rank=rank,
-        )
-        for rank, constraints in enumerate(seeds)
-    ]
+            tier=SEED_TIERS[provenance],
+            rank=ranks[provenance],
+        ))
+        ranks[provenance] += 1
+    return candidates
 
 
 class Frontier:

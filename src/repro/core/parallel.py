@@ -34,8 +34,8 @@ pins the E3/E5 reports themselves).
 
 Without feedback (the paper's E5 ablation) the loop is unchanged but
 mines nothing: each batch is the next ``batch_size`` seeds of
-``base_seed, base_seed + 1, ...`` with no constraints, and plan or static
-seeds are ignored.
+``base_seed, base_seed + 1, ...`` with no constraints, and plan seeds are
+ignored.
 
 Early cancellation: once a batch's canonical-first match is known, every
 later future in the batch is cancelled and no further batches are
@@ -67,7 +67,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import shm
 from repro.core.constraints import ConstraintSet, canonical_order
@@ -76,9 +76,9 @@ from repro.core.explorer import (
     AttemptRecord,
     ExplorationResult,
     ExplorerConfig,
+    SEED_TIERS,
     Frontier,
     plan_candidates,
-    static_candidates,
 )
 from repro.core.feedback import (
     TIER_ROOT,
@@ -485,7 +485,7 @@ class ParallelExplorer:
     :param use_feedback: with False, mining is off and the search
         explores the seed sequence ``base_seed, base_seed + 1, ...`` with
         no constraints (the E5 ablation arm), still batched and cached;
-        plan and static seeds are ignored.
+        plan seeds are ignored.
     :param cache: optional shared :class:`AttemptCache`; hits are folded
         without dispatching a replay.
     :param supervise: retry/deadline/rebuild policy for the worker pool
@@ -556,11 +556,9 @@ class ParallelExplorer:
         # even though OS pids are not.
         self._parent_pid = os.getpid()
         self._lanes: Dict[int, int] = {}
-        #: constraint sets seeded from the sanitizer plan and from the
-        #: static analyzer (feedback mode only), for the match
-        #: attribution at fold time.
-        self._plan_sets: FrozenSet[ConstraintSet] = frozenset()
-        self._static_sets: FrozenSet[ConstraintSet] = frozenset()
+        #: seeded plan constraint sets and their provenance (feedback
+        #: mode only), for the match attribution at fold time.
+        self._seeded: Dict[ConstraintSet, str] = {}
         #: prefix snapshots for attempts evaluated in this process (the
         #: inline path and supervisor fallbacks); pool workers hold their
         #: own trees (see :func:`_worker_init`).
@@ -840,27 +838,25 @@ class ParallelExplorer:
     # -- the search ------------------------------------------------------
 
     def _seed_plan(self, push) -> None:
-        """Push the config's plan and static seeds right behind the root.
+        """Push the config's plan seeds right behind the root.
 
-        Dynamic plan seeds go first; static seeds that duplicate a
-        dynamic seed are dropped (the dynamic plan dominates), and the
-        frontier routes the rest to its interleave lane.  Remembers both
-        sets for the match attribution on success.
+        Dynamic seeds go first; a static seed that duplicates a dynamic
+        seed is dropped (the dynamic plan dominates), and the frontier
+        routes the rest to its interleave lane.  Remembers each seed's
+        provenance for the match attribution on success.
         """
         config, metrics = self.config, self.obs.metrics
-        seeded = plan_candidates(config.plan_seeds)
-        self._plan_sets = frozenset(c.constraints for c in seeded)
-        statics = [
-            c for c in static_candidates(config.static_seeds)
-            if c.constraints not in self._plan_sets
-        ]
-        self._static_sets = frozenset(c.constraints for c in statics)
-        for candidate in seeded + statics:
-            push(candidate, config.base_seed)
-        if seeded:
-            metrics.counter("sanitize.plan_seeded").inc(len(seeded))
-        if statics:
-            metrics.counter("sanitize.static.seeded").inc(len(statics))
+        seeds = zip(config.plan_seeds, plan_candidates(config.plan_seeds))
+        for (provenance, constraints), candidate in sorted(
+            seeds, key=lambda pair: pair[1].tier
+        ):
+            if constraints not in self._seeded:
+                self._seeded[constraints] = provenance
+                push(candidate, config.base_seed)
+        for provenance in SEED_TIERS:
+            count = sum(1 for p in self._seeded.values() if p == provenance)
+            if count:
+                metrics.counter(f"sanitize.{provenance}.seeded").inc(count)
 
     def _search(self, result: ExplorationResult, supervisor: Supervisor) -> None:
         config = self.config
@@ -950,11 +946,10 @@ class ParallelExplorer:
             result.success = True
             result.winning_constraints = outcome.constraints
             result.winning_seed = outcome.seed
-            # A seeded win is charged to its source; the root never is.
-            if outcome.constraints and outcome.constraints in self._plan_sets:
-                metrics.counter("sanitize.plan_matched").inc()
-            elif outcome.constraints and outcome.constraints in self._static_sets:
-                metrics.counter("sanitize.static.matched").inc()
+            # A seeded win is charged to its plan; the root never is.
+            provenance = self._seeded.get(outcome.constraints)
+            if outcome.constraints and provenance is not None:
+                metrics.counter(f"sanitize.{provenance}.matched").inc()
             # Attempts are pure, so re-running the winner in-process
             # reconstructs the full winning trace the batch did not keep.
             with self.obs.tracer.span(

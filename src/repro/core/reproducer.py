@@ -25,7 +25,7 @@ import contextlib
 import dataclasses
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import ConstraintSet
 from repro.core.explorer import AttemptRecord, ExplorationResult, ExplorerConfig
@@ -33,16 +33,13 @@ from repro.core.epochs import EpochBoundary, EpochResumeBase, suffix_log
 from repro.core.feedback import AttemptCache
 from repro.core.full_replay import CompleteLog
 from repro.core.parallel import ParallelExplorer, PoolLease, recording_token
+from repro.core.plan import Plan
 from repro.core.recorder import RecordedRun
 from repro.core.sketches import SKETCH_ORDER, SketchKind
 from repro.core.sketchlog import derive_coarser
 from repro.errors import SimUsageError
 from repro.obs.session import ObsSession, resolve_session
 from repro.robust.supervise import SuperviseConfig
-
-if TYPE_CHECKING:  # avoid core -> sanitize/analysis imports at runtime
-    from repro.analysis.static_.model import StaticPlan
-    from repro.sanitize.plan import ReplayPlan
 
 #: base-seed offset between consecutive rungs of a walk
 #: (``base_seed + rung_index * SEED_BACKOFF``): each rung re-rolls the
@@ -196,8 +193,8 @@ def render_report(report: ReproductionReport) -> str:
 class Reproducer:
     """Explores one recorded run (one rung of a :func:`reproduce` walk).
 
-    Narrows the sanitizer and static plans to the candidates applicable
-    at the recording's sketch, runs the exploration engine
+    Narrows each plan to the candidates applicable at the recording's
+    sketch, runs the exploration engine
     (:class:`~repro.core.parallel.ParallelExplorer`) and packages its
     result as a :class:`ReproductionReport`.
     """
@@ -211,8 +208,7 @@ class Reproducer:
         match_output: bool = False,
         cache: Optional[AttemptCache] = None,
         obs: Optional[ObsSession] = None,
-        plan: Optional["ReplayPlan"] = None,
-        static_plan: Optional["StaticPlan"] = None,
+        plans: Sequence[Plan] = (),
         supervise: Optional["SuperviseConfig"] = None,
         chaos: object = None,
         pool: Optional[PoolLease] = None,
@@ -224,17 +220,13 @@ class Reproducer:
             )
         self.recorded = recorded
         self.config = config or ExplorerConfig()
-        self.plan = plan
-        if plan is not None:
-            self.config = dataclasses.replace(
-                self.config, plan_seeds=plan.seeds_for(recorded.sketch)
-            )
-        self.static_plan = static_plan
-        if static_plan is not None:
-            self.config = dataclasses.replace(
-                self.config,
-                static_seeds=static_plan.seeds_for(recorded.sketch),
-            )
+        #: each plan with its seeds applicable at this recording's sketch.
+        self.plans = [(plan, plan.seeds_for(recorded.sketch)) for plan in plans]
+        if self.plans:
+            self.config = dataclasses.replace(self.config, plan_seeds=tuple(
+                (plan.provenance, seed)
+                for plan, seeds in self.plans for seed in seeds
+            ))
         self.obs = resolve_session(self.config, obs)
         #: ``match_output`` is ODR-style strictness: besides re-triggering
         #: the failure, an attempt must reproduce the production run's
@@ -256,38 +248,13 @@ class Reproducer:
     def run(self) -> ReproductionReport:
         """Run the exploration loop and package the outcome."""
         metrics = self.obs.metrics
-        if self.plan is not None:
-            metrics.counter("sanitize.races_predicted").inc(
-                len(self.plan.races)
-            )
-            metrics.counter("sanitize.deadlocks_predicted").inc(
-                len(self.plan.deadlocks)
-            )
-            metrics.counter("sanitize.atomicity_predicted").inc(
-                len(self.plan.violations)
-            )
-            metrics.counter("sanitize.plan_candidates").inc(
-                len(self.plan.candidates)
-            )
-            metrics.counter("sanitize.plan_applicable").inc(
-                len(self.config.plan_seeds)
-            )
-        if self.static_plan is not None:
-            metrics.counter("sanitize.static.races").inc(
-                len(self.static_plan.races)
-            )
-            metrics.counter("sanitize.static.atomicity").inc(
-                len(self.static_plan.violations)
-            )
-            metrics.counter("sanitize.static.deadlocks").inc(
-                len(self.static_plan.deadlocks)
-            )
-            metrics.counter("sanitize.static.candidates").inc(
-                len(self.static_plan.candidates)
-            )
-            metrics.counter("sanitize.static.applicable").inc(
-                len(self.config.static_seeds)
-            )
+        for plan, seeds in self.plans:
+            family = f"sanitize.{plan.provenance}"
+            metrics.counter(f"{family}.races").inc(len(plan.races))
+            metrics.counter(f"{family}.atomicity").inc(len(plan.violations))
+            metrics.counter(f"{family}.deadlocks").inc(len(plan.deadlocks))
+            metrics.counter(f"{family}.candidates").inc(len(plan.candidates))
+            metrics.counter(f"{family}.applicable").inc(len(seeds))
         with self.obs.tracer.span(
             "reproduce", category="session",
             program=self.recorded.program.name,
@@ -368,8 +335,7 @@ def reproduce(
     cache: Optional[AttemptCache] = None,
     store: object = None,
     obs: Optional[ObsSession] = None,
-    plan: Optional["ReplayPlan"] = None,
-    static_plan: Optional["StaticPlan"] = None,
+    plans: Sequence[Plan] = (),
     supervise: Optional[SuperviseConfig] = None,
     chaos: object = None,
     run: object = None,
@@ -427,18 +393,17 @@ def reproduce(
         every rung, so the exported timeline shows the whole walk;
         defaults to the ``config.trace`` / ``config.metrics`` knobs (off
         = zero cost).
-    :param plan: optional sanitizer :class:`~repro.sanitize.plan.ReplayPlan`;
-        its candidates applicable at each rung's sketch seed the first
-        attempts (after the baseline empty attempt).
-    :param static_plan: optional
-        :class:`~repro.analysis.static_.model.StaticPlan` from
-        ``analyze_program`` — candidates mined from program *structure*
-        with no recording.  They seed at ``TIER_STATIC``, after every
-        dynamic plan seed (dynamic evidence dominates static
-        approximation), and any that duplicate a dynamic seed are
-        dropped.  This is the sketchless-guidance path: with a NONE
-        sketch and no dynamic plan, static candidates are all the
-        search has beyond blind stress.
+    :param plans: predictive :class:`~repro.core.plan.Plan` s whose
+        candidates applicable at each rung's sketch seed the search.  A
+        ``dynamic`` plan (:func:`repro.sanitize.build_plan`) seeds the
+        first attempts after the baseline empty attempt.  A ``static``
+        plan (:func:`repro.analysis.static_.analyze_program`, mined from
+        program *structure* with no recording) seeds at
+        ``TIER_STATIC``, after every dynamic seed (dynamic evidence
+        dominates static approximation), and any static seed that
+        duplicates a dynamic one is dropped.  With a NONE sketch and no
+        dynamic plan, static candidates are all the search has beyond
+        blind stress.
     :param supervise: optional
         :class:`~repro.robust.supervise.SuperviseConfig` — attempt
         deadlines, retry/backoff on worker death, pool rebuild limits.
@@ -465,8 +430,8 @@ def reproduce(
     :param dropped_records: journal lines salvage had to discard.
     :raises SimUsageError: for walks that do not compose — ``degrade``
         with an epoch-windowed recording, a ``run`` journal with either
-        ladder, or ``plan``/``static_plan``/salvage accounting with an
-        epoch-windowed recording (those describe full-history logs).
+        ladder, or ``plans``/salvage accounting with an epoch-windowed
+        recording (those describe full-history logs).
     """
     windowed = recorded.epochs is not None
     if degrade and windowed:
@@ -479,8 +444,8 @@ def reproduce(
             "a run journal does not compose with a ladder walk (each "
             "rung is its own exploration)"
         )
-    if windowed and (plan is not None or static_plan is not None
-                     or salvaged_entries is not None or dropped_records):
+    if windowed and (plans or salvaged_entries is not None
+                     or dropped_records):
         raise SimUsageError(
             "plans and salvage describe full-history logs; an "
             "epoch-windowed recording replays windowed suffixes"
@@ -502,9 +467,8 @@ def reproduce(
             cache = AttemptCache()
         explorer = functools.partial(
             Reproducer, use_feedback=use_feedback, base_policy=base_policy,
-            match_output=match_output, cache=cache, obs=session, plan=plan,
-            static_plan=static_plan, supervise=supervise, chaos=chaos,
-            pool=pool,
+            match_output=match_output, cache=cache, obs=session, plans=plans,
+            supervise=supervise, chaos=chaos, pool=pool,
         )
         report = _walk(recorded, rungs, config, session, cache, degrade, explorer)
         report.salvaged_entries = salvaged_entries

@@ -7,8 +7,9 @@ attempt: static predictors sweep the recorded
 (:mod:`~repro.sanitize.race`), unserializable atomicity windows
 (:mod:`~repro.sanitize.atomicity`) and lock-order cycles
 (:mod:`~repro.sanitize.deadlock`), and :func:`build_plan` folds the
-findings into a ranked :class:`ReplayPlan` whose constraint sets seed the
-explorers' first attempts (``ExplorerConfig.plan_seeds``).
+findings into a ranked dynamic :class:`~repro.core.plan.Plan` whose
+constraint sets seed the explorers' first attempts
+(``ExplorerConfig.plan_seeds``).
 
 The intended flow is *record rich, replay coarse*: analyze an RW-level
 recording, then reproduce under a cheaper sketch with the plan pinning
@@ -32,9 +33,8 @@ from repro.sanitize.deadlock import (
 from repro.sanitize.plan import (
     MAX_PIN_CONSTRAINTS,
     MAX_PLAN_CANDIDATES,
-    PlannedCandidate,
-    ReplayPlan,
     build_plan,
+    plan_evidence,
 )
 from repro.sanitize.race import (
     LOCKSET_BONUS,
@@ -55,16 +55,15 @@ __all__ = [
     "LOCKSET_BONUS",
     "MAX_PIN_CONSTRAINTS",
     "MAX_PLAN_CANDIDATES",
-    "PlannedCandidate",
     "PredictedDeadlock",
     "PredictedRace",
     "RACE_BASE_CONFIDENCE",
-    "ReplayPlan",
     "SketchAccess",
     "SketchHB",
     "TRYLOCK_PENALTY",
     "UNSERIALIZABLE",
     "build_plan",
+    "plan_evidence",
     "predict_atomicity",
     "predict_deadlocks",
     "predict_races",

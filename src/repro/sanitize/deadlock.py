@@ -12,7 +12,7 @@ cycle before any neighbour reaches for it as a second lock.
 Trigger constraints deliberately contradict the recorded lock order — in
 production the cycle did **not** close, which is precisely why the run
 survived to be recorded.  They are therefore only seedable when replay
-runs without a sketch (:meth:`repro.sanitize.plan.ReplayPlan.seeds_for`
+runs without a sketch (:meth:`repro.core.plan.Plan.seeds_for`
 enforces that); under a SYNC-or-richer sketch the PIR scheduler would
 just diverge on them.
 

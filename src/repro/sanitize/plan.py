@@ -1,4 +1,4 @@
-"""Assemble sanitizer findings into a ranked, seedable ReplayPlan.
+"""Assemble sanitizer findings into a ranked, seedable dynamic :class:`Plan`.
 
 The plan is the sanitizer's contract with the replayer: a deduplicated,
 confidence-ranked list of constraint sets that the explorers try *first*,
@@ -14,33 +14,29 @@ likely reproducer), then individual findings by descending confidence,
 breaking ties toward windows that close *later* in the log (concurrency
 bugs manifest near the failure).
 
-Applicability is sketch-aware (:meth:`ReplayPlan.seeds_for`): a plan is
-built from a *rich* (RW) recording but applied when replaying a coarser
+Applicability is sketch-aware (:meth:`Plan.seeds_for`): a plan is built
+from a *rich* (RW) recording but applied when replaying a coarser
 projection of it — memory pins are redundant under an RW sketch and
 deadlock triggers contradict any SYNC-or-richer sketch, so each candidate
-only ships to the sketch levels where it can help.
+only ships to the sketch levels where it can help.  The plan also carries
+the evidence gate's verdict (``MIN_PLAN_EVIDENCE``).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Any, Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.constraints import (
     ConstraintSet,
-    EventRef,
     OrderConstraint,
-    canonical_order,
     constraint_sort_key,
     ordered_constraints,
 )
-from repro.core.sketches import SketchKind
-from repro.core.sketchlog import SketchLog, _from_jsonable, _jsonable
+from repro.core.plan import DYNAMIC, Finding, Plan, PlanCandidate
+from repro.core.sketchlog import SketchLog
 from repro.sanitize.atomicity import AtomicityViolation, predict_atomicity
 from repro.sanitize.deadlock import PredictedDeadlock, predict_deadlocks
-from repro.sanitize.race import PredictedRace, SketchAccess, predict_races
-from repro.sim.ops import OpKind
+from repro.sanitize.race import PredictedRace, predict_races
 
 #: Plan-wide caps: candidates shipped to the explorer, and constraints
 #: folded into the pin-all candidate.
@@ -53,135 +49,20 @@ MAX_PIN_CONSTRAINTS = 64
 MIN_PLAN_EVIDENCE = 10
 
 
-@dataclass(frozen=True)
-class PlannedCandidate:
-    """One seedable constraint set, with its provenance and score."""
-
-    constraints: ConstraintSet
-    source: str  # "pin-all" | "atomicity" | "race" | "deadlock"
-    confidence: float
-    anchor: int  # latest log index the candidate's findings touch
-    note: str = ""
-
-    @property
-    def family(self) -> str:
-        """``lock`` if any constraint targets the lock family, else ``mem``."""
-        for constraint in self.constraints:
-            if (
-                constraint.before.family == "lock"
-                or constraint.after.family == "lock"
-            ):
-                return "lock"
-        return "mem"
-
-    def describe(self) -> str:
-        """Render as ``[race 0.90] pin T1:mem[x]#2 -> T2:mem[x]#1``."""
-        pins = "; ".join(
-            c.describe() for c in canonical_order(self.constraints)
-        )
-        return f"[{self.source} {self.confidence:.2f}] {pins}"
-
-
-@dataclass(frozen=True)
-class ReplayPlan:
-    """The sanitizer's output: ranked candidates plus the raw findings."""
-
-    sketch: SketchKind  # level of the log the plan was built from
-    candidates: Tuple[PlannedCandidate, ...] = ()
-    races: Tuple[PredictedRace, ...] = ()
-    deadlocks: Tuple[PredictedDeadlock, ...] = ()
-    violations: Tuple[AtomicityViolation, ...] = ()
-
-    @property
-    def evidence(self) -> int:
-        """Distinct production-order pins backing the memory candidates."""
-        pins: Set[OrderConstraint] = set()
-        for violation in self.violations:
-            pins.update(violation.pins())
-        for race in self.races:
-            pins.add(race.pin())
-        return len(pins)
-
-    def seeds_for(self, replay_sketch: SketchKind) -> Tuple[ConstraintSet, ...]:
-        """The candidate constraint sets applicable at a replay level.
-
-        An RW sketch already pins every memory access, so nothing ships;
-        memory-family candidates apply below RW *when the evidence mass
-        clears* ``MIN_PLAN_EVIDENCE`` (sparse plans lose to feedback
-        mining — see the constant's note); lock-family candidates
-        (deadlock triggers, which *invert* the recorded order) apply only
-        to sketchless replay, where no recorded order can contradict
-        them.
-        """
-        if replay_sketch.includes(SketchKind.RW):
-            return ()
-        ship_mem = self.evidence >= MIN_PLAN_EVIDENCE
-        seeds: List[ConstraintSet] = []
-        for candidate in self.candidates:
-            if candidate.family == "lock":
-                if replay_sketch is not SketchKind.NONE:
-                    continue
-            elif not ship_mem:
-                continue
-            seeds.append(candidate.constraints)
-        return tuple(seeds)
-
-    def describe(self) -> str:
-        """Multi-line human report of findings and the ranked candidates."""
-        lines = [
-            f"replay plan from {self.sketch.name} sketch: "
-            f"{len(self.races)} race(s), {len(self.violations)} atomicity "
-            f"violation(s), {len(self.deadlocks)} deadlock cycle(s), "
-            f"{len(self.candidates)} candidate(s)"
-        ]
-        for race in self.races:
-            lines.append(f"  {race.describe()}")
-        for violation in self.violations:
-            lines.append(f"  {violation.describe()}")
-        for deadlock in self.deadlocks:
-            lines.append(f"  {deadlock.describe()}")
-        for rank, candidate in enumerate(self.candidates):
-            lines.append(f"  #{rank} {candidate.describe()}")
-        return "\n".join(lines)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize the full plan (candidates and findings) to JSON."""
-        payload = {
-            "format": "pres-plan-v1",
-            "sketch": self.sketch.name,
-            "candidates": [_candidate_json(c) for c in self.candidates],
-            "races": [_race_json(r) for r in self.races],
-            "deadlocks": [_deadlock_json(d) for d in self.deadlocks],
-            "violations": [_violation_json(v) for v in self.violations],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReplayPlan":
-        """Rebuild a plan from :meth:`to_json` output."""
-        payload = json.loads(text)
-        if payload.get("format") != "pres-plan-v1":
-            raise ValueError("not a PRES replay plan (missing format tag)")
-        return cls(
-            sketch=SketchKind[payload["sketch"]],
-            candidates=tuple(
-                _candidate_from(c) for c in payload["candidates"]
-            ),
-            races=tuple(_race_from(r) for r in payload["races"]),
-            deadlocks=tuple(_deadlock_from(d) for d in payload["deadlocks"]),
-            violations=tuple(
-                _violation_from(v) for v in payload["violations"]
-            ),
-        )
+def plan_evidence(findings: Iterable[Finding]) -> int:
+    """Distinct production-order pins backing the memory candidates."""
+    pins: Set[OrderConstraint] = set()
+    for finding in findings:
+        if finding.kind != "deadlock":
+            pins.update(finding.constraints)
+    return len(pins)
 
 
 def build_plan(
     log: SketchLog,
     max_candidates: int = MAX_PLAN_CANDIDATES,
     max_pin_constraints: int = MAX_PIN_CONSTRAINTS,
-) -> ReplayPlan:
+) -> Plan:
     """Run every predictor over a sketch log and rank the results.
 
     Deterministic for a given log: predictors iterate in sorted order and
@@ -191,10 +72,10 @@ def build_plan(
     violations = predict_atomicity(log)
     deadlocks = predict_deadlocks(log)
 
-    ranked: List[PlannedCandidate] = []
+    ranked: List[PlanCandidate] = []
     seen: Set[ConstraintSet] = set()
 
-    def add(candidate: PlannedCandidate) -> None:
+    def add(candidate: PlanCandidate) -> None:
         if candidate.constraints and candidate.constraints not in seen:
             seen.add(candidate.constraints)
             ranked.append(candidate)
@@ -203,60 +84,84 @@ def build_plan(
     if pin_all is not None:
         add(pin_all)
 
-    scored: List[PlannedCandidate] = []
+    # (anchor, candidate): the anchor is the latest log index the
+    # candidate's findings touch, the tie-break toward late windows.
+    scored: List[Tuple[int, PlanCandidate]] = []
     for violation in violations:
-        scored.append(
-            PlannedCandidate(
-                constraints=frozenset(violation.pins()),
-                source="atomicity",
-                confidence=violation.confidence,
-                anchor=violation.local_second.index,
-                note=violation.describe(),
-            )
-        )
+        scored.append((violation.local_second.index, PlanCandidate(
+            constraints=frozenset(violation.pins()),
+            source="atomicity",
+            confidence=violation.confidence,
+            note=violation.describe(),
+        )))
     for race in races:
-        scored.append(
-            PlannedCandidate(
-                constraints=frozenset({race.pin()}),
-                source="race",
-                confidence=race.confidence,
-                anchor=race.second.index,
-                note=race.describe(),
-            )
-        )
+        scored.append((race.second.index, PlanCandidate(
+            constraints=frozenset({race.pin()}),
+            source="race",
+            confidence=race.confidence,
+            note=race.describe(),
+        )))
     for deadlock in deadlocks:
-        scored.append(
-            PlannedCandidate(
-                constraints=deadlock.trigger,
-                source="deadlock",
-                confidence=deadlock.confidence,
-                anchor=0,
-                note=deadlock.describe(),
-            )
-        )
+        scored.append((0, PlanCandidate(
+            constraints=deadlock.trigger,
+            source="deadlock",
+            confidence=deadlock.confidence,
+            note=deadlock.describe(),
+        )))
     # ordered_constraints memoizes the canonical sort per set: ranking
     # re-reads the same sets the predictors just built, so sorting each
     # once per session (not once per ranking pass) is pure savings.
     scored.sort(
-        key=lambda c: (
-            -c.confidence,
-            -c.anchor,
+        key=lambda item: (
+            -item[1].confidence,
+            -item[0],
             tuple(
-                constraint_sort_key(x) for x in ordered_constraints(c.constraints)
+                constraint_sort_key(x)
+                for x in ordered_constraints(item[1].constraints)
             ),
         )
     )
-    for candidate in scored:
+    for _, candidate in scored:
         if len(ranked) >= max_candidates:
             break
         add(candidate)
 
-    return ReplayPlan(
-        sketch=log.sketch,
+    findings = _findings(races, violations, deadlocks)
+    return Plan(
+        provenance=DYNAMIC,
+        subject=log.sketch.name,
+        findings=findings,
         candidates=tuple(ranked[:max_candidates]),
-        races=tuple(races),
-        deadlocks=tuple(deadlocks),
-        violations=tuple(violations),
+        seed_memory=plan_evidence(findings) >= MIN_PLAN_EVIDENCE,
+    )
+
+
+def _findings(
+    races: List[PredictedRace],
+    violations: List[AtomicityViolation],
+    deadlocks: List[PredictedDeadlock],
+) -> Tuple[Finding, ...]:
+    """The predictors' results as plan findings, in report order."""
+    return tuple(
+        [
+            Finding(
+                "race", (race.first.tid, race.second.tid), (race.addr,),
+                race.confidence, race.describe(), frozenset({race.pin()}),
+            )
+            for race in races
+        ] + [
+            Finding(
+                "atomicity", (v.local_first.tid, v.remote.tid), (v.addr,),
+                v.confidence, v.describe(), frozenset(v.pins()),
+            )
+            for v in violations
+        ] + [
+            Finding(
+                "deadlock", d.tids, d.cycle, d.confidence, d.describe(),
+                d.trigger,
+            )
+            for d in deadlocks
+        ]
     )
 
 
@@ -264,7 +169,7 @@ def _pin_all_candidate(
     races: List[PredictedRace],
     violations: List[AtomicityViolation],
     max_pin_constraints: int,
-) -> "PlannedCandidate | None":
+) -> Optional[PlanCandidate]:
     """The rank-0 candidate: every production-order pin at once.
 
     All pins agree with production order, so their union is satisfiable
@@ -286,150 +191,9 @@ def _pin_all_candidate(
     chosen = sorted(
         pool.items(), key=lambda kv: (-kv[1], constraint_sort_key(kv[0]))
     )[:max_pin_constraints]
-    return PlannedCandidate(
+    return PlanCandidate(
         constraints=frozenset(pin for pin, _ in chosen),
         source="pin-all",
         confidence=best,
-        anchor=max(anchor for _, anchor in chosen),
         note=f"all {len(chosen)} production-order pins",
-    )
-
-
-# -- JSON helpers --------------------------------------------------------
-
-
-def _ref_json(ref: EventRef) -> Dict[str, Any]:
-    return {
-        "tid": ref.tid,
-        "family": ref.family,
-        "key": _jsonable(ref.key),
-        "occurrence": ref.occurrence,
-    }
-
-
-def _ref_from(data: Dict[str, Any]) -> EventRef:
-    return EventRef(
-        data["tid"], data["family"], _from_jsonable(data["key"]),
-        data["occurrence"],
-    )
-
-
-def _constraint_json(constraint: OrderConstraint) -> Dict[str, Any]:
-    return {
-        "before": _ref_json(constraint.before),
-        "after": _ref_json(constraint.after),
-    }
-
-
-def _constraint_from(data: Dict[str, Any]) -> OrderConstraint:
-    return OrderConstraint(
-        before=_ref_from(data["before"]), after=_ref_from(data["after"])
-    )
-
-
-def _constraints_json(constraints: ConstraintSet) -> List[Dict[str, Any]]:
-    return [_constraint_json(c) for c in canonical_order(constraints)]
-
-
-def _candidate_json(candidate: PlannedCandidate) -> Dict[str, Any]:
-    return {
-        "constraints": _constraints_json(candidate.constraints),
-        "source": candidate.source,
-        "confidence": candidate.confidence,
-        "anchor": candidate.anchor,
-        "note": candidate.note,
-    }
-
-
-def _candidate_from(data: Dict[str, Any]) -> PlannedCandidate:
-    return PlannedCandidate(
-        constraints=frozenset(
-            _constraint_from(c) for c in data["constraints"]
-        ),
-        source=data["source"],
-        confidence=data["confidence"],
-        anchor=data["anchor"],
-        note=data.get("note", ""),
-    )
-
-
-def _access_json(access: SketchAccess) -> Dict[str, Any]:
-    return {
-        "tid": access.tid,
-        "kind": access.kind.value,
-        "addr": _jsonable(access.addr),
-        "index": access.index,
-        "occurrence": access.occurrence,
-        "held": [[name, occ] for name, occ in access.held],
-        "tentative": access.tentative,
-    }
-
-
-def _access_from(data: Dict[str, Any]) -> SketchAccess:
-    return SketchAccess(
-        tid=data["tid"],
-        kind=OpKind(data["kind"]),
-        addr=_from_jsonable(data["addr"]),
-        index=data["index"],
-        occurrence=data["occurrence"],
-        held=tuple((name, occ) for name, occ in data["held"]),
-        tentative=data["tentative"],
-    )
-
-
-def _race_json(race: PredictedRace) -> Dict[str, Any]:
-    return {
-        "first": _access_json(race.first),
-        "second": _access_json(race.second),
-        "addr": _jsonable(race.addr),
-        "confidence": race.confidence,
-    }
-
-
-def _race_from(data: Dict[str, Any]) -> PredictedRace:
-    return PredictedRace(
-        first=_access_from(data["first"]),
-        second=_access_from(data["second"]),
-        addr=_from_jsonable(data["addr"]),
-        confidence=data["confidence"],
-    )
-
-
-def _violation_json(violation: AtomicityViolation) -> Dict[str, Any]:
-    return {
-        "local_first": _access_json(violation.local_first),
-        "remote": _access_json(violation.remote),
-        "local_second": _access_json(violation.local_second),
-        "addr": _jsonable(violation.addr),
-        "pattern": violation.pattern,
-        "confidence": violation.confidence,
-    }
-
-
-def _violation_from(data: Dict[str, Any]) -> AtomicityViolation:
-    return AtomicityViolation(
-        local_first=_access_from(data["local_first"]),
-        remote=_access_from(data["remote"]),
-        local_second=_access_from(data["local_second"]),
-        addr=_from_jsonable(data["addr"]),
-        pattern=data["pattern"],
-        confidence=data["confidence"],
-    )
-
-
-def _deadlock_json(deadlock: PredictedDeadlock) -> Dict[str, Any]:
-    return {
-        "cycle": list(deadlock.cycle),
-        "tids": list(deadlock.tids),
-        "confidence": deadlock.confidence,
-        "trigger": _constraints_json(deadlock.trigger),
-    }
-
-
-def _deadlock_from(data: Dict[str, Any]) -> PredictedDeadlock:
-    return PredictedDeadlock(
-        cycle=tuple(data["cycle"]),
-        tids=tuple(data["tids"]),
-        confidence=data["confidence"],
-        trigger=frozenset(_constraint_from(c) for c in data["trigger"]),
     )

@@ -20,11 +20,11 @@ Three shapes are encoded:
   :class:`~repro.core.feedback.Candidate` set riding on each failed
   outcome, which the warm run re-pushes onto its frontier.
 
-Constraint sets are serialized in :func:`~repro.core.constraints.
-canonical_order`, so encoding is deterministic: the same attempt always
-produces byte-identical record text (which also makes shard files
-diffable across runs).  Tuples inside event keys are tagged via the
-sketch-log ``_jsonable`` convention so addresses come back as tuples.
+Constraints use the JSON form every artifact shares
+(:func:`~repro.core.constraints.constraints_to_json`): sets in canonical
+order, so the same attempt always produces byte-identical record text
+(which also makes shard files diffable across runs), and tuple keys
+tagged so addresses come back as tuples.
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.constraints import (
-    ConstraintSet,
-    EventRef,
-    OrderConstraint,
-    canonical_order,
+    constraint_from_json,
+    constraint_to_json,
+    constraints_from_json,
+    constraints_to_json,
 )
 from repro.core.feedback import Candidate
 from repro.core.parallel import AttemptOutcome
-from repro.core.sketchlog import _from_jsonable, _jsonable
 from repro.errors import SketchFormatError
 
 __all__ = [
@@ -48,48 +47,6 @@ __all__ = [
     "encode_key",
     "encode_record",
 ]
-
-
-# -- constraints -------------------------------------------------------------
-
-
-def _ref_json(ref: EventRef) -> Dict[str, Any]:
-    return {
-        "tid": ref.tid,
-        "family": ref.family,
-        "key": _jsonable(ref.key),
-        "occurrence": ref.occurrence,
-    }
-
-
-def _ref_from(data: Dict[str, Any]) -> EventRef:
-    return EventRef(
-        tid=data["tid"],
-        family=data["family"],
-        key=_from_jsonable(data["key"]),
-        occurrence=data["occurrence"],
-    )
-
-
-def _constraint_json(constraint: OrderConstraint) -> Dict[str, Any]:
-    return {
-        "before": _ref_json(constraint.before),
-        "after": _ref_json(constraint.after),
-    }
-
-
-def _constraint_from(data: Dict[str, Any]) -> OrderConstraint:
-    return OrderConstraint(
-        before=_ref_from(data["before"]), after=_ref_from(data["after"])
-    )
-
-
-def _constraints_json(constraints: ConstraintSet) -> list:
-    return [_constraint_json(c) for c in canonical_order(constraints)]
-
-
-def _constraints_from(data: Any) -> ConstraintSet:
-    return frozenset(_constraint_from(c) for c in data)
 
 
 # -- keys --------------------------------------------------------------------
@@ -102,7 +59,7 @@ def encode_key(key: Tuple) -> Dict[str, Any]:
         "sketch": sketch,
         "entries": entries,
         "fingerprint": fingerprint,
-        "constraints": _constraints_json(constraints),
+        "constraints": constraints_to_json(constraints),
         "seed": seed,
         "policy": policy,
         "match_output": bool(match),
@@ -113,7 +70,7 @@ def decode_key(data: Dict[str, Any]) -> Tuple:
     """Rebuild the exact key tuple :func:`encode_key` flattened."""
     return (
         (data["sketch"], data["entries"], data["fingerprint"]),
-        _constraints_from(data["constraints"]),
+        constraints_from_json(data["constraints"]),
         data["seed"],
         data["policy"],
         bool(data["match_output"]),
@@ -125,7 +82,7 @@ def decode_key(data: Dict[str, Any]) -> Tuple:
 
 def _candidate_json(candidate: Candidate) -> Dict[str, Any]:
     data = {
-        "constraints": _constraints_json(candidate.constraints),
+        "constraints": constraints_to_json(candidate.constraints),
         "depth": candidate.depth,
         "anchor": candidate.anchor_gidx,
         "shape": candidate.shape,
@@ -135,7 +92,7 @@ def _candidate_json(candidate: Candidate) -> Dict[str, Any]:
     # Prefix-resume provenance: present only when mined, so shards from
     # versions that predate schedule-prefix memoization decode cleanly.
     if candidate.flip is not None:
-        data["flip"] = _constraint_json(candidate.flip)
+        data["flip"] = constraint_to_json(candidate.flip)
     if candidate.safe_prefix:
         data["safe_prefix"] = candidate.safe_prefix
     if candidate.parent_steps:
@@ -146,13 +103,13 @@ def _candidate_json(candidate: Candidate) -> Dict[str, Any]:
 def _candidate_from(data: Dict[str, Any]) -> Candidate:
     flip = data.get("flip")
     return Candidate(
-        constraints=_constraints_from(data["constraints"]),
+        constraints=constraints_from_json(data["constraints"]),
         depth=data["depth"],
         anchor_gidx=data["anchor"],
         shape=data["shape"],
         tier=data["tier"],
         rank=data["rank"],
-        flip=_constraint_from(flip) if flip is not None else None,
+        flip=constraint_from_json(flip) if flip is not None else None,
         safe_prefix=data.get("safe_prefix", 0),
         parent_steps=data.get("parent_steps", 0),
     )

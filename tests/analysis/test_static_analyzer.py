@@ -2,14 +2,12 @@
 
 Small hand-built guest programs exercise each finding kind — shared
 access maps, races, lock protection, atomicity windows, deadlock
-cycles — plus the :class:`StaticPlan` serialization and seed-gating
-contracts the explorer relies on.
+cycles — plus the static :class:`~repro.core.plan.Plan` serialization
+and seed-gating contracts the explorer relies on.
 """
 
-from repro.analysis.static_ import (
-    StaticPlan,
-    analyze_program,
-)
+from repro.analysis.static_ import analyze_program
+from repro.core.plan import Plan
 from repro.core.sketches import SketchKind
 from repro.sim import Program
 
@@ -108,7 +106,7 @@ class TestFindings:
         plan = analyze_program(racy_counter_program())
         assert "counter" in plan.regions
         assert plan.races, "two unlocked writers must race"
-        assert all(race.region == "counter" for race in plan.races)
+        assert all(race.targets == ("counter",) for race in plan.races)
         assert plan.violations, "read..write window must be flagged"
         assert plan.candidates
 
@@ -120,9 +118,9 @@ class TestFindings:
     def test_lock_order_cycle_becomes_a_deadlock(self):
         plan = analyze_program(deadlock_program())
         assert plan.deadlocks
-        cycle = set(plan.deadlocks[0].cycle)
+        cycle = set(plan.deadlocks[0].targets)
         assert cycle == {"A", "B"}
-        assert plan.deadlocks[0].trigger, "cycle must ship a trigger"
+        assert plan.deadlocks[0].constraints, "cycle must ship a trigger"
 
     def test_straight_lock_order_has_no_deadlock(self):
         plan = analyze_program(locked_counter_program())
@@ -151,8 +149,9 @@ class TestWalkerCoverage:
         # ``tids.append((yield ctx.spawn(...)))`` must not silently drop
         # the spawned thread from the access map (over-approximation).
         plan = analyze_program(embedded_spawn_program())
-        worker_tids = {role.tid for role in plan.threads if role.tid != 0}
-        assert len(worker_tids) == 2
+        # one ``T<tid>=body(args) spawn@... join@...`` line per thread
+        worker_tids = {line.split("=")[0] for line in plan.threads} - {"T0"}
+        assert worker_tids == {"T1", "T2"}
         assert plan.races, "the embedded-spawned workers still race"
 
 
@@ -171,7 +170,9 @@ class TestRanking:
         assert len(full.races) > 1
         assert len(capped.races) == 1
         # the cap stores the top-scored finding
-        assert capped.races[0].score == max(r.score for r in full.races)
+        assert capped.races[0].confidence == max(
+            r.confidence for r in full.races
+        )
 
     def test_failure_hint_is_recorded(self):
         plan = analyze_program(racy_counter_program(), failure="lost update")
@@ -208,7 +209,7 @@ class TestSerialization:
     def test_json_round_trip_preserves_the_plan(self):
         for program in (racy_counter_program(), deadlock_program()):
             plan = analyze_program(program, failure="hint")
-            rebuilt = StaticPlan.from_json(plan.to_json())
+            rebuilt = Plan.from_json(plan.to_json())
             assert rebuilt == plan
             assert rebuilt.to_json() == plan.to_json()
 
@@ -218,4 +219,4 @@ class TestSerialization:
         import pytest
 
         with pytest.raises(ValueError):
-            StaticPlan.from_json(json.dumps({"format": "something-else"}))
+            Plan.from_json(json.dumps({"format": "something-else"}))

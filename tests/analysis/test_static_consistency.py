@@ -29,10 +29,7 @@ from repro.sim.machine import MachineConfig
 
 def _static_race_keys(spec):
     plan = analyze_program(spec.make_program(), max_findings=100_000)
-    return {
-        (frozenset((race.first.tid, race.second.tid)), race.region)
-        for race in plan.races
-    }
+    return {(frozenset(race.threads), race.targets[0]) for race in plan.races}
 
 
 @pytest.mark.parametrize(
@@ -52,10 +49,7 @@ def test_dynamic_race_predictions_are_contained_in_static(spec):
     static_keys = _static_race_keys(spec)
     missing = []
     for race in dynamic.races:
-        key = (
-            frozenset((race.first.tid, race.second.tid)),
-            region_key(race.addr),
-        )
+        key = (frozenset(race.threads), region_key(race.targets[0]))
         if key not in static_keys:
             missing.append(race.describe())
     assert not missing, (

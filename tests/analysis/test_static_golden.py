@@ -35,8 +35,9 @@ def test_static_analyze_matches_golden(capsys):
 def test_static_analyze_json_mode_is_a_full_plan(capsys):
     assert main(["analyze", BUG, "--static", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["format"] == "pres-static-plan-v1"
-    assert payload["program"] == BUG
+    assert payload["format"] == "pres-plan-v2"
+    assert payload["provenance"] == "static"
+    assert payload["subject"] == BUG
     assert payload["candidates"]
 
 

@@ -4,6 +4,7 @@ determinism."""
 from repro.core.constraints import EventRef, OrderConstraint
 from repro.core.explorer import ExplorerConfig, plan_candidates
 from repro.core.feedback import TIER_PLAN
+from repro.core.plan import DYNAMIC
 from repro.core.recorder import record
 from repro.core.reproducer import Reproducer, reproduce
 from repro.core.sketches import SketchKind
@@ -53,6 +54,8 @@ SEEDS = (
     frozenset({_pin("y")}),
     frozenset({_pin("z")}),
 )
+#: ``SEEDS`` as a dynamic plan hands them to the engine.
+DYNAMIC_SEEDS = tuple((DYNAMIC, seeds) for seeds in SEEDS)
 
 
 def _trace(failed=False):
@@ -64,13 +67,14 @@ def _trace(failed=False):
 
 class TestCandidateWrapping:
     def test_plan_candidates_preserve_rank_order(self):
-        candidates = plan_candidates(SEEDS)
+        candidates = plan_candidates(DYNAMIC_SEEDS)
         assert [c.constraints for c in candidates] == list(SEEDS)
         assert all(c.tier == TIER_PLAN for c in candidates)
+        assert [c.rank for c in candidates] == [0, 1, 2]
 
     def test_plan_rank_order_survives_the_frontier(self):
         # earlier plan ranks must pop first despite identical tiers
-        candidates = plan_candidates(SEEDS)
+        candidates = plan_candidates(DYNAMIC_SEEDS)
         keys = [c.sort_key() for c in candidates]
         assert keys == sorted(keys)
 
@@ -85,7 +89,7 @@ class TestSerialExplorer:
             seen.append(constraints)
             return _trace(), False
 
-        config = ExplorerConfig(max_attempts=4, plan_seeds=SEEDS)
+        config = ExplorerConfig(max_attempts=4, plan_seeds=DYNAMIC_SEEDS)
         explore_stub(monkeypatch, runner, config, SketchKind.SYNC)
         assert seen[0] == frozenset()
         assert seen[1:4] == list(SEEDS)
@@ -95,7 +99,7 @@ class TestSerialExplorer:
             return _trace(failed=bool(constraints)), bool(constraints)
 
         config = ExplorerConfig(
-            max_attempts=4, plan_seeds=SEEDS, metrics=True
+            max_attempts=4, plan_seeds=DYNAMIC_SEEDS, metrics=True
         )
         explorer, result = explore_stub(
             monkeypatch, runner, config, SketchKind.SYNC
@@ -103,22 +107,22 @@ class TestSerialExplorer:
         assert result.success
         assert result.winning_constraints == SEEDS[0]
         metrics = explorer.obs.metrics
-        assert metrics.counter("sanitize.plan_seeded").value == len(SEEDS)
-        assert metrics.counter("sanitize.plan_matched").value == 1
+        assert metrics.counter("sanitize.dynamic.seeded").value == len(SEEDS)
+        assert metrics.counter("sanitize.dynamic.matched").value == 1
 
     def test_baseline_win_is_not_a_plan_match(self, monkeypatch):
         def runner(constraints, seed):
             return _trace(failed=True), True  # attempt 1 wins outright
 
         config = ExplorerConfig(
-            max_attempts=4, plan_seeds=SEEDS, metrics=True
+            max_attempts=4, plan_seeds=DYNAMIC_SEEDS, metrics=True
         )
         explorer, result = explore_stub(
             monkeypatch, runner, config, SketchKind.SYNC
         )
         assert result.success
         assert result.attempt_count == 1
-        assert explorer.obs.metrics.counter("sanitize.plan_matched").value == 0
+        assert explorer.obs.metrics.counter("sanitize.dynamic.matched").value == 0
 
     def test_no_feedback_ignores_the_plan(self, monkeypatch):
         seen = []
@@ -127,7 +131,7 @@ class TestSerialExplorer:
             seen.append((constraints, seed))
             return _trace(), False
 
-        config = ExplorerConfig(max_attempts=4, plan_seeds=SEEDS)
+        config = ExplorerConfig(max_attempts=4, plan_seeds=DYNAMIC_SEEDS)
         explore_stub(
             monkeypatch, runner, config, SketchKind.SYNC, use_feedback=False
         )
@@ -140,7 +144,7 @@ class TestReproducerIntegration:
         seed = find_seed(program)
         recorded = record(program, sketch=SketchKind.RW, seed=seed)
         plan = build_plan(recorded.log)
-        reproducer = Reproducer(recorded, ExplorerConfig(), plan=plan)
+        reproducer = Reproducer(recorded, ExplorerConfig(), plans=[plan])
         # RW replay already pins everything: no seeds ship
         assert reproducer.config.plan_seeds == ()
 
@@ -153,7 +157,7 @@ class TestReproducerIntegration:
         assert recorded.failed
         baseline = reproduce(recorded, ExplorerConfig(max_attempts=60))
         planned = reproduce(
-            recorded, ExplorerConfig(max_attempts=60), plan=plan
+            recorded, ExplorerConfig(max_attempts=60), plans=[plan]
         )
         assert planned.success
         assert planned.attempts <= baseline.attempts
@@ -170,7 +174,7 @@ class TestReproducerIntegration:
             report = reproduce(
                 recorded,
                 ExplorerConfig(max_attempts=30, batch_size=4, jobs=jobs),
-                plan=plan,
+                plans=[plan],
             )
             return (report.success, report.attempts)
 

@@ -5,13 +5,14 @@ keeps them in a FIFO lane and alternates them with mined feedback —
 root first, every dynamic plan seed next, then mined/static/mined/...
 These tests pin the alternation directly on the frontier, through the
 exploration engine with replay stubbed out, and end-to-end through
-:func:`reproduce` with a real :class:`StaticPlan`.
+:func:`reproduce` with a real static :class:`~repro.core.plan.Plan`.
 """
 
 from repro.analysis.static_ import analyze_program
 from repro.core.constraints import EventRef, OrderConstraint
-from repro.core.explorer import ExplorerConfig, Frontier, static_candidates
+from repro.core.explorer import ExplorerConfig, Frontier, plan_candidates
 from repro.core.feedback import TIER_PLAN, TIER_ROOT, TIER_STATIC, Candidate
+from repro.core.plan import DYNAMIC, STATIC
 from repro.core.recorder import record
 from repro.core.reproducer import reproduce
 from repro.core.sketches import SketchKind
@@ -34,6 +35,8 @@ STATICS = (
     frozenset({_pin("s1")}),
     frozenset({_pin("s2")}),
 )
+#: ``STATICS`` as a static plan hands them to the engine.
+STATIC_SEEDS = tuple((STATIC, seeds) for seeds in STATICS)
 
 
 def _mined(key, depth=1, anchor=0):
@@ -52,6 +55,12 @@ def _trace(failed=False):
 
 
 class TestFrontierInterleave:
+    def test_static_seeds_wrap_at_the_static_tier_in_rank_order(self):
+        candidates = plan_candidates(STATIC_SEEDS)
+        assert [c.constraints for c in candidates] == list(STATICS)
+        assert all(c.tier == TIER_STATIC for c in candidates)
+        assert [c.rank for c in candidates] == [0, 1, 2]
+
     def test_without_statics_pops_are_pure_heap_order(self):
         frontier = Frontier()
         frontier.push(Candidate(frozenset(), 0, 0, tier=TIER_ROOT), 0)
@@ -66,7 +75,7 @@ class TestFrontierInterleave:
 
     def test_statics_alternate_with_mined(self):
         frontier = Frontier()
-        for candidate in static_candidates(STATICS):
+        for candidate in plan_candidates(STATIC_SEEDS):
             frontier.push(candidate, 0)
         mined = [_mined(k) for k in ("m0", "m1", "m2", "m3")]
         for candidate in mined:
@@ -84,7 +93,7 @@ class TestFrontierInterleave:
 
     def test_plan_seeds_pop_before_any_static(self):
         frontier = Frontier()
-        for candidate in static_candidates(STATICS[:1]):
+        for candidate in plan_candidates(STATIC_SEEDS[:1]):
             frontier.push(candidate, 0)
         plan = Candidate(
             frozenset({_pin("p0")}), 1, 0, tier=TIER_PLAN, rank=0
@@ -98,7 +107,7 @@ class TestFrontierInterleave:
 
     def test_statics_drain_when_the_heap_is_empty(self):
         frontier = Frontier()
-        for candidate in static_candidates(STATICS):
+        for candidate in plan_candidates(STATIC_SEEDS):
             frontier.push(candidate, 0)
         order = [frontier.pop()[0] for _ in range(3)]
         assert order == list(STATICS)
@@ -107,7 +116,7 @@ class TestFrontierInterleave:
     def test_length_counts_both_lanes(self):
         frontier = Frontier()
         frontier.push(_mined("m0"), 0)
-        for candidate in static_candidates(STATICS):
+        for candidate in plan_candidates(STATIC_SEEDS):
             frontier.push(candidate, 0)
         assert len(frontier) == 4
 
@@ -122,7 +131,7 @@ class TestSerialExplorer:
             seen.append(constraints)
             return _trace(), False  # stub traces mine no candidates
 
-        config = ExplorerConfig(max_attempts=4, static_seeds=STATICS)
+        config = ExplorerConfig(max_attempts=4, plan_seeds=STATIC_SEEDS)
         explore_stub(monkeypatch, runner, config, SketchKind.NONE)
         assert seen[0] == frozenset()
         assert seen[1:4] == list(STATICS)
@@ -132,7 +141,7 @@ class TestSerialExplorer:
             return _trace(failed=bool(constraints)), bool(constraints)
 
         config = ExplorerConfig(
-            max_attempts=4, static_seeds=STATICS, metrics=True
+            max_attempts=4, plan_seeds=STATIC_SEEDS, metrics=True
         )
         explorer, result = explore_stub(
             monkeypatch, runner, config, SketchKind.NONE
@@ -142,28 +151,31 @@ class TestSerialExplorer:
         metrics = explorer.obs.metrics
         assert metrics.counter("sanitize.static.seeded").value == len(STATICS)
         assert metrics.counter("sanitize.static.matched").value == 1
-        assert metrics.counter("sanitize.plan_matched").value == 0
+        assert metrics.counter("sanitize.dynamic.matched").value == 0
 
     def test_duplicate_of_a_plan_seed_is_dropped(self, monkeypatch):
-        seen = []
+        dynamic = ((DYNAMIC, STATICS[0]),)  # duplicates the first static
+        # whichever order the plans arrive in, the dynamic seed wins
+        for plan_seeds in (dynamic + STATIC_SEEDS, STATIC_SEEDS + dynamic):
+            seen = []
 
-        def runner(constraints, seed):
-            seen.append(constraints)
-            return _trace(), False
+            def runner(constraints, seed):
+                seen.append(constraints)
+                return _trace(), False
 
-        config = ExplorerConfig(
-            max_attempts=5,
-            plan_seeds=STATICS[:1],
-            static_seeds=STATICS,  # first one duplicates the plan seed
-            metrics=True,
-        )
-        explorer, _ = explore_stub(
-            monkeypatch, runner, config, SketchKind.NONE
-        )
-        assert seen.count(STATICS[0]) == 1
-        assert explorer.obs.metrics.counter(
-            "sanitize.static.seeded"
-        ).value == len(STATICS) - 1
+            config = ExplorerConfig(
+                max_attempts=5, plan_seeds=plan_seeds, metrics=True
+            )
+            explorer, _ = explore_stub(
+                monkeypatch, runner, config, SketchKind.NONE
+            )
+            assert seen[:2] == [frozenset(), STATICS[0]]
+            assert seen.count(STATICS[0]) == 1
+            metrics = explorer.obs.metrics
+            assert metrics.counter("sanitize.dynamic.seeded").value == 1
+            assert metrics.counter(
+                "sanitize.static.seeded"
+            ).value == len(STATICS) - 1
 
 
 class TestReproducerIntegration:
@@ -175,7 +187,7 @@ class TestReproducerIntegration:
         plan = analyze_program(program, failure=recorded.failure.describe())
         assert plan.seeds_for(SketchKind.NONE)
         report = reproduce(
-            recorded, ExplorerConfig(max_attempts=100), static_plan=plan
+            recorded, ExplorerConfig(max_attempts=100), plans=[plan]
         )
         assert report.success
 
@@ -186,7 +198,7 @@ class TestReproducerIntegration:
         plan = analyze_program(program)
         config = ExplorerConfig(max_attempts=100)
         baseline = reproduce(recorded, config)
-        guided = reproduce(recorded, config, static_plan=plan)
+        guided = reproduce(recorded, config, plans=[plan])
         assert guided.success
         assert guided.attempts <= baseline.attempts
 
@@ -201,7 +213,7 @@ class TestReproducerIntegration:
             report = reproduce(
                 recorded,
                 ExplorerConfig(max_attempts=40, batch_size=4, jobs=jobs),
-                static_plan=plan,
+                plans=[plan],
             )
             return (report.success, report.attempts)
 
@@ -214,7 +226,5 @@ class TestReproducerIntegration:
         plan = analyze_program(program)
         from repro.core.reproducer import Reproducer
 
-        reproducer = Reproducer(
-            recorded, ExplorerConfig(), static_plan=plan
-        )
-        assert reproducer.config.static_seeds == ()
+        reproducer = Reproducer(recorded, ExplorerConfig(), plans=[plan])
+        assert reproducer.config.plan_seeds == ()

@@ -1,15 +1,16 @@
-"""ReplayPlan assembly: ranking, applicability, evidence gate, JSON."""
+"""Dynamic plan assembly: ranking, applicability, evidence gate, JSON."""
 
 import pytest
 
+from repro.core.plan import DYNAMIC, Plan
 from repro.core.recorder import record
 from repro.core.sketches import SketchKind
 from repro.sanitize.plan import (
     MAX_PIN_CONSTRAINTS,
     MAX_PLAN_CANDIDATES,
     MIN_PLAN_EVIDENCE,
-    ReplayPlan,
     build_plan,
+    plan_evidence,
 )
 
 from tests.conftest import counter_program, deadlock_program, find_seed
@@ -40,9 +41,11 @@ class TestRanking:
         assert len(first.constraints) <= MAX_PIN_CONSTRAINTS
 
     def test_pin_all_unions_every_finding_pin(self, counter_plan):
-        pool = {race.pin() for race in counter_plan.races}
-        for violation in counter_plan.violations:
-            pool.update(violation.pins())
+        pool = set()
+        for finding in counter_plan.races + counter_plan.violations:
+            pool.update(finding.constraints)
+        assert all(len(race.constraints) == 1 for race in counter_plan.races)
+        assert all(len(v.constraints) == 2 for v in counter_plan.violations)
         expected = min(len(pool), MAX_PIN_CONSTRAINTS)
         assert len(counter_plan.candidates[0].constraints) == expected
 
@@ -75,7 +78,8 @@ class TestApplicability:
     def test_memory_candidates_ship_below_rw_with_enough_evidence(
         self, counter_plan
     ):
-        assert counter_plan.evidence >= MIN_PLAN_EVIDENCE
+        assert plan_evidence(counter_plan.findings) >= MIN_PLAN_EVIDENCE
+        assert counter_plan.seed_memory
         seeds = counter_plan.seeds_for(SketchKind.SYNC)
         assert seeds
         assert seeds[0] == counter_plan.candidates[0].constraints
@@ -83,7 +87,8 @@ class TestApplicability:
     def test_sparse_evidence_holds_memory_candidates_back(self):
         plan = plan_of(counter_program(nworkers=2, iters=1, locked=False))
         assert plan.candidates  # findings exist ...
-        assert plan.evidence < MIN_PLAN_EVIDENCE
+        assert plan_evidence(plan.findings) < MIN_PLAN_EVIDENCE
+        assert not plan.seed_memory
         assert plan.seeds_for(SketchKind.SYNC) == ()  # ... but do not ship
 
     def test_deadlock_triggers_apply_only_to_sketchless_replay(
@@ -98,16 +103,17 @@ class TestApplicability:
 
 class TestSerialization:
     def test_json_round_trip_is_lossless(self, counter_plan):
-        assert ReplayPlan.from_json(counter_plan.to_json()) == counter_plan
+        assert Plan.from_json(counter_plan.to_json()) == counter_plan
 
     def test_deadlock_plan_round_trips(self, deadlock_plan):
-        assert ReplayPlan.from_json(deadlock_plan.to_json()) == deadlock_plan
+        assert Plan.from_json(deadlock_plan.to_json()) == deadlock_plan
 
     def test_format_tag_is_checked(self):
         with pytest.raises(ValueError):
-            ReplayPlan.from_json('{"sketch": "RW"}')
+            Plan.from_json('{"sketch": "RW"}')
 
     def test_describe_summarizes_findings_and_candidates(self, counter_plan):
+        assert counter_plan.provenance == DYNAMIC
         text = counter_plan.describe()
         assert "replay plan from RW sketch" in text
         assert "#0 [pin-all" in text

@@ -368,3 +368,72 @@ class TestResilience:
         assert "cleaned:" in capsys.readouterr().out
         assert main(["doctor", str(store)]) == 0
         assert "DAMAGED" in out
+
+
+class TestPlans:
+    """Saved plans: the analyze-save-reuse path and malformed plan files."""
+
+    @pytest.mark.parametrize(
+        "text", ['{"format": "pres-static-plan-v1"}', "[]", "not json"]
+    )
+    def test_malformed_static_plan_exits_2_with_an_error_line(
+        self, capsys, tmp_path, text
+    ):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(text, encoding="utf-8")
+        code = main(
+            ["reproduce", "pbzip2-order-free", "--seed", "3",
+             "--static-plan", str(plan_file)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert any(line.startswith("error: ") for line in err.splitlines())
+        assert "Traceback" not in err
+
+    def test_static_plan_flag_refuses_a_dynamic_plan(self, capsys, tmp_path):
+        log_file, plan_file = tmp_path / "rw.json", tmp_path / "plan.json"
+        assert main(
+            ["record", "pbzip2-order-free", "--seed", "3", "--sketch", "rw",
+             "--out", str(log_file)]
+        ) == 0
+        assert main(["analyze", str(log_file), "--out", str(plan_file)]) == 0
+        capsys.readouterr()
+        code = main(
+            ["reproduce", "pbzip2-order-free", "--seed", "3",
+             "--static-plan", str(plan_file)]
+        )
+        assert code == 2
+        assert "holds a dynamic plan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bug", ["mysql-atom-log", "lu-atom-diag", "radix-order-rank"]
+    )
+    def test_saved_static_plan_seeds_what_reanalysis_seeds(
+        self, capsys, tmp_path, bug
+    ):
+        fresh_report = tmp_path / "fresh.txt"
+        assert main(
+            ["reproduce", bug, "--static", "--report-out", str(fresh_report)]
+        ) == 0
+        fresh = capsys.readouterr().out.splitlines()
+        failure = next(
+            line for line in fresh if line.startswith("production: ")
+        )[len("production: "):]
+        plan_file = tmp_path / "plan.json"
+        assert main(
+            ["analyze", bug, "--static", "--failure", failure,
+             "--out", str(plan_file)]
+        ) == 0
+        capsys.readouterr()
+        saved_report = tmp_path / "saved.txt"
+        assert main(
+            ["reproduce", bug, "--static-plan", str(plan_file),
+             "--report-out", str(saved_report)]
+        ) == 0
+        saved = capsys.readouterr().out.splitlines()
+
+        def summary(lines):
+            return next(line for line in lines if line.startswith("static plan: "))
+
+        assert summary(saved) == summary(fresh)
+        assert saved_report.read_bytes() == fresh_report.read_bytes()

@@ -78,6 +78,8 @@ class SpeedupArm:
     cache_hits: int = 0
     #: attempts dispatched with a schedule-prefix resume plan.
     prefix_hits: int = 0
+    #: the plans among them that resumed from a parent snapshot.
+    realized_resumes: int = 0
     #: serial wall time / this arm's wall time (1.0 for the serial arm).
     speedup: float = 1.0
     #: deterministic-merge check: same attempts/success/winner as serial.
@@ -92,6 +94,7 @@ class SpeedupArm:
             "wall_time_s": round(self.wall_time_s, 6),
             "cache_hits": self.cache_hits,
             "prefix_hits": self.prefix_hits,
+            "realized_resumes": self.realized_resumes,
             "speedup": round(self.speedup, 3),
             "matches_serial": self.matches_serial,
         }
@@ -229,6 +232,7 @@ def run_speedup(
             success=serial_report.success,
             wall_time_s=serial_wall,
             prefix_hits=serial_report.prefix_hits,
+            realized_resumes=serial_report.realized_resumes,
         )
     )
 
@@ -245,6 +249,7 @@ def run_speedup(
                 success=report.success,
                 wall_time_s=wall,
                 prefix_hits=report.prefix_hits,
+                realized_resumes=report.realized_resumes,
                 speedup=serial_wall / wall if wall > 0 else float("inf"),
                 matches_serial=_same_outcome(report, serial_report),
             )
@@ -267,6 +272,7 @@ def run_speedup(
             wall_time_s=warm_wall,
             cache_hits=warm_report.cache_hits,
             prefix_hits=warm_report.prefix_hits,
+            realized_resumes=warm_report.realized_resumes,
             speedup=cold_wall / warm_wall if warm_wall > 0 else float("inf"),
             matches_serial=_same_outcome(warm_report, serial_report),
         )
@@ -281,6 +287,7 @@ def run_speedup(
             f"{arm.wall_time_s:.2f}",
             arm.cache_hits,
             arm.prefix_hits,
+            arm.realized_resumes,
             f"{arm.speedup:.2f}x",
             "yes" if arm.matches_serial else "NO",
         ]
@@ -316,7 +323,8 @@ def run_speedup(
             f"cap {max_attempts}, ODR-strict)"
         ),
         headers=["arm", "jobs", "attempts", "success", "wall s",
-                 "cache hits", "prefix hits", "speedup", "= serial"],
+                 "cache hits", "prefix hits", "realized", "speedup",
+                 "= serial"],
         rows=rows,
         records=[arm.to_record() for arm in arms],
         meta=meta,

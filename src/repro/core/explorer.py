@@ -65,6 +65,9 @@ class ExplorationResult:
     #: figure is jobs-invariant: the in-process engine at ``jobs=1``
     #: plans exactly the resumes a pool does.
     prefix_hits: int = 0
+    #: the resume plans above that carried a parent snapshot from the
+    #: engine's prefix tree — resumes that happened rather than ran cold.
+    realized_resumes: int = 0
     #: True when the search was cut short by a KeyboardInterrupt: the
     #: fields above describe a *partial* exploration, not a verdict.
     interrupted: bool = False

@@ -169,6 +169,14 @@ class FeedbackDB:
     def tried(self, constraints: ConstraintSet, seed: int) -> bool:
         return (constraints, seed) in self._tried
 
+    def known_fingerprints(self) -> FrozenSet[str]:
+        """Every execution recorded so far, as a shareable snapshot.
+
+        The engine hands this to each batch, so an attempt can skip
+        mining an execution whose candidates the fold would drop.
+        """
+        return frozenset(self._trace_fingerprints)
+
     def record_trace(self, trace: Trace) -> bool:
         """Remember a trace fingerprint; True if this execution is new."""
         return self.record_fingerprint(trace_fingerprint(trace))

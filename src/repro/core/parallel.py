@@ -46,6 +46,16 @@ front of dispatch: a (constraints, seed) pair whose outcome is already
 memoized cannot produce a new interleaving, so it is folded straight from
 the cache without burning a worker.
 
+Two more kinds of work are never thrown away.  Every batch carries the
+fingerprints of the executions folded so far, so an attempt that replays
+one of them skips mining — the fold would drop its candidates — and its
+outcome says it was not mined; an unmined outcome from the cache whose
+execution is new to this session is re-mined at fold time.  And the
+engine keeps the session's one prefix-snapshot tree
+(:mod:`repro.core.prefix`): outcomes ship back the snapshots their
+candidates resume from, and each resume plan carries its parent's
+snapshot to wherever the attempt runs.
+
 Fault tolerance is delegated to a :class:`~repro.robust.supervise.Supervisor`,
 which owns the pool: attempt deadlines, retry/backoff on worker death,
 pool rebuilds, serial fallback, and (optional) chaos injection all live
@@ -67,7 +77,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import AbstractSet, Any, Dict, List, Optional, Tuple
 
 from repro.core import shm
 from repro.core.constraints import ConstraintSet, canonical_order
@@ -92,9 +102,12 @@ from repro.core.pir import PIRScheduler
 from repro.core.prefix import (
     PrefixTree,
     ResumePlan,
+    Snapshot,
     capture_hooks,
+    pack,
     resume_depth,
-    resume_machine,
+    resume_depths,
+    restore_machine,
 )
 from repro.core.recorder import RecordedRun, apply_oracle
 from repro.obs.session import ObsSession, resolve_session
@@ -200,7 +213,8 @@ class AttemptOutcome:
 
     The full trace stays in the worker; the parent only needs the
     classification, a stable execution fingerprint for dedup, the mined
-    next-attempt candidates, and (for matches) the winning schedule.
+    next-attempt candidates, the snapshots those candidates can resume
+    from, and (for matches) the winning schedule.
     """
 
     constraints: ConstraintSet
@@ -212,10 +226,31 @@ class AttemptOutcome:
     fingerprint: str
     candidates: Tuple[Candidate, ...] = ()
     schedule: Optional[Tuple[int, ...]] = None
+    #: False when a failed attempt was not mined: feedback was off, or
+    #: the session that ran it already knew its execution.  Its empty
+    #: ``candidates`` are then no verdict, and a session to which the
+    #: execution is new re-mines it at fold time.
+    mined: bool = True
     #: spans recorded while evaluating this attempt (tracing only);
     #: stamped with the recording pid so the parent can assign worker
     #: lanes deterministically at fold time.  Stripped before caching.
     spans: Tuple[SpanRecord, ...] = ()
+    #: ``(depth, snapshot)`` ladder rungs this attempt's candidates can
+    #: resume from, for the engine's prefix tree.  Stripped before
+    #: caching.
+    snapshots: Tuple[Tuple[int, Snapshot], ...] = field(
+        default=(), compare=False, repr=False
+    )
+
+
+def _ladder_snapshots(
+    captured: Dict[int, Snapshot], candidates: Tuple[Candidate, ...]
+) -> Tuple[Tuple[int, Snapshot], ...]:
+    """The captured rungs ``candidates`` resume from, shallowest first."""
+    wanted = resume_depths(candidates)
+    return tuple(
+        (depth, captured[depth]) for depth in sorted(captured) if depth in wanted
+    )
 
 
 def run_attempt(
@@ -223,27 +258,27 @@ def run_attempt(
     constraints: ConstraintSet,
     seed: int,
     resume: Optional[ResumePlan] = None,
-    tree: Optional[PrefixTree] = None,
+    snapshots: Optional[Dict[int, Snapshot]] = None,
 ) -> Tuple[Trace, bool]:
     """One replay attempt; the single source of attempt semantics.
 
     Shared by the engine's in-process path, pool workers, and the
     winner's rematerialization, so none of them can drift.
 
-    ``resume``/``tree`` opt into prefix memoization: the machine starts
-    from a snapshot of the parent attempt inside the candidate's safe
-    prefix instead of step 0, and the live run captures its own
-    snapshots as it passes each ladder depth so future siblings can
-    resume from *this* attempt.  Capturing is observation-only and
-    resume failures of any kind fall back to a cold run — attempts are
-    pure, so the trace is identical either way (property-tested in
-    ``tests/core/test_prefix.py``).
+    ``resume``/``snapshots`` opt into prefix memoization: the machine
+    starts from the plan's snapshot of the parent attempt instead of
+    step 0, and the live run captures its own snapshots into
+    ``snapshots`` (keyed by depth) as it passes each ladder depth, so
+    future children can resume from *this* attempt.  Capturing is
+    observation-only and resume failures of any kind fall back to a cold
+    run — attempts are pure, so the trace is identical either way
+    (property-tested in ``tests/core/test_prefix.py``).
     """
     recorded = ctx.recorded
     machine = None
     scheduler: Optional[PIRScheduler] = None
-    if resume is not None and tree is not None:
-        resumed = resume_machine(ctx, constraints, seed, resume, tree)
+    if resume is not None:
+        resumed = restore_machine(ctx, constraints, seed, resume)
         if resumed is not None:
             machine, scheduler = resumed
     if machine is None:
@@ -262,11 +297,11 @@ def run_attempt(
             # the suffix log from 0.
             ctx.epoch_base.restore_into(machine)
             scheduler.prime_restored(machine)
-    if tree is not None:
-        depths, on_snapshot = capture_hooks(constraints, seed, scheduler, tree)
+    if snapshots is not None:
+        depths, on_snapshot = capture_hooks(scheduler, snapshots)
         if machine.schedule:
-            # resumed: rungs at or below the resume point were aliased
-            # from the parent by resume_machine; only capture deeper ones
+            # resumed: the engine aliased the parent's rungs at or below
+            # the resume point; only capture deeper ones
             start = len(machine.schedule)
             depths = tuple(d for d in depths if d > start)
         trace = machine.run(snapshot_depths=depths, on_snapshot=on_snapshot)
@@ -291,30 +326,39 @@ def evaluate_attempt(
     seed: int,
     mine: bool = True,
     resume: Optional[ResumePlan] = None,
-    tree: Optional[PrefixTree] = None,
+    known: AbstractSet[str] = frozenset(),
 ) -> AttemptOutcome:
     """Run one attempt and summarize it as a picklable outcome.
 
     Candidate mining happens here, in the worker, so the (potentially
-    large) trace never crosses the process boundary.  A matched attempt
-    skips mining — the search stops at it anyway — and carries the
-    winning schedule instead.
+    large) trace never crosses the process boundary.  The trace is
+    fingerprinted first: an execution in ``known`` (the session's folded
+    fingerprints) is one whose candidates the engine would drop, so it
+    is not mined and the outcome says so.  A matched attempt skips
+    mining too — the search stops at it anyway — and carries the
+    winning schedule instead.  A mined attempt ships back the ladder
+    snapshots its candidates can resume from.
     """
     tracer = ctx.attempt_tracer()
     attempt_span = tracer.span(
         "attempt", category="attempt", seed=seed, constraints=len(constraints)
     )
+    captured: Dict[int, Snapshot] = {}
     with attempt_span:
         with tracer.span("replay", category="replay"):
             trace, matched = run_attempt(
-                ctx, constraints, seed, resume=resume, tree=tree
+                ctx, constraints, seed, resume=resume,
+                snapshots=captured if mine else None,
             )
         outcome, detail = _classify(trace, matched)
+        fingerprint = trace_fingerprint(trace)
         candidates: Tuple[Candidate, ...] = ()
+        snapshots: Tuple[Tuple[int, Snapshot], ...] = ()
         schedule: Optional[Tuple[int, ...]] = None
+        mined = True
         if matched:
             schedule = tuple(trace.schedule)
-        elif mine:
+        elif mine and fingerprint not in known:
             with tracer.span("mine", category="feedback"):
                 generator = FeedbackGenerator(
                     sketch=ctx.recorded.sketch,
@@ -322,6 +366,9 @@ def evaluate_attempt(
                     max_constraint_depth=ctx.max_constraint_depth,
                 )
                 candidates = tuple(generator.candidates(trace, constraints))
+            snapshots = _ladder_snapshots(captured, candidates)
+        else:
+            mined = False
         attempt_span.note(
             outcome=outcome, steps=trace.steps, candidates=len(candidates)
         )
@@ -332,41 +379,40 @@ def evaluate_attempt(
         detail=detail,
         steps=trace.steps,
         matched=matched,
-        fingerprint=trace_fingerprint(trace),
+        fingerprint=fingerprint,
         candidates=candidates,
         schedule=schedule,
+        mined=mined,
         spans=tuple(tracer.spans),
+        snapshots=snapshots,
     )
 
 
 # -- pool worker plumbing -----------------------------------------------------
 
 #: Per-worker-process session cache, keyed by segment token: each entry
-#: holds one session's AttemptContext (attached once from the shared
-#: segment, unpickled once) and this worker's prefix-snapshot tree for
-#: that session.  A *leased* pool serves many sessions over its
-#: lifetime, so workers keep the most recent few warm instead of one.
-_WORKER_SESSIONS: "OrderedDict[shm.SegmentToken, Dict[str, Any]]" = OrderedDict()
+#: is one session's AttemptContext, attached once from the shared
+#: segment and unpickled once.  A *leased* pool serves many sessions
+#: over its lifetime, so workers keep the most recent few warm instead
+#: of one.  Workers hold no prefix snapshots: those ride on the tasks.
+_WORKER_SESSIONS: "OrderedDict[shm.SegmentToken, AttemptContext]" = OrderedDict()
 
 #: sessions a worker keeps warm before evicting the least recently used
-#: one.  Eviction only costs a re-attach + re-unpickle (and cold prefix
-#: snapshots); attempts are pure, so outcomes are unaffected.
+#: one.  Eviction only costs a re-attach + re-unpickle; attempts are
+#: pure, so outcomes are unaffected.
 _WORKER_SESSION_LIMIT = 4
 
 
-def _worker_session(token: shm.SegmentToken) -> Dict[str, Any]:
-    session = _WORKER_SESSIONS.get(token)
-    if session is None:
-        session = {
-            "ctx": pickle.loads(shm.attach(token)),
-            "tree": PrefixTree(),
-        }
+def _worker_session(token: shm.SegmentToken) -> AttemptContext:
+    ctx = _WORKER_SESSIONS.get(token)
+    if ctx is None:
+        ctx = pickle.loads(shm.attach(token))
         while len(_WORKER_SESSIONS) >= _WORKER_SESSION_LIMIT:
             _WORKER_SESSIONS.popitem(last=False)
-        _WORKER_SESSIONS[token] = session
+        _WORKER_SESSIONS[token] = ctx
     else:
         _WORKER_SESSIONS.move_to_end(token)
-    return session
+    return ctx
 
 
 def _worker_init(token: shm.SegmentToken) -> None:
@@ -375,18 +421,21 @@ def _worker_init(token: shm.SegmentToken) -> None:
 
 
 def _worker_run(
-    task: Tuple[shm.SegmentToken, ConstraintSet, int, bool, Optional[ResumePlan]]
+    task: Tuple[
+        shm.SegmentToken, ConstraintSet, int, bool, Optional[ResumePlan],
+        AbstractSet[str],
+    ]
 ) -> AttemptOutcome:
-    token, constraints, seed, mine, resume = task
-    session = _worker_session(token)
-    return evaluate_attempt(
-        session["ctx"],
-        constraints,
-        seed,
-        mine=mine,
-        resume=resume,
-        tree=session["tree"],
+    token, constraints, seed, mine, resume, known = task
+    outcome = evaluate_attempt(
+        _worker_session(token), constraints, seed,
+        mine=mine, resume=resume, known=known,
     )
+    if outcome.snapshots:
+        outcome = replace(outcome, snapshots=tuple(
+            (depth, pack(snapshot)) for depth, snapshot in outcome.snapshots
+        ))
+    return outcome
 
 
 # -- pool lending -------------------------------------------------------------
@@ -559,13 +608,15 @@ class ParallelExplorer:
         #: seeded plan constraint sets and their provenance (feedback
         #: mode only), for the match attribution at fold time.
         self._seeded: Dict[ConstraintSet, str] = {}
-        #: prefix snapshots for attempts evaluated in this process (the
-        #: inline path and supervisor fallbacks); pool workers hold their
-        #: own trees (see :func:`_worker_init`).
+        #: the session's only prefix-snapshot tree: filled at fold from
+        #: the snapshots outcomes ship back, read at batch assembly to
+        #: put the parent's snapshot on each resume plan.
         self._prefix_tree = PrefixTree()
-        #: resume plans issued at batch assembly — the logical, jobs-
-        #: invariant count the report and metrics publish (which worker
-        #: physically held the snapshot is invisible by design).
+        #: resume plans issued at batch assembly — the logical count the
+        #: report and metrics publish, from candidate metadata alone.  The
+        #: tree's ``hits`` are the plans that carried a snapshot; the tree
+        #: is a function of the schedule, so that count is jobs-invariant
+        #: at a fixed ``batch_size`` too.
         self._prefix_hits = 0
         #: folded attempt-cost totals driving auto batch sizing; updated
         #: only at fold points, so they are jobs-invariant too.
@@ -634,6 +685,7 @@ class ParallelExplorer:
         if self.cache is not None:
             result.cache_hits = self.cache.hits
         result.prefix_hits = self._prefix_hits
+        result.realized_resumes = self._prefix_tree.hits
         metrics.counter("duplicate_traces").inc(result.duplicate_traces)
         return result
 
@@ -651,16 +703,16 @@ class ParallelExplorer:
             self.supervise,
             obs=self.obs,
             pool_factory=self._make_pool,
-            dispatch=lambda pool, constraints, seed, mine, resume=None: (
+            dispatch=lambda pool, constraints, seed, mine, resume, known: (
                 pool.submit(
                     _worker_run,
-                    (self._session_token, constraints, seed, mine, resume),
+                    (self._session_token, constraints, seed, mine, resume, known),
                 )
             ),
-            inline=lambda constraints, seed, mine, resume=None: (
+            inline=lambda constraints, seed, mine, resume, known: (
                 evaluate_attempt(
                     self.context, constraints, seed, mine=mine,
-                    resume=resume, tree=self._prefix_tree,
+                    resume=resume, known=known,
                 )
             ),
             max_attempts=self.config.max_attempts,
@@ -791,35 +843,63 @@ class ParallelExplorer:
 
     def _remember(self, outcome: AttemptOutcome) -> None:
         if self.cache is not None:
-            # Spans describe *this* run's wall clock; a future session
-            # folding the cached outcome must not inherit them.
+            # Spans describe *this* run's wall clock and snapshots feed
+            # only this session's tree; a future session folding the
+            # cached outcome must inherit neither.
             self.cache.put(
                 self._cache_key(outcome.constraints, outcome.seed),
-                replace(outcome, spans=()),
+                replace(outcome, spans=(), snapshots=()),
             )
 
-    def _resume_plan(self, candidate: Candidate) -> Optional[ResumePlan]:
+    def _remine(self, outcome: AttemptOutcome) -> AttemptOutcome:
+        """``outcome`` with the candidates it was never mined for.
+
+        An unmined outcome comes from the cache or the store, written by
+        a session that already knew its execution; to this session the
+        execution is new, so its candidates are owed.  Attempts are
+        pure, so replaying it in process recovers exactly the trace the
+        mining needs, and the snapshots its children resume from.
+        """
+        self.obs.metrics.counter("remined").inc()
+        with self.obs.tracer.span(
+            "remine", category="feedback", seed=outcome.seed
+        ):
+            fresh = evaluate_attempt(
+                self.context, outcome.constraints, outcome.seed
+            )
+        return replace(
+            outcome, candidates=fresh.candidates, mined=True,
+            snapshots=fresh.snapshots,
+        )
+
+    def _resume_plan(
+        self, candidate: Candidate, seed: int
+    ) -> Optional[ResumePlan]:
         """A prefix-resume plan for one popped candidate, if one exists.
 
         Called during batch assembly, in pop order, on live (uncached)
         attempts only — the hit count is therefore a logical property of
-        the exploration schedule, identical for every ``jobs`` value and
-        for warm vs. cold pools, regardless of which process ends up
-        holding (or rebuilding) the snapshot.
+        the exploration schedule, identical for every ``jobs`` value.
+        The plan carries the parent's snapshot from the engine's tree,
+        so the attempt resumes wherever it runs; with no warm rung it
+        runs cold.
         """
         if candidate.flip is None:
             return None
         depth = resume_depth(candidate.parent_steps, candidate.safe_prefix)
         if depth <= 0:
             return None
+        metrics = self.obs.metrics
         self._prefix_hits += 1
-        self.obs.metrics.counter("parallel.prefix_hits").inc()
-        self.obs.metrics.histogram("parallel.prefix_depth").observe(depth)
-        return ResumePlan(
-            flip=candidate.flip,
-            depth=depth,
-            parent_steps=candidate.parent_steps,
+        metrics.counter("parallel.prefix_hits").inc()
+        metrics.histogram("parallel.prefix_depth").observe(depth)
+        plan = self._prefix_tree.plan(
+            candidate.constraints, seed, candidate.flip, depth,
+            candidate.parent_steps,
         )
+        if plan is not None:
+            metrics.counter("parallel.prefix_realized").inc()
+        return plan
 
     def _lane_for(self, pid: int) -> int:
         """The timeline lane for spans recorded by ``pid``.
@@ -879,17 +959,27 @@ class ParallelExplorer:
                     push(_ROOT, config.base_seed + seed)
                 rolled += want
             # Assemble the next batch in canonical best-first order.
-            batch: List[
-                Tuple[ConstraintSet, int, Optional[AttemptOutcome], Optional[ResumePlan]]
-            ] = []
+            # Every task carries the executions folded so far, so no
+            # attempt mines one whose candidates the fold would drop.
+            known = (
+                self.db.known_fingerprints() if self.use_feedback
+                else frozenset()
+            )
+            batch: List[Tuple[
+                ConstraintSet, int, Optional[AttemptOutcome],
+                Optional[ResumePlan], AbstractSet[str],
+            ]] = []
             while len(batch) < want and frontier:
                 constraints, seed, candidate = frontier.pop()
                 if self.db.tried(constraints, seed):
                     continue
                 self.db.mark_tried(constraints, seed)
                 cached = self._cached(constraints, seed)
-                resume = None if cached is not None else self._resume_plan(candidate)
-                batch.append((constraints, seed, cached, resume))
+                resume = (
+                    None if cached is not None
+                    else self._resume_plan(candidate, seed)
+                )
+                batch.append((constraints, seed, cached, resume, known))
             if not batch:
                 # A restart re-rolls every unrecorded choice: same (empty)
                 # constraint set, fresh base seed.
@@ -941,6 +1031,11 @@ class ParallelExplorer:
             self.obs.tracer.absorb(
                 outcome.spans, self._lane_for(outcome.spans[0].pid)
             )
+        new_execution = False
+        if not outcome.matched:
+            new_execution = self.db.record_fingerprint(outcome.fingerprint)
+            if new_execution and not outcome.mined and self.use_feedback:
+                outcome = self._remine(outcome)
         self._remember(outcome)
         if outcome.matched:
             result.success = True
@@ -961,19 +1056,19 @@ class ParallelExplorer:
             assert matched, "winning attempt must re-match deterministically"
             result.winning_trace = trace
             return True
-        new_execution = self.db.record_fingerprint(outcome.fingerprint)
+        tree = self._prefix_tree
         if new_execution:
             metrics.counter("candidates_mined").inc(len(outcome.candidates))
             for candidate in outcome.candidates:
                 push(candidate, outcome.seed)
-        if self._prefix_tree:
             # Only the children just pushed can ever resume from this
-            # attempt's in-process snapshots, none deeper than its plan.
-            depths = [
-                resume_depth(c.parent_steps, c.safe_prefix)
-                for c in (outcome.candidates if new_execution else ())
-            ]
-            self._prefix_tree.discard(
-                outcome.constraints, outcome.seed, max(depths, default=0)
+            # attempt: drop the lineage aliases deeper than any of them
+            # plans, and keep the rungs the attempt shipped back.
+            tree.discard(
+                outcome.constraints, outcome.seed,
+                max(resume_depths(outcome.candidates), default=0),
             )
+            tree.store(outcome.constraints, outcome.seed, outcome.snapshots)
+        else:
+            tree.discard(outcome.constraints, outcome.seed)
         return False

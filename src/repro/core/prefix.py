@@ -6,42 +6,45 @@ flip's gate provably cannot alter anything before the candidate's
 *safe prefix* (see :class:`~repro.core.feedback._PrefixIndex`), so the
 child re-simulates the parent's opening steps — same picks, same RNG
 draws, same events — before the search actually begins.  This module
-skips that shared prefix: live attempts opportunistically snapshot
-their simulator state as they pass a ladder of planned depths
-(:func:`capture_hooks`), a :class:`PrefixTree` keeps the snapshots
-keyed by ``(constraint set, seed, depth)``, and :func:`resume_machine`
-materializes a child machine fast-forwarded to the deepest available
-snapshot inside its safe prefix.
+skips that shared prefix: a live attempt snapshots its simulator state
+as it passes a ladder of planned depths (:func:`capture_hooks`) and
+returns the snapshots its own candidates can resume from
+(:func:`resume_depths`); the engine's one :class:`PrefixTree` keeps them
+keyed by ``(constraint set, seed, depth)`` and hands each child the
+deepest one inside its safe prefix on a :class:`ResumePlan`; and
+:func:`restore_machine` materializes the child machine from the plan,
+wherever the attempt runs.
 
 Design constraints, in order:
 
 * **Exactness.**  A resumed attempt must produce the byte-identical
-  trace of a cold run.  Snapshots deep-copy all mutable machine state
-  and rebuild generators by feed replay (:meth:`Machine.capture_state`);
-  the scheduler fast-forward carries the RNG, cursor, and occurrence
-  counts (:meth:`PIRScheduler.capture_resume_state`).  Any surprise in
-  the resume machinery falls back to a cold run — attempts are pure, so
-  the result is the same either way, just slower.
-* **Jobs-invariance.**  Capturing is pure observation: a deep copy of
-  mid-run state cannot change the attempt's outcome, so whether a
-  snapshot was taken (or which worker holds it) is invisible in
-  reports.  Resume *plans* are issued engine-side at batch assembly
-  from candidate metadata alone — a function of the exploration
-  schedule, never of worker state — so ``parallel.prefix_hits`` is
-  identical for every ``jobs`` value; a worker missing the snapshot
-  simply runs the attempt cold.
+  trace of a cold run.  Snapshots carry all mutable machine state as a
+  pickle blob and rebuild generators by feed replay
+  (:meth:`Machine.capture_state`); the scheduler fast-forward carries
+  the RNG, cursor, and occurrence counts
+  (:meth:`PIRScheduler.capture_resume_state`).  Any surprise in the
+  resume machinery falls back to a cold run — attempts are pure, so the
+  result is the same either way, just slower.
+* **Jobs-invariance.**  Capturing is pure observation: a copy of mid-run
+  state cannot change the attempt's outcome.  The tree lives in the
+  engine, is filled at fold time and read at batch assembly — both in
+  pop order — so which plans are issued, and which of them carry a
+  snapshot, is a function of the exploration schedule alone.  No worker
+  holds a tree; a snapshot travels to the worker on the plan.
 * **Bounded memory and overhead.**  Capture depths double
-  (48, 96, 192, ...), so a live attempt pays O(log steps) snapshots,
-  and the tree holds at most ``max_nodes`` snapshots, evicting
-  least-recently-used.  The engine's own (``jobs=1``) tree also drops,
-  as each attempt folds, the snapshots none of its pushed children can
-  resume from (:meth:`PrefixTree.discard`).
+  (48, 96, 192, ...), so a live attempt pays O(log steps) snapshots and
+  ships back only those at the depths its candidates resume from.  The
+  tree holds at most ``max_nodes`` snapshots, evicting
+  least-recently-used, and drops, as each attempt folds, the lineage
+  aliases none of its pushed children can resume from
+  (:meth:`PrefixTree.discard`).
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.core.constraints import ConstraintSet, OrderConstraint
 from repro.core.pir import PIRScheduler
@@ -54,14 +57,27 @@ BASE_DEPTH = 48
 #: The full capture ladder, covering any plausible attempt length.
 CAPTURE_DEPTHS: Tuple[int, ...] = tuple(BASE_DEPTH * (1 << k) for k in range(12))
 
+#: One ladder snapshot: ``(machine state, scheduler state)``, or that
+#: pair as one pickle blob (:func:`pack`) once it has crossed a process
+#: boundary.
+Snapshot = Any
+
+
+def pack(snapshot: Snapshot) -> bytes:
+    """One snapshot as a single pickle blob, for a pool worker to ship.
+
+    The engine stores and forwards a packed snapshot without unpickling
+    it, so a snapshot crossing two process boundaries is pickled once
+    and unpickled once, where it is restored.
+    """
+    return pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+
 
 def planned_depths(parent_steps: int) -> Tuple[int, ...]:
     """The snapshot-ladder depths inside a parent of ``parent_steps``.
 
-    A pure function of the step count, so every process (parent engine,
-    any worker) plans identical depths for the same parent — which is
-    what lets hit accounting happen engine-side while snapshots live
-    wherever the parent happened to run.  All depths are strictly below
+    A pure function of the step count, so the engine plans a child's
+    resume from candidate metadata alone.  All depths are strictly below
     ``parent_steps``: the parent's final step may have failed or
     diverged, and snapshots must be clean mid-run states.
     """
@@ -80,41 +96,49 @@ def resume_depth(parent_steps: int, safe_prefix: int) -> int:
     return best
 
 
+def resume_depths(candidates: Iterable[Any]) -> FrozenSet[int]:
+    """The ladder depths ``candidates`` plan to resume from.
+
+    An attempt's snapshots at these depths are the ones its children
+    can resume from; the rest serve nobody.
+    """
+    depths = (resume_depth(c.parent_steps, c.safe_prefix) for c in candidates)
+    return frozenset(d for d in depths if d > 0)
+
+
 @dataclass(frozen=True)
 class ResumePlan:
-    """A worker-portable instruction: where a child attempt may resume.
+    """Where a child attempt resumes, with the state it resumes from.
 
-    Built engine-side at batch assembly (so hits are counted at a
-    schedule-deterministic point); the executing process derives the
-    parent as ``constraints - {flip}`` and looks snapshots up in its
-    local :class:`PrefixTree`, running cold when none is present.
+    Built by the engine at batch assembly from its :class:`PrefixTree`:
+    ``snapshot`` is the parent's (``constraints - {flip}``, same seed)
+    deepest ladder snapshot inside the child's safe prefix, taken at
+    ``depth`` steps.  The plan travels with the task, so a pool worker,
+    an in-process fallback and a chaos retry all restore the same state.
     """
 
     flip: OrderConstraint
     depth: int
-    parent_steps: int
+    snapshot: Snapshot
 
 
 class PrefixTree:
-    """Process-local LRU store of mid-attempt simulator snapshots.
+    """The engine's LRU store of mid-attempt simulator snapshots.
 
-    ``max_nodes`` bounds snapshots, not attempts: each attempt captures
-    O(log steps) ladder depths, so the default holds snapshots for
-    roughly the last ~80 attempts — enough that siblings scattered
-    across the best-first frontier still find their parent warm.
+    ``max_nodes`` bounds snapshots, not attempts: each attempt keeps
+    only the rungs its children can resume from, so the default holds
+    the parents of a long best-first frontier.
     """
 
     def __init__(self, max_nodes: int = 256) -> None:
         self.max_nodes = max_nodes
-        self._nodes: Dict[Tuple, Tuple[Any, Any]] = {}
+        self._nodes: Dict[Tuple, Snapshot] = {}
         self.hits = 0
         self.misses = 0
         self.captures = 0
         self.aliases = 0
-        self.resumes = 0
-        self.fallbacks = 0
 
-    def get(self, key: Tuple) -> Optional[Tuple[Any, Any]]:
+    def get(self, key: Tuple) -> Optional[Snapshot]:
         node = self._nodes.get(key)
         if node is not None:
             self.hits += 1
@@ -124,14 +148,12 @@ class PrefixTree:
             self.misses += 1
         return node
 
-    def put(self, key: Tuple, snapshot: Tuple[Any, Any]) -> None:
+    def put(self, key: Tuple, snapshot: Snapshot) -> None:
         if key in self._nodes:
             del self._nodes[key]
         self._nodes[key] = snapshot
         self.captures += 1
-        while len(self._nodes) > self.max_nodes:
-            oldest = next(iter(self._nodes))
-            del self._nodes[oldest]
+        self._evict()
 
     def alias(self, src: Tuple, dst: Tuple) -> None:
         """Share ``src``'s snapshot under ``dst`` too (no copy is made).
@@ -147,8 +169,21 @@ class PrefixTree:
             del self._nodes[dst]
         self._nodes[dst] = node
         self.aliases += 1
+        self._evict()
+
+    def _evict(self) -> None:
         while len(self._nodes) > self.max_nodes:
             del self._nodes[next(iter(self._nodes))]
+
+    def store(
+        self,
+        constraints: ConstraintSet,
+        seed: int,
+        snapshots: Iterable[Tuple[int, Snapshot]],
+    ) -> None:
+        """Keep the ``(depth, snapshot)`` rungs one attempt shipped back."""
+        for depth, snapshot in snapshots:
+            self.put((constraints, seed, depth), snapshot)
 
     def discard(
         self, constraints: ConstraintSet, seed: int, keep_below: int = 0
@@ -159,90 +194,87 @@ class PrefixTree:
             if depth > keep_below:
                 self._nodes.pop((constraints, seed, depth), None)
 
+    def plan(
+        self,
+        constraints: ConstraintSet,
+        seed: int,
+        flip: OrderConstraint,
+        depth: int,
+        parent_steps: int,
+    ) -> Optional[ResumePlan]:
+        """A plan carrying the parent's deepest snapshot at or below
+        ``depth``, or None (counted as a miss) when no rung is warm.
+
+        Probes the ladder downward, so a partially kept parent still
+        serves its shallower rungs.  On a hit, the parent's rungs up to
+        the resume point are aliased under the child's key: inside the
+        safe prefix child and parent states are identical, and the
+        resumed run never revisits those depths — without the aliases a
+        resumed lineage would starve its own descendants of shallow
+        snapshots.
+        """
+        parent: ConstraintSet = constraints - {flip}
+        ladder = planned_depths(parent_steps)
+        for found in reversed(ladder):
+            if found <= depth and (parent, seed, found) in self._nodes:
+                snapshot = self.get((parent, seed, found))
+                for rung in ladder:
+                    if rung > found:
+                        break
+                    self.alias((parent, seed, rung), (constraints, seed, rung))
+                return ResumePlan(flip=flip, depth=found, snapshot=snapshot)
+        self.misses += 1
+        return None
+
     def __len__(self) -> int:
         return len(self._nodes)
 
 
 def capture_hooks(
-    constraints: ConstraintSet,
-    seed: int,
-    scheduler: PIRScheduler,
-    tree: PrefixTree,
+    scheduler: PIRScheduler, into: Dict[int, Snapshot]
 ) -> Tuple[Iterable[int], Callable[[Machine], None]]:
     """``(snapshot_depths, on_snapshot)`` for one live attempt.
 
-    Passed to :meth:`Machine.run`, they snapshot the attempt's state as
-    it passes each ladder depth — observation only, so the attempt's
-    outcome is untouched.  Snapshots that cannot be taken cleanly (the
-    machine already failed or diverged at the depth) are skipped.
+    Passed to :meth:`Machine.run`, they snapshot the attempt's state
+    into ``into[depth]`` as it passes each ladder depth — observation
+    only, so the attempt's outcome is untouched.  Snapshots that cannot
+    be taken cleanly (the machine already failed or diverged, or its
+    state does not pickle) are skipped: a rung that cannot travel to
+    another process is not kept in any.
     """
 
     def on_snapshot(machine: Machine) -> None:
         try:
-            try:
-                # pickle blobs: cheap to capture, each restore unpickles
-                # its own fresh copy
-                snapshot = (
-                    machine.capture_state(serialize=True),
-                    scheduler.capture_resume_state(serialize=True),
-                )
-            except Exception:
-                # unpicklable state (e.g. closure thread bodies): the
-                # deep-copy variant is slower but always works
-                snapshot = (
-                    machine.capture_state(),
-                    scheduler.capture_resume_state(),
-                )
-            tree.put((constraints, seed, len(machine.schedule)), snapshot)
+            into[len(machine.schedule)] = (
+                machine.capture_state(serialize=True),
+                scheduler.capture_resume_state(serialize=True),
+            )
         except Exception:
             pass  # unclean state at this depth; deeper rungs may still work
 
     return CAPTURE_DEPTHS, on_snapshot
 
 
-def resume_machine(
+def restore_machine(
     ctx: Any,
     constraints: ConstraintSet,
     seed: int,
     plan: ResumePlan,
-    tree: PrefixTree,
 ) -> Optional[Tuple[Machine, PIRScheduler]]:
-    """A machine fast-forwarded to the deepest warm snapshot, or None.
+    """A machine fast-forwarded to the plan's snapshot, or None.
 
     ``ctx`` is an :class:`~repro.core.parallel.AttemptContext` (duck-
     typed to avoid the import cycle).  None means "run this attempt
-    cold" — no snapshot of the parent is warm in this process, or the
-    resume machinery failed; purity of attempts makes the fallback
-    result identical.  Probes the ladder downward from the plan's depth
-    so a partially-captured parent (e.g. one that itself resumed) still
-    serves its shallower snapshots.
+    cold" — the plan does not name a parent of ``constraints``, or its
+    snapshot does not restore; purity of attempts makes the cold result
+    identical.
     """
+    if plan.flip not in constraints:
+        return None
     try:
-        parent: ConstraintSet = constraints - {plan.flip}
-        if len(parent) != len(constraints) - 1:
-            return None
-        snapshot = None
-        found = 0
-        for depth in reversed(planned_depths(plan.parent_steps)):
-            if depth > plan.depth:
-                continue
-            snapshot = tree._nodes.get((parent, seed, depth))
-            if snapshot is not None:
-                found = depth
-                tree.get((parent, seed, depth))  # count + LRU refresh
-                break
-        if snapshot is None:
-            tree.misses += 1
-            return None
-        # Alias the parent's rungs at or below the resume point under the
-        # child's key: inside the safe prefix child and parent states are
-        # identical, and the resumed run never revisits those depths — so
-        # without the aliases a resumed lineage would starve its own
-        # descendants of shallow snapshots.
-        for depth in planned_depths(plan.parent_steps):
-            if depth > found:
-                break
-            tree.alias((parent, seed, depth), (constraints, seed, depth))
+        snapshot = plan.snapshot
+        if isinstance(snapshot, bytes):
+            snapshot = pickle.loads(snapshot)
         machine_state, scheduler_state = snapshot
         recorded = ctx.recorded
         scheduler = PIRScheduler(
@@ -254,8 +286,6 @@ def resume_machine(
         machine = Machine(recorded.program, scheduler, recorded.config)
         machine.restore_state(machine_state)
         scheduler.restore_resume_state(scheduler_state)
-        tree.resumes += 1
         return machine, scheduler
     except Exception:
-        tree.fallbacks += 1
         return None

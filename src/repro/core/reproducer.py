@@ -124,6 +124,9 @@ class ReproductionReport:
     #: attempts dispatched with a schedule-prefix resume plan (see
     #: :mod:`repro.core.prefix`).  Jobs-invariant.
     prefix_hits: int = 0
+    #: the plans above that resumed from a parent snapshot instead of
+    #: running cold.  Jobs-invariant at a fixed ``batch_size``.
+    realized_resumes: int = 0
     #: entries available after salvage, when the log came from salvage
     #: (``None`` when the log was pristine).
     salvaged_entries: Optional[int] = None
@@ -289,6 +292,7 @@ class Reproducer:
             duplicate_traces=result.duplicate_traces,
             cache_hits=result.cache_hits,
             prefix_hits=result.prefix_hits,
+            realized_resumes=result.realized_resumes,
             interrupted=result.interrupted,
         )
 
@@ -571,7 +575,7 @@ def _walk(
     records: List[AttemptRecord] = []
     degradation_path: List[DegradationRung] = []
     epoch_path: List[EpochRung] = []
-    steps = duplicates = prefix_hits = 0
+    steps = duplicates = prefix_hits = realized = 0
     last: Optional[ReproductionReport] = None
     rung = rungs[0]
     for index, rung in enumerate(rungs):
@@ -601,6 +605,7 @@ def _walk(
         steps += last.total_replay_steps
         duplicates += last.duplicate_traces
         prefix_hits += last.prefix_hits
+        realized += last.realized_resumes
         why = "" if last.success else _rung_failure_reason(last)
         if degrade:
             degradation_path.append(DegradationRung(
@@ -657,6 +662,7 @@ def _walk(
         duplicate_traces=duplicates,
         cache_hits=cache.hits if cache is not None else 0,
         prefix_hits=prefix_hits,
+        realized_resumes=realized,
         degradation_path=degradation_path,
         epoch_path=epoch_path,
         winning_sketch=rung.recorded.sketch if success else None,

@@ -106,6 +106,11 @@ def match(method: str, path: str) -> Tuple[Route, Dict[str, str]]:
     raise ProtocolError(404, f"no route for {path}")
 
 
+def _is_int(value: object) -> bool:
+    """An integer field value: a JSON ``true`` is a bool, not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class JobRequest:
     """A validated job submission (the body of ``POST /jobs``).
@@ -137,15 +142,13 @@ class JobRequest:
             raise ProtocolError(
                 400, f"sketch: must be one of {', '.join(SKETCH_KINDS)}"
             )
-        if self.seed is not None and (
-            not isinstance(self.seed, int) or isinstance(self.seed, bool)
-        ):
+        if self.seed is not None and not _is_int(self.seed):
             raise ProtocolError(400, "seed: must be an integer or null")
-        if not isinstance(self.max_attempts, int) or self.max_attempts < 1:
+        if not _is_int(self.max_attempts) or self.max_attempts < 1:
             raise ProtocolError(400, "max_attempts: must be a positive integer")
-        if not isinstance(self.jobs, int) or self.jobs < 0:
+        if not _is_int(self.jobs) or self.jobs < 0:
             raise ProtocolError(400, "jobs: must be a non-negative integer")
-        if not isinstance(self.ncpus, int) or not 1 <= self.ncpus <= 64:
+        if not _is_int(self.ncpus) or not 1 <= self.ncpus <= 64:
             raise ProtocolError(400, "ncpus: must be an integer in [1, 64]")
         if not isinstance(self.meta, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in self.meta.items()

@@ -255,6 +255,18 @@ class GCReport:
         )
 
 
+def _json_object(handle: Any) -> Dict[str, Any]:
+    """A JSON document that must be an object; TypeError when it is not.
+
+    ``meta.json`` and ``epochs.json`` hold one object each; a file that
+    parses to a list, a number or ``null`` is damage, like a torn one.
+    """
+    data = json.load(handle)
+    if not isinstance(data, dict):
+        raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 class AttemptStore:
     """The persistent shard set; see the module docstring for layout.
 
@@ -320,7 +332,7 @@ class AttemptStore:
         epoch = 0
         try:
             with open(self._meta_path(), "r", encoding="utf-8") as handle:
-                epoch = int(json.load(handle).get("epoch", 0))
+                epoch = int(_json_object(handle).get("epoch", 0))
         except FileNotFoundError:
             pass
         except (OSError, ValueError, TypeError, json.JSONDecodeError):
@@ -646,7 +658,7 @@ class AttemptStore:
     def _load_epoch_registry(self) -> Dict[str, Any]:
         try:
             with open(self._epochs_path(), "r", encoding="utf-8") as handle:
-                bases = json.load(handle).get("bases", {})
+                bases = _json_object(handle).get("bases", {})
                 if isinstance(bases, dict):
                     return bases
         except FileNotFoundError:

@@ -18,7 +18,10 @@ Three shapes are encoded:
   stripped before any caching, in-memory or on disk);
 * **candidates** — the mined next-attempt
   :class:`~repro.core.feedback.Candidate` set riding on each failed
-  outcome, which the warm run re-pushes onto its frontier.
+  outcome, which the warm run re-pushes onto its frontier.  An outcome
+  that was never mined (its session already knew the execution, or ran
+  without feedback) carries ``"mined": false``; records without the
+  field — every record written before it existed — decode as mined.
 
 Constraints use the JSON form every artifact shares
 (:func:`~repro.core.constraints.constraints_to_json`): sets in canonical
@@ -120,9 +123,10 @@ def encode_record(key: Tuple, outcome: AttemptOutcome, tick: Tuple[int, int]) ->
 
     The outcome's ``constraints``/``seed`` equal the key's by construction
     (the engine keys every memoization on the outcome itself), so they
-    are stored once, on the key side.  ``spans`` are never persisted.
+    are stored once, on the key side.  ``spans`` and ``snapshots`` are
+    never persisted.
     """
-    return {
+    record = {
         "key": encode_key(key),
         "outcome": {
             "outcome": outcome.outcome,
@@ -135,6 +139,10 @@ def encode_record(key: Tuple, outcome: AttemptOutcome, tick: Tuple[int, int]) ->
         },
         "tick": [tick[0], tick[1]],
     }
+    if not outcome.mined:
+        # written only when false, so a mined record keeps its old bytes
+        record["outcome"]["mined"] = False
+    return record
 
 
 def decode_record(data: Any) -> Tuple[Tuple, AttemptOutcome, Tuple[int, int]]:
@@ -147,6 +155,9 @@ def decode_record(data: Any) -> Tuple[Tuple, AttemptOutcome, Tuple[int, int]]:
         key = decode_key(data["key"])
         raw = data["outcome"]
         schedule = raw.get("schedule")
+        mined = raw.get("mined", True)
+        if not isinstance(mined, bool):
+            raise TypeError(f"mined must be a boolean, not {mined!r}")
         outcome = AttemptOutcome(
             constraints=key[1],
             seed=key[2],
@@ -157,6 +168,7 @@ def decode_record(data: Any) -> Tuple[Tuple, AttemptOutcome, Tuple[int, int]]:
             fingerprint=raw["fingerprint"],
             candidates=tuple(_candidate_from(c) for c in raw["candidates"]),
             schedule=tuple(schedule) if schedule is not None else None,
+            mined=mined,
         )
         epoch, index = data["tick"]
         return key, outcome, (int(epoch), int(index))

@@ -191,7 +191,7 @@ def explore_stub(monkeypatch, runner, config, sketch, use_feedback=True):
 
     answers = {}
 
-    def stub(ctx, constraints, seed, resume=None, tree=None):
+    def stub(ctx, constraints, seed, resume=None, snapshots=None):
         if (constraints, seed) not in answers:
             answers[constraints, seed] = runner(constraints, seed)
         return answers[constraints, seed]

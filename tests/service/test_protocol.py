@@ -68,6 +68,10 @@ class TestJobRequest:
         (b'{"bug": "b", "sketch": "psychic"}', "sketch"),
         (b'{"bug": "b", "seed": "7"}', "seed"),
         (b'{"bug": "b", "seed": true}', "seed"),
+        (b'{"bug": "b", "max_attempts": true}', "max_attempts"),
+        (b'{"bug": "b", "jobs": true}', "jobs"),
+        (b'{"bug": "b", "jobs": false}', "jobs"),
+        (b'{"bug": "b", "ncpus": true}', "ncpus"),
         (b'{"bug": "b", "max_attempts": 0}', "max_attempts"),
         (b'{"bug": "b", "jobs": -1}', "jobs"),
         (b'{"bug": "b", "ncpus": 0}', "ncpus"),

@@ -103,6 +103,17 @@ class TestPersistence:
         assert store.epoch == 1  # counter restarts; records are unaffected
         assert store.salvage_events >= 1
 
+    @pytest.mark.parametrize("text", ["[]", "null", "3"])
+    def test_meta_that_is_not_an_object_is_damage(self, tmp_path, text):
+        key = _key(FPS[0])
+        with AttemptStore(str(tmp_path)) as store:
+            store.put(key, _outcome(key))
+        (tmp_path / "meta.json").write_text(text)
+        with AttemptStore(str(tmp_path)) as store:
+            assert store.epoch == 1
+            assert store.salvage_events == 1
+            assert store.get(key) is not None
+
     def test_stats_totals(self, tmp_path):
         keys = _seeded(tmp_path, n_per_shard=2)
         stats = AttemptStore(str(tmp_path)).stats()

@@ -128,6 +128,41 @@ class TestRecordRoundTrip:
         assert decoded.spans == ()
 
 
+class TestMinedFlag:
+    def test_unmined_outcome_round_trips(self):
+        key = _key()
+        unmined = replace(_outcome(key), candidates=(), mined=False)
+        record = _wire(encode_record(key, unmined, (0, 0)))
+        assert record["outcome"]["mined"] is False
+        _, decoded, _ = decode_record(record)
+        assert decoded == unmined and decoded.mined is False
+
+    def test_mined_outcomes_keep_todays_record_format(self):
+        # the flag is written only when false, so a mined outcome's
+        # record is byte-identical to one written before it existed.
+        key = _key()
+        record = _wire(encode_record(key, _outcome(key), (1, 2)))
+        assert "mined" not in record["outcome"]
+        _, decoded, _ = decode_record(record)
+        assert decoded.mined is True
+
+    def test_snapshots_never_reach_the_wire(self):
+        key = _key()
+        outcome = _outcome(key)
+        carrying = replace(outcome, snapshots=((48, ("machine", "sched")),))
+        assert encode_record(key, carrying, (0, 0)) == encode_record(
+            key, outcome, (0, 0)
+        )
+
+    @pytest.mark.parametrize("flag", ["no", 0, None, [False]])
+    def test_a_malformed_flag_raises_sketch_format_error(self, flag):
+        key = _key()
+        record = _wire(encode_record(key, _outcome(key), (0, 0)))
+        record["outcome"]["mined"] = flag
+        with pytest.raises(SketchFormatError):
+            decode_record(record)
+
+
 class TestDamage:
     def _good(self):
         key = _key()

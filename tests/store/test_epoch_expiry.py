@@ -11,6 +11,8 @@ and leaves everything else (full-history shards, live bases) alone.
 import json
 import os
 
+import pytest
+
 from repro.store import AttemptStore, EpochExpiryReport
 from repro.store.attempt_store import EPOCHS_FILE
 
@@ -115,6 +117,19 @@ class TestTornRegistry:
             assert store.salvage_events == 1
             for fp in EPOCH_FPS + (PLAIN_FP,):
                 assert store.get(_key(fp)) is not None
+
+    @pytest.mark.parametrize("text", ["[]", "null", "3"])
+    def test_registry_that_is_not_an_object_is_damage(self, tmp_path, text):
+        with _seed_store(tmp_path) as store:
+            (tmp_path / EPOCHS_FILE).write_text(text, encoding="utf-8")
+            store.register_epoch_fingerprints({"ccfeed0004": {"seed": 1}})
+            assert store.salvage_events == 1
+            # the registry restarts empty, then takes the new base
+            bases = json.loads(
+                (tmp_path / EPOCHS_FILE).read_text(encoding="utf-8")
+            )["bases"]
+            assert sorted(bases) == ["ccfeed0004"]
+            assert store.expire_epochs({"ccfeed0004"}).expired == []
 
     def test_missing_registry_is_empty(self, tmp_path):
         with AttemptStore(str(tmp_path)) as store:

@@ -89,6 +89,17 @@ class TestWarmStart:
         assert warm.cache_hits == warm.attempts
         _assert_identical(warm, cold)
 
+    def test_store_warmed_without_feedback_serves_a_feedback_run(
+        self, recorded, tmp_path
+    ):
+        # The no-feedback arm stores the root attempt unmined; a feedback
+        # session folding it must still get the root's candidates.
+        store_dir = str(tmp_path / "store")
+        reproduce(recorded, CFG, store=store_dir, use_feedback=False)
+        warm = reproduce(recorded, CFG, store=store_dir)
+        assert warm.cache_hits >= 1
+        _assert_identical(warm, reproduce(recorded, CFG))
+
 
 class TestJobsEquivalence:
     def test_store_preserves_jobs_equivalence(self, recorded, tmp_path):

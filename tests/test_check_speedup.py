@@ -16,12 +16,15 @@ sys.path.insert(0, str(ROOT / "tools"))
 import check_speedup  # noqa: E402  (path set up above)
 
 
-def _arm(label, jobs, speedup, prefix_hits=299, cache_hits=0):
+def _arm(label, jobs, speedup, prefix_hits=299, cache_hits=0,
+         realized_resumes=None):
+    if realized_resumes is None:
+        realized_resumes = prefix_hits
     return {
         "label": label, "jobs": jobs, "attempts": 300, "success": False,
         "wall_time_s": 1.0, "cache_hits": cache_hits,
-        "prefix_hits": prefix_hits, "speedup": speedup,
-        "matches_serial": True,
+        "prefix_hits": prefix_hits, "realized_resumes": realized_resumes,
+        "speedup": speedup, "matches_serial": True,
     }
 
 
@@ -67,11 +70,40 @@ def test_a_slow_gated_arm_fails_only_with_enough_cores():
 
 def test_a_gated_arm_without_prefix_hits_fails():
     failures = check_speedup.check(_artifact(**{
-        "serial": {"prefix_hits": 0},
-        "pool jobs=2": {"prefix_hits": 0},
-        "pool jobs=4": {"prefix_hits": 0},
+        "serial": {"prefix_hits": 0, "realized_resumes": 0},
+        "pool jobs=2": {"prefix_hits": 0, "realized_resumes": 0},
+        "pool jobs=4": {"prefix_hits": 0, "realized_resumes": 0},
     }))
     assert len(failures) == 1 and "memoization never engaged" in failures[0]
+
+
+def test_a_live_arm_that_realizes_too_few_resumes_fails():
+    # 269 of 299 is just under 90%; any live arm trips the gate
+    for label in ("serial", "pool jobs=2", "pool jobs=4"):
+        failures = check_speedup.check(
+            _artifact(**{label: {"realized_resumes": 269}})
+        )
+        assert len(failures) == 1, label
+        assert failures[0].startswith(f"{label}: realized 269 of 299")
+    assert check_speedup.check(
+        _artifact(**{"pool jobs=2": {"realized_resumes": 270}})
+    ) == []
+
+
+def test_an_artifact_without_realized_counts_fails():
+    data = copy.deepcopy(PASSING)
+    for arm in data["records"]:
+        del arm["realized_resumes"]
+    failures = check_speedup.check(data)
+    assert len(failures) == 3
+    assert all("realized 0 of 299" in failure for failure in failures)
+
+
+def test_the_cached_rewalk_is_exempt_from_the_realized_floor():
+    rewalk = _artifact(**{
+        "cached re-walk": {"prefix_hits": 7, "realized_resumes": 0}
+    })
+    assert check_speedup.check(rewalk) == []
 
 
 def test_live_arms_that_disagree_on_prefix_hits_fail():

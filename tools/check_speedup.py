@@ -15,7 +15,10 @@ fails (exit 1) when the parallel engine has regressed:
 * the arms that replayed live (every arm but the ``cached re-walk``,
   whose attempts are answered from the cache) disagree on
   ``prefix_hits`` — one engine plans its resumes from the exploration
-  schedule alone, so ``jobs`` must not move the count.
+  schedule alone, so ``jobs`` must not move the count;
+* a live arm realized fewer than 90% of its planned resumes
+  (``realized_resumes`` below ``REALIZED_FLOOR`` x ``prefix_hits``) —
+  the engine's prefix tree stopped holding the parents its plans need.
 
 The speedup floor is only enforced when the host really had more usable
 cores than the arm asked for (``meta.host_cpus``); on a starved runner
@@ -37,6 +40,8 @@ SPEEDUP_FLOOR = 1.5
 GATED_ARM = "pool jobs=4"
 #: the arm whose attempts come from the cache, so it plans no resumes.
 CACHED_ARM = "cached re-walk"
+#: share of planned resumes a live arm must realize.
+REALIZED_FLOOR = 0.9
 
 
 def check(data: Dict[str, Any], floor: float = SPEEDUP_FLOOR) -> List[str]:
@@ -54,9 +59,10 @@ def check(data: Dict[str, Any], floor: float = SPEEDUP_FLOOR) -> List[str]:
                 "the deterministic-merge contract broke"
             )
 
+    live_arms = [arm for arm in records if arm.get("label") != CACHED_ARM]
     live = {
         arm.get("label", "?"): int(arm.get("prefix_hits", 0))
-        for arm in records if arm.get("label") != CACHED_ARM
+        for arm in live_arms
     }
     if len(set(live.values())) > 1:
         failures.append(
@@ -64,6 +70,15 @@ def check(data: Dict[str, Any], floor: float = SPEEDUP_FLOOR) -> List[str]:
             + ", ".join(f"{label}: {hits}" for label, hits in live.items())
             + ") — resume planning must depend on the schedule alone"
         )
+    for arm in live_arms:
+        planned = int(arm.get("prefix_hits", 0))
+        realized = int(arm.get("realized_resumes", 0))
+        if realized < REALIZED_FLOOR * planned:
+            failures.append(
+                f"{arm.get('label', '?')}: realized {realized} of {planned} "
+                f"planned resumes, below the {REALIZED_FLOOR:.0%} floor — "
+                "the prefix tree lost the parents its plans need"
+            )
 
     gated = next((a for a in records if a.get("label") == GATED_ARM), None)
     if gated is None:
@@ -99,6 +114,7 @@ def main(argv: List[str]) -> int:
         print(
             f"  {arm.get('label', '?'):>16}: {arm.get('speedup', 0):>6}x, "
             f"prefix_hits={arm.get('prefix_hits', 0)}, "
+            f"realized_resumes={arm.get('realized_resumes', 0)}, "
             f"matches_serial={arm.get('matches_serial')}"
         )
     failures = check(data)

@@ -12,7 +12,7 @@ runs the same reproduction twice:
   and attempt hangs at a combined 10% attempt rate plus store-shard
   corruption, with a zero-delay backoff supervisor.
 
-Both must produce an identical :func:`~repro.robust.runs.report_signature`
+Both must produce an identical :func:`~repro.core.reproducer.report_signature`
 — same attempt sequence, same winner, same complete log.  The table also
 reports how much chaos the supervisor absorbed (``supervise.*`` counters)
 and the wall-clock overhead ratio of the chaos arm.
@@ -30,10 +30,9 @@ from repro.bench.results import BenchResult
 from repro.bench.seeds import find_failing_seed
 from repro.core.explorer import ExplorerConfig
 from repro.core.recorder import record
-from repro.core.reproducer import reproduce
+from repro.core.reproducer import report_signature, reproduce
 from repro.core.sketches import SketchKind
 from repro.obs.session import ObsSession
-from repro.robust.runs import report_signature
 from repro.robust.supervise import SuperviseConfig
 from repro.sim import MachineConfig
 

@@ -67,15 +67,16 @@ traceback.
 
 Resilience flags (see docs/resilience.md): ``reproduce`` accepts
 ``--attempt-timeout`` / ``--max-retries`` (worker supervision: deadlines,
-retry with deterministic backoff, pool rebuild, serial fallback),
-``--run-id`` / ``--resume`` / ``--runs DIR`` (resumable run journals: a
-resumed run replays only undecided attempts and reports byte-identical
-results), and ``--chaos SPEC`` (seeded fault injection —
+retry with deterministic backoff, pool rebuild, serial fallback) and
+``--chaos SPEC`` (seeded fault injection —
 ``crash=P,hang=P,corrupt=P,seed=N`` — under which reported results still
 match the fault-free run).  ``pres doctor DIR`` triages a store
 directory; ``--clean`` removes stale temp files a killed run left.  A
-``Ctrl-C`` during ``reproduce`` terminates workers, flushes the run
-journal, prints the partial report, and exits 130 — never a traceback.
+``Ctrl-C`` during ``reproduce`` terminates workers, flushes the
+``--store``, prints the partial report, and exits 130 — never a
+traceback.  Running the same command again against the same store
+resumes: the decided attempts come from the store, and only the rest
+replay live, to a byte-identical report.
 """
 
 from __future__ import annotations
@@ -331,22 +332,10 @@ def _print_plan_summary(plan, sketch) -> None:
 
 def cmd_reproduce(args) -> int:
     spec = get_bug(args.bug)
-    if args.run_id and args.resume:
-        print("--run-id and --resume are mutually exclusive", file=sys.stderr)
-        return 2
-    if (args.run_id or args.resume) and args.degrade:
-        print("run journals do not compose with --degrade (each rung is "
-              "its own exploration); drop one of the flags", file=sys.stderr)
-        return 2
     epochs = _epoch_config(args)
     if epochs is not None and args.degrade:
         print("--epoch-steps does not compose with --degrade (both are "
               "rung walks over their own exploration); drop one",
-              file=sys.stderr)
-        return 2
-    if epochs is not None and (args.run_id or args.resume):
-        print("run journals do not compose with --epoch-steps (each epoch "
-              "rung is its own exploration); drop one of the flags",
               file=sys.stderr)
         return 2
     chaos = None
@@ -470,22 +459,6 @@ def cmd_reproduce(args) -> int:
         jobs=args.jobs,
         batch_size=args.batch_size,
     )
-    run = None
-    if args.run_id or args.resume:
-        from repro.robust.runs import resume_run, run_meta, start_run
-
-        meta = run_meta(recorded, config,
-                        use_feedback=not args.no_feedback)
-        if args.resume:
-            run = resume_run(args.runs, args.resume, expect_meta=meta)
-            print(f"resuming run {args.resume!r}: {run.resumed_attempts} "
-                  f"decided attempt(s) loaded from {run.path}")
-            if run.completed:
-                print("run already completed; replaying it from the journal")
-        else:
-            run = start_run(args.runs, args.run_id, meta=meta)
-            print(f"run journal: {run.path} (resume with "
-                  f"--resume {args.run_id})")
     report = reproduce(
         recorded,
         config,
@@ -495,7 +468,6 @@ def cmd_reproduce(args) -> int:
         plans=plans,
         supervise=supervise,
         chaos=chaos,
-        run=run,
         degrade=args.degrade,
         salvaged_entries=salvaged_entries,
         dropped_records=dropped_records,
@@ -522,6 +494,12 @@ def cmd_reproduce(args) -> int:
     if report.interrupted:
         # The partial report above is real; the exit code says "stopped
         # by signal" so wrappers don't mistake it for a verdict.
+        if args.store:
+            print(f"resume: run the same command again; the store "
+                  f"{args.store} keeps every decided attempt")
+        else:
+            print("resume: pass --store DIR to keep decided attempts, so "
+                  "a rerun replays only the rest")
         print("interrupted: true")
         return 130
     if not report.success:
@@ -928,8 +906,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.add_argument("--store", metavar="DIR",
                          help="persist attempt outcomes to a cross-run "
                               "store at DIR and answer repeat attempts "
-                              "from it (warm runs replay nothing live; "
-                              "identical reported results)")
+                              "from it (warm runs replay nothing live, a "
+                              "killed run resumes when rerun; identical "
+                              "reported results)")
     p_repro.add_argument("--attempt-timeout", type=float, metavar="SECONDS",
                          help="per-attempt wall-clock deadline for pooled "
                               "workers; a hung attempt is abandoned and "
@@ -944,16 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "exploring: crash=P,hang=P,corrupt=P,seed=N "
                               "(rates in [0,1]; reported results stay "
                               "identical to the fault-free run)")
-    p_repro.add_argument("--runs", metavar="DIR", default=".pres-runs",
-                         help="directory for resumable run journals "
-                              "(default: .pres-runs)")
-    p_repro.add_argument("--run-id", metavar="ID",
-                         help="journal every decided attempt under this "
-                              "run id so a killed run can be resumed")
-    p_repro.add_argument("--resume", metavar="ID",
-                         help="resume a journaled run: replay its decided "
-                              "attempts from the journal and explore only "
-                              "the undecided rest (byte-identical report)")
 
     p_diag = sub.add_parser(
         "diagnose", help="reproduce a bug and print a root-cause report"
@@ -1143,7 +1112,7 @@ def main(argv: Optional[list] = None) -> int:
     except KeyError as exc:  # unknown bug id
         print(exc.args[0], file=sys.stderr)
         return 2
-    except SimUsageError as exc:  # bad --run-id / --resume usage
+    except SimUsageError as exc:  # flags whose walks do not compose
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # bad --sketch / --inject-fault / --chaos spec

@@ -60,7 +60,8 @@ class CompleteLog:
                 ),
                 failure_signature=tuple(signature) if signature else None,
             )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, json.JSONDecodeError,
+                RecursionError) as exc:
             raise SketchFormatError(f"corrupt complete log: {exc}") from None
 
 

@@ -664,7 +664,6 @@ class ParallelExplorer:
         metrics = self.obs.metrics
         metrics.gauge("jobs").set(self.config.jobs)
         metrics.gauge("batch_size").set(self.batch_size)
-        self._charge_resumed()
         result = ExplorationResult(success=False)
         with self.obs.tracer.span(
             "explore", category="engine",
@@ -723,32 +722,10 @@ class ParallelExplorer:
             chaos_material=lambda constraints, seed: (
                 f"{seed}|{self.context.ordered(constraints)!r}"
             ),
-            store_root=self._store_root(),
+            # The attempt-store root behind a persistent cache, if
+            # any: the target of chaos shard corruption.
+            store_root=getattr(getattr(self.cache, "store", None), "root", None),
         )
-
-    def _store_root(self) -> Optional[str]:
-        """The attempt-store root behind the cache stack, if any.
-
-        Walks at most one ``inner`` link (a run journal layered on a
-        persistent tier) — the target of chaos shard corruption.
-        """
-        root = getattr(getattr(self.cache, "store", None), "root", None)
-        if root is None:
-            inner = getattr(self.cache, "inner", None)
-            root = getattr(getattr(inner, "store", None), "root", None)
-        return root
-
-    def _charge_resumed(self) -> None:
-        """Surface resumed-run preloads in the supervise metric family."""
-        take = getattr(self.cache, "take_resumed", None)
-        if take is None:
-            return
-        resumed = take()
-        if resumed:
-            self.obs.metrics.counter("supervise.resumed_attempts").inc(resumed)
-            self.obs.tracer.instant(
-                "resumed", category="supervise", attempts=resumed
-            )
 
     # -- pool management ------------------------------------------------
 

@@ -211,7 +211,7 @@ class Plan:
         """
         try:
             payload = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, bad UTF-8
+        except (ValueError, RecursionError) as exc:  # bad JSON/UTF-8, deep
             raise PlanFormatError(f"plan is not JSON: {exc}") from None
         tag = payload.get("format") if isinstance(payload, dict) else None
         if tag in _V1_FORMATS:

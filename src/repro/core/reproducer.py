@@ -24,6 +24,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -193,6 +195,33 @@ def render_report(report: ReproductionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def report_signature(report: ReproductionReport) -> str:
+    """A deterministic digest of everything a report decides.
+
+    Two reports with equal signatures reproduced the same bug the same
+    way: same success, same attempt sequence, same winner, same complete
+    log.  Cache provenance (``cache_hits``, ``salvaged_entries``) is
+    deliberately excluded — a rerun answered from a warm store or a
+    chaos-supervised run differs there while still being *the same
+    reproduction*.
+    """
+    payload = {
+        "success": report.success,
+        "attempts": report.attempts,
+        "records": [
+            [r.outcome, r.base_seed, r.n_constraints] for r in report.records
+        ],
+        "winning_constraints": sorted(
+            repr(c) for c in (report.winning_constraints or ())
+        ),
+        "complete_log": (
+            report.complete_log.to_json() if report.complete_log else None
+        ),
+    }
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
 class Reproducer:
     """Explores one recorded run (one rung of a :func:`reproduce` walk).
 
@@ -342,7 +371,6 @@ def reproduce(
     plans: Sequence[Plan] = (),
     supervise: Optional[SuperviseConfig] = None,
     chaos: object = None,
-    run: object = None,
     pool: Optional[PoolLease] = None,
     degrade: bool = False,
     salvaged_entries: Optional[int] = None,
@@ -367,7 +395,7 @@ def reproduce(
     finest or newest, rungs), rung ``i`` starts at ``base_seed + i *``
     :data:`SEED_BACKOFF`, and every rung shares one attempt cache, so the
     walk is a pure function of its inputs: the report is byte-identical
-    across ``jobs``, store state, chaos and resume.  It stops at the
+    across ``jobs``, store state and chaos.  It stops at the
     first rung that reproduces the failure (or at an interrupt) and
     always returns a structured :class:`ReproductionReport`; neither
     ``SketchFormatError`` nor ``ReplayDivergence`` escapes.
@@ -389,6 +417,9 @@ def reproduce(
         Outcomes are written through to it and a warm store answers
         attempts without live replays; the reported schedule and winner
         are identical with the store cold, warm, or partially populated.
+        That makes the store the resume path too: a killed session
+        rerun against the same store replays only the attempts it had
+        not decided.
         An epoch walk first expires entries persisted under boundaries
         the window has since dropped (see
         :meth:`~repro.store.attempt_store.AttemptStore.expire_epochs`).
@@ -417,12 +448,6 @@ def reproduce(
         :class:`~repro.robust.inject.ChaosSpec`, or a
         :class:`~repro.robust.inject.ChaosInjector`); deterministic given
         the spec seed, and report-preserving by the same argument.
-    :param run: optional resumable-run journal
-        (:class:`~repro.robust.runs.RunJournalCache`): decided attempts
-        are journaled as they fold, an interrupted run can be resumed,
-        and the journal is committed when the report completes.  Layers
-        *over* ``cache``/``store`` (they become its inner tier).  Plain
-        sessions only.
     :param pool: optional shared :class:`~repro.core.parallel.PoolLease`
         — borrow a host-owned warm worker pool instead of building a
         private one (the reproduction service lends one pool to every
@@ -433,20 +458,15 @@ def reproduce(
         on the report for the bug ticket (``None`` = log was pristine).
     :param dropped_records: journal lines salvage had to discard.
     :raises SimUsageError: for walks that do not compose — ``degrade``
-        with an epoch-windowed recording, a ``run`` journal with either
-        ladder, or ``plans``/salvage accounting with an epoch-windowed
-        recording (those describe full-history logs).
+        with an epoch-windowed recording, or ``plans``/salvage accounting
+        with an epoch-windowed recording (those describe full-history
+        logs).
     """
     windowed = recorded.epochs is not None
     if degrade and windowed:
         raise SimUsageError(
             "degrade does not compose with an epoch-windowed recording "
             "(both are rung walks over their own exploration)"
-        )
-    if run is not None and (degrade or windowed):
-        raise SimUsageError(
-            "a run journal does not compose with a ladder walk (each "
-            "rung is its own exploration)"
         )
     if windowed and (plans or salvaged_entries is not None
                      or dropped_records):
@@ -459,10 +479,6 @@ def reproduce(
         config = dataclasses.replace(config, jobs=jobs)
     session = resolve_session(config, obs)
     cache, close_after = _resolve_store(store, cache)
-    if run is not None:
-        if cache is not None:
-            run.attach_inner(cache)
-        cache = run
     try:
         rungs = _rungs(recorded, degrade)
         if windowed:
@@ -477,12 +493,8 @@ def reproduce(
         report = _walk(recorded, rungs, config, session, cache, degrade, explorer)
         report.salvaged_entries = salvaged_entries
         report.dropped_records = dropped_records
-        if run is not None and not report.interrupted:
-            run.commit(report)
         return report
     finally:
-        if run is not None:
-            run.close()
         if close_after is not None:
             close_after.close()
 

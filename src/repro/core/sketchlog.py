@@ -208,7 +208,7 @@ class SketchLog:
                 raise SketchFormatError(f"truncated epoch block: {exc}") from None
         try:
             tokens = json.loads(data[offset:offset + table_len].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise SketchFormatError(f"corrupt key table: {exc}") from None
         keys = [_token_to_key(t) for t in tokens]
         offset += table_len
@@ -313,7 +313,7 @@ class SketchLog:
                 truncated_epochs=int(epochs.get("truncated_epochs", 0)),
             )
             entries = payload["entries"]
-        except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        except (KeyError, ValueError, TypeError, AttributeError, RecursionError) as exc:
             raise SketchFormatError(f"corrupt JSON sketch log: {exc}") from None
         for number, record in enumerate(entries, start=1):
             try:

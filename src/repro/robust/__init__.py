@@ -26,11 +26,11 @@ that assumption made executable:
 The replay-side counterpart — the degradation ladder that re-derives
 coarser sketches from a salvaged prefix and retries — is one of the rung
 walks of the reproduction driver,
-:func:`repro.core.reproducer.reproduce` with ``degrade=True``.
-Resumable run journals live in :mod:`repro.robust.runs`, which is *not*
-re-exported here: it imports the store codec, whose import chain reaches
-:mod:`repro.robust.supervise`, and must not run during this package's
-own initialization.
+:func:`repro.core.reproducer.reproduce` with ``degrade=True``.  A killed
+reproduction needs no journal of its own to resume: the cross-run
+attempt store (:mod:`repro.store`) already keeps every decided attempt,
+so rerunning the same command against the same ``--store`` replays only
+the rest.
 """
 
 from repro.robust.atomic import atomic_write_text, atomic_writer

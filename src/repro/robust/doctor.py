@@ -99,7 +99,7 @@ def _diagnose_trace_jsonl(path: str, first_line: str) -> LogDiagnosis:
             continue
         try:
             event_from_row(json.loads(line))
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
+        except (json.JSONDecodeError, ValueError, TypeError, RecursionError) as exc:
             bad_at = f"event at line {number} is corrupt: {exc}"
             break
         valid.append(line)
@@ -126,7 +126,7 @@ def _diagnose_json_blob(path: str, text: str) -> LogDiagnosis:
 
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         return LogDiagnosis(
             path=path,
             format="unknown",
@@ -264,7 +264,7 @@ def examine(path: str) -> LogDiagnosis:
     if stripped.startswith("{"):
         try:
             header = json.loads(first_line)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             header = None
         if isinstance(header, dict) and header.get("format") == "pres-trace":
             return _diagnose_trace_jsonl(path, first_line)

@@ -246,7 +246,7 @@ def salvage_text(text: str, path: str = "<memory>") -> SalvageReport:
 
     try:
         report.kind, report.meta = _read_header(lines[0])
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, json.JSONDecodeError, RecursionError) as exc:
         report.kind = None
         report.reason = f"corrupt header: {exc}"
         report.dropped_lines = len(lines)
@@ -257,7 +257,7 @@ def salvage_text(text: str, path: str = "<memory>") -> SalvageReport:
         try:
             record = _unframe(line)
             seq, payload = record
-        except (ValueError, json.JSONDecodeError, TypeError) as exc:
+        except (ValueError, json.JSONDecodeError, TypeError, RecursionError) as exc:
             report.reason = f"line {index}: {exc}"
             break
         if seq != expected_seq:

@@ -146,10 +146,15 @@ class JobManager:
     def submit(self, request: JobRequest) -> Job:
         """Admit a job or refuse it; never blocks.
 
-        Raises :class:`ProtocolError` 503 while draining and
-        :class:`BackpressureError` (429) when the global queue or the
-        tenant's in-flight budget is full.
+        Raises :class:`ProtocolError` 400 for a bug id the registry does
+        not know, 503 while draining, and :class:`BackpressureError`
+        (429) when the global queue or the tenant's in-flight budget is
+        full.
         """
+        try:
+            get_bug(request.bug)
+        except KeyError as exc:
+            raise ProtocolError(400, exc.args[0]) from None
         if self.draining:
             raise ProtocolError(503, "draining; not accepting jobs")
         if len(self.queue) >= self.max_queued:

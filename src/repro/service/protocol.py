@@ -160,7 +160,7 @@ class JobRequest:
         """Parse and validate a request body; 400 on any defect."""
         try:
             doc = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ProtocolError(400, f"body: invalid JSON ({exc})") from exc
         if not isinstance(doc, dict):
             raise ProtocolError(400, "body: expected a JSON object")

@@ -37,11 +37,16 @@ __all__ = ["ReplayServer", "ServiceThread", "serve"]
 #: Largest request body accepted (jobs are small JSON documents).
 MAX_BODY = 1 << 20
 
+#: Seconds a client has to deliver its request head and body; a request
+#: not complete by then is answered 408 instead of holding the
+#: connection open.
+READ_DEADLINE = 10.0
+
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable",
+    405: "Method Not Allowed", 408: "Request Timeout", 409: "Conflict",
+    413: "Payload Too Large", 429: "Too Many Requests",
+    500: "Internal Server Error", 503: "Service Unavailable",
 }
 
 
@@ -69,6 +74,15 @@ def _response(
 def _error(status: int, message: str) -> bytes:
     extra = (("Retry-After", "1"),) if status == 429 else ()
     return _response(status, {"error": message}, extra_headers=extra)
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One head line; 400 on a dropped connection or an over-long line
+    (``readline`` raises ``ValueError`` past the stream's limit)."""
+    try:
+        return await reader.readline()
+    except (ConnectionError, ValueError) as exc:
+        raise ProtocolError(400, f"unreadable request: {exc}") from None
 
 
 class ReplayServer:
@@ -115,11 +129,14 @@ class ReplayServer:
             writer.close()
 
     async def _handle(self, reader: asyncio.StreamReader) -> bytes:
-        method, path, headers = await self._read_head(reader)
-        length = int(headers.get("content-length", "0") or "0")
-        if length > MAX_BODY:
-            return _error(413, f"body larger than {MAX_BODY} bytes")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            method, path, headers, body = await asyncio.wait_for(
+                self._read_request(reader), READ_DEADLINE
+            )
+        except asyncio.TimeoutError:
+            raise ProtocolError(
+                408, f"request incomplete after {READ_DEADLINE}s"
+            ) from None
         path, _, query = path.partition("?")
         try:
             route, params = match(method, path)
@@ -133,18 +150,31 @@ class ReplayServer:
         self.metrics.counter(f"service.http.{route.name}").inc()
         return self._handlers[route.name](params, body, headers, query)
 
-    async def _read_head(self, reader: asyncio.StreamReader):
+    async def _read_request(self, reader: asyncio.StreamReader):
+        method, path, headers = await self._read_head(reader)
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise ProtocolError(400, f"bad Content-Length {declared!r}")
+        length = int(declared)
+        if length > MAX_BODY:
+            raise ProtocolError(413, f"body larger than {MAX_BODY} bytes")
         try:
-            request_line = await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError) as exc:
-            raise ProtocolError(400, f"unreadable request: {exc}") from exc
+            body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError as exc:
+            raise ProtocolError(
+                400, f"body ended after {len(exc.partial)} of {length} bytes"
+            ) from None
+        return method, path, headers, body
+
+    async def _read_head(self, reader: asyncio.StreamReader):
+        request_line = await _read_line(reader)
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise ProtocolError(400, "malformed request line")
         method, path = parts[0], parts[1]
         headers: Dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")

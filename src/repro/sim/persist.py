@@ -198,9 +198,9 @@ def load_trace(handle: IO[str]) -> Trace:
     header_line = handle.readline()
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SketchFormatError(f"corrupt trace header (line 1): {exc}") from None
-    if header.get("format") != _FORMAT:
+    if not isinstance(header, dict) or header.get("format") != _FORMAT:
         raise SketchFormatError("not a PRES trace file")
     if header.get("version") != _VERSION:
         raise SketchFormatError(
@@ -213,12 +213,17 @@ def load_trace(handle: IO[str]) -> Trace:
             continue
         try:
             events.append(event_from_row(json.loads(line)))
-        except (json.JSONDecodeError, ValueError, TypeError) as exc:
+        except (json.JSONDecodeError, ValueError, TypeError, RecursionError) as exc:
             raise SketchFormatError(
                 f"corrupt trace event (line {line_number}, "
                 f"event {line_number - 1}): {exc}"
             ) from None
-    return _trace_from_meta(header, events)
+    try:
+        return _trace_from_meta(header, events)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise SketchFormatError(
+            f"corrupt trace header (line 1): {type(exc).__name__} {exc}"
+        ) from None
 
 
 def save_trace(trace: Trace, path: str) -> None:

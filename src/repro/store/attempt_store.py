@@ -335,7 +335,8 @@ class AttemptStore:
                 epoch = int(_json_object(handle).get("epoch", 0))
         except FileNotFoundError:
             pass
-        except (OSError, ValueError, TypeError, json.JSONDecodeError):
+        except (OSError, ValueError, TypeError, json.JSONDecodeError,
+                RecursionError):
             # A torn meta.json costs only eviction-order fidelity for
             # older epochs, never records; restart the counter.
             self.salvage_events += 1
@@ -663,7 +664,8 @@ class AttemptStore:
                     return bases
         except FileNotFoundError:
             return {}
-        except (OSError, ValueError, TypeError, json.JSONDecodeError):
+        except (OSError, ValueError, TypeError, json.JSONDecodeError,
+                RecursionError):
             pass
         # A torn registry costs only expiry bookkeeping, never records.
         self.salvage_events += 1

@@ -262,18 +262,12 @@ class TestWindowedReproduce:
         assert walked.epoch_path == [] and walked.degradation_path == []
         assert walked.outcome_reason == ""
 
-    def test_walks_that_do_not_compose_are_refused(self, tmp_path):
-        from repro.robust.runs import start_run
-
+    def test_walks_that_do_not_compose_are_refused(self):
         recorded = failing_epoch_record(10, 2)
         with pytest.raises(SimUsageError, match="degrade"):
             reproduce(recorded, self.CONFIG, degrade=True)
         with pytest.raises(SimUsageError, match="full-history"):
             reproduce(recorded, self.CONFIG, salvaged_entries=3)
-        run = start_run(str(tmp_path), "r", meta={})
-        with pytest.raises(SimUsageError, match="run journal"):
-            reproduce(recorded, self.CONFIG, run=run)
-        run.close()
 
     def test_outcome_reason_names_the_rung(self):
         recorded = failing_epoch_record(10, 2)

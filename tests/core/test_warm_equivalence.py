@@ -18,9 +18,8 @@ from repro.bench.seeds import find_failing_seed
 from repro.core import shm
 from repro.core.explorer import ExplorerConfig
 from repro.core.recorder import record
-from repro.core.reproducer import reproduce
+from repro.core.reproducer import report_signature, reproduce
 from repro.core.sketches import SketchKind
-from repro.robust.runs import report_signature
 from repro.robust.supervise import SuperviseConfig
 from repro.sim import MachineConfig
 

@@ -15,11 +15,10 @@ from repro.apps import get_bug
 from repro.bench.seeds import find_failing_seed
 from repro.core.explorer import ExplorerConfig
 from repro.core.recorder import record
-from repro.core.reproducer import reproduce
+from repro.core.reproducer import report_signature, reproduce
 from repro.core.sketches import SketchKind
 from repro.obs.session import ObsSession
 from repro.robust.inject import ChaosInjector, ChaosSpec, parse_chaos
-from repro.robust.runs import report_signature
 from repro.robust.supervise import SuperviseConfig
 from repro.sim import MachineConfig
 from repro.store import verify_store

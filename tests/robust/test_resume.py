@@ -1,12 +1,14 @@
-"""Resumable runs: the per-run journal and ``--resume`` round trip.
+"""Resuming a killed run: the same reproduction, rerun against its store.
 
-The contract (``docs/resilience.md``): a run journal records every
-decided attempt as it folds, so a reproduction killed mid-exploration
-can be resumed and finish with a report byte-identical to an
-uninterrupted run — the resumed process replays only the undecided
-attempts.  Run identity (:func:`~repro.robust.runs.run_meta`) pins
-everything that shapes the schedule and deliberately excludes ``jobs``,
-so an interrupted parallel run may resume serially and still match.
+The contract (``docs/resilience.md``): the attempt store writes every
+decided attempt through as it folds, flushed per record, so a
+reproduction killed mid-exploration and rerun against the same store
+finishes with a report byte-identical to an uninterrupted run — the
+rerun answers the decided attempts from the store and replays only the
+rest.  The store key (recording, constraints, seed, base policy, output
+matching) is the whole identity of an attempt and leaves ``jobs``,
+the budget and the batch size out, so an interrupted parallel run may
+resume serially and a store warmed under one budget serves another.
 """
 
 import pytest
@@ -15,44 +17,44 @@ from repro.apps import get_bug
 from repro.bench.seeds import find_failing_seed
 from repro.core.explorer import ExplorerConfig
 from repro.core.recorder import record
-from repro.core.reproducer import reproduce
+from repro.core.reproducer import render_report, report_signature, reproduce
 from repro.core.sketches import SketchKind
-from repro.errors import SimUsageError
-from repro.robust.runs import (
-    RunJournalCache,
-    list_runs,
-    report_signature,
-    resume_run,
-    run_journal_path,
-    run_meta,
-    start_run,
-)
 from repro.sim import MachineConfig
+from repro.store.persistent import PersistentAttemptCache
 
 BUG = "mysql-atom-log"  # explores ~19 attempts: room to interrupt mid-run
 
 CFG = ExplorerConfig(max_attempts=40)
 
 
-@pytest.fixture(scope="module")
-def recorded():
+def _record(sketch):
     spec = get_bug(BUG)
     seed = find_failing_seed(spec, ncpus=4)
     assert seed is not None
     return record(
         spec.make_program(),
-        sketch=SketchKind.SYNC,
+        sketch=sketch,
         seed=seed,
         config=MachineConfig(ncpus=4),
         oracle=spec.oracle,
     )
 
 
-class InterruptAfter(RunJournalCache):
-    """A run journal that simulates a kill after N journaled attempts."""
+@pytest.fixture(scope="module")
+def recorded():
+    return _record(SketchKind.SYNC)
 
-    def __init__(self, *args, interrupt_after: int, **kwargs):
-        super().__init__(*args, **kwargs)
+
+@pytest.fixture(scope="module")
+def baseline(recorded):
+    return reproduce(recorded, CFG)
+
+
+class InterruptAfter(PersistentAttemptCache):
+    """A store-backed cache that simulates a kill after N stored attempts."""
+
+    def __init__(self, root, interrupt_after):
+        super().__init__(root)
         self.interrupt_after = interrupt_after
         self.puts = 0
 
@@ -63,95 +65,67 @@ class InterruptAfter(RunJournalCache):
             raise KeyboardInterrupt
 
 
+def _kill_and_rerun(recorded, root, interrupt_after, jobs, **kwargs):
+    """Kill a session after ``interrupt_after`` decided attempts, then
+    rerun it serially against the same store."""
+    killed = InterruptAfter(root, interrupt_after)
+    try:
+        partial = reproduce(recorded, CFG, jobs=jobs, cache=killed, **kwargs)
+    finally:
+        killed.close()
+    assert partial.interrupted is True
+    assert partial.success is False
+    assert partial.attempts == interrupt_after
+    finished = reproduce(recorded, CFG, jobs=1, store=root, **kwargs)
+    assert finished.interrupted is False
+    assert finished.cache_hits == interrupt_after
+    return finished
+
+
 class TestResumeRoundTrip:
     def test_killed_run_resumes_to_an_identical_report(
-        self, recorded, tmp_path
+        self, recorded, baseline, tmp_path
     ):
-        runs_dir = str(tmp_path / "runs")
-        baseline = reproduce(recorded, CFG)
-        meta = run_meta(recorded, CFG)
-
-        run = InterruptAfter(
-            run_journal_path(runs_dir, "trip"), meta=meta, interrupt_after=5
-        )
-        partial = reproduce(recorded, CFG, run=run)
-        assert partial.interrupted is True
-        assert partial.success is False
-
-        resumed = resume_run(runs_dir, "trip", expect_meta=meta)
-        assert resumed.completed is False
-        assert resumed.resumed_attempts == 5
-        finished = reproduce(recorded, CFG, run=resumed)
-        assert finished.interrupted is False
+        finished = _kill_and_rerun(recorded, str(tmp_path / "store"), 5, jobs=1)
         assert report_signature(finished) == report_signature(baseline)
+        assert render_report(finished) == render_report(baseline)
 
     def test_interrupted_parallel_run_resumes_serially(
-        self, recorded, tmp_path
+        self, recorded, baseline, tmp_path
     ):
-        runs_dir = str(tmp_path / "runs")
-        baseline = reproduce(recorded, CFG)
-        meta = run_meta(recorded, CFG)
-        assert "jobs" not in meta  # the schedule is jobs-invariant
-
-        run = InterruptAfter(
-            run_journal_path(runs_dir, "par"), meta=meta, interrupt_after=4
-        )
-        partial = reproduce(recorded, CFG, jobs=2, run=run)
-        assert partial.interrupted is True
-
-        resumed = resume_run(runs_dir, "par", expect_meta=meta)
-        finished = reproduce(recorded, CFG, jobs=1, run=resumed)
+        finished = _kill_and_rerun(recorded, str(tmp_path / "store"), 4, jobs=2)
         assert report_signature(finished) == report_signature(baseline)
+        assert render_report(finished) == render_report(baseline)
 
-    def test_completed_run_replays_entirely_from_the_journal(
-        self, recorded, tmp_path
-    ):
-        runs_dir = str(tmp_path / "runs")
-        meta = run_meta(recorded, CFG)
-        first = reproduce(
-            recorded, CFG, run=start_run(runs_dir, "done", meta=meta)
+    def test_killed_degrade_session_resumes_across_rungs(self, tmp_path):
+        # At FUNC the first rung fails after 14 attempts and the SYS rung
+        # reproduces after 5 more, so a kill at 16 lands in the second rung.
+        rich = _record(SketchKind.FUNC)
+        uninterrupted = reproduce(rich, CFG, degrade=True)
+        assert [r.success for r in uninterrupted.degradation_path] == [
+            False, True,
+        ]
+        finished = _kill_and_rerun(
+            rich, str(tmp_path / "store"), 16, jobs=1, degrade=True
         )
-
-        resumed = resume_run(runs_dir, "done", expect_meta=meta)
-        assert resumed.completed is True
-        assert resumed.resumed_attempts == first.attempts
-        replayed = reproduce(recorded, CFG, run=resumed)
-        assert report_signature(replayed) == report_signature(first)
-        assert replayed.cache_hits == first.attempts
+        assert report_signature(finished) == report_signature(uninterrupted)
+        assert render_report(finished) == render_report(uninterrupted)
+        assert finished.degradation_path == uninterrupted.degradation_path
 
 
 class TestRunIdentity:
-    def test_meta_mismatch_refuses_to_resume(self, recorded, tmp_path):
-        runs_dir = str(tmp_path / "runs")
-        meta = run_meta(recorded, CFG)
-        reproduce(recorded, CFG, run=start_run(runs_dir, "r", meta=meta))
+    """The store key is the run's identity; budget and batch size are not
+    part of it."""
 
-        other = run_meta(recorded, ExplorerConfig(max_attempts=99))
-        with pytest.raises(SimUsageError, match="different reproduction"):
-            resume_run(runs_dir, "r", expect_meta=other)
-
-    def test_unknown_run_id_lists_known_runs(self, recorded, tmp_path):
-        runs_dir = str(tmp_path / "runs")
-        meta = run_meta(recorded, CFG)
-        reproduce(recorded, CFG, run=start_run(runs_dir, "known", meta=meta))
-        with pytest.raises(SimUsageError, match="known runs: known"):
-            resume_run(runs_dir, "nope")
-
-    def test_duplicate_fresh_run_id_is_rejected(self, recorded, tmp_path):
-        runs_dir = str(tmp_path / "runs")
-        meta = run_meta(recorded, CFG)
-        reproduce(recorded, CFG, run=start_run(runs_dir, "dup", meta=meta))
-        with pytest.raises(SimUsageError, match="already exists"):
-            start_run(runs_dir, "dup", meta=meta)
-
-    def test_path_escaping_run_ids_are_rejected(self, tmp_path):
-        for bad in ("../evil", "a/b", "", ".hidden", "-dash"):
-            with pytest.raises(SimUsageError, match="bad run id"):
-                run_journal_path(str(tmp_path), bad)
-
-    def test_list_runs_is_sorted_and_tolerates_missing_dir(self, tmp_path):
-        runs_dir = str(tmp_path / "runs")
-        assert list_runs(runs_dir) == []
-        for run_id in ("b", "a"):
-            start_run(runs_dir, run_id).close()
-        assert list_runs(runs_dir) == ["a", "b"]
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_store_warmed_under_a_smaller_budget_serves_a_larger_one(
+        self, recorded, tmp_path, batch_size
+    ):
+        config = ExplorerConfig(max_attempts=40, batch_size=batch_size)
+        cacheless = reproduce(recorded, config)
+        root = str(tmp_path / "store")
+        cut = reproduce(recorded, ExplorerConfig(max_attempts=7), store=root)
+        assert cut.attempts == 7 and not cut.success
+        rerun = reproduce(recorded, config, store=root)
+        assert rerun.cache_hits > 0
+        assert render_report(rerun) == render_report(cacheless)

@@ -69,6 +69,28 @@ def serial_report():
     )
 
 
+_POST_JOBS = b"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+
+
+def _json_post(body):
+    return (_POST_JOBS + b"Content-Length: %d\r\n\r\n" % len(body)) + body
+
+
+def _raw_status(port, request_bytes, half_close=True):
+    """Send raw request bytes; the status code of the one response."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+        raw.sendall(request_bytes)
+        if half_close:
+            raw.shutdown(socket.SHUT_WR)
+        response = b""
+        while b"\r\n" not in response:
+            chunk = raw.recv(4096)
+            if not chunk:
+                break
+            response += chunk
+    return int(response.split(b" ", 2)[1])
+
+
 def _submit_and_wait(client, **overrides):
     fields = dict(bug=BUG, seed=SEED, max_attempts=MAX_ATTEMPTS)
     fields.update(overrides)
@@ -162,6 +184,41 @@ class TestErrors:
             raw.sendall(b"BOGUS\r\n\r\n")
             data = raw.recv(4096)
         assert b"400" in data.split(b"\r\n", 1)[0]
+
+    @pytest.mark.parametrize("request_bytes", [
+        pytest.param(_POST_JOBS + b"Content-Length: abc\r\n\r\n{}",
+                     id="non-numeric-content-length"),
+        pytest.param(_POST_JOBS + b"Content-Length: -5\r\n\r\n{}",
+                     id="negative-content-length"),
+        pytest.param(_POST_JOBS + b"Content-Length: 100\r\n\r\n{}",
+                     id="body-shorter-than-content-length"),
+        pytest.param(b"GET /" + b"x" * 200_000 + b" HTTP/1.1\r\n\r\n",
+                     id="long-request-line"),
+        pytest.param(b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"x" * 200_000
+                     + b"\r\n\r\n", id="long-header-line"),
+        pytest.param(_json_post(b"[" * 100_000 + b"]" * 100_000),
+                     id="deeply-nested-body"),
+    ])
+    def test_malformed_request_head_or_body_400(self, service, request_bytes):
+        # The client sends everything, then half-closes: the server sees
+        # end of input, never a stall.
+        assert _raw_status(service.port, request_bytes) == 400
+
+    def test_stalled_body_is_answered_408_at_the_deadline(
+        self, service, monkeypatch
+    ):
+        from repro.service import server
+
+        monkeypatch.setattr(server, "READ_DEADLINE", 0.5)
+        request_bytes = _POST_JOBS + b"Content-Length: 100\r\n\r\n{}"
+        assert _raw_status(service.port, request_bytes, half_close=False) == 408
+
+    def test_unknown_bug_is_refused_at_submit(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.submit(JobRequest(bug="no-such-bug", tenant="ghost"))
+        assert err.value.status == 400
+        assert "unknown bug 'no-such-bug'; known bugs:" in str(err.value)
+        assert client.jobs("ghost") == []
 
 
 class TestBackpressure:

@@ -103,7 +103,10 @@ class TestPersistence:
         assert store.epoch == 1  # counter restarts; records are unaffected
         assert store.salvage_events >= 1
 
-    @pytest.mark.parametrize("text", ["[]", "null", "3"])
+    @pytest.mark.parametrize("text", [
+        "[]", "null", "3",
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deeply-nested"),
+    ])
     def test_meta_that_is_not_an_object_is_damage(self, tmp_path, text):
         key = _key(FPS[0])
         with AttemptStore(str(tmp_path)) as store:

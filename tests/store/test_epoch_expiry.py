@@ -118,7 +118,10 @@ class TestTornRegistry:
             for fp in EPOCH_FPS + (PLAIN_FP,):
                 assert store.get(_key(fp)) is not None
 
-    @pytest.mark.parametrize("text", ["[]", "null", "3"])
+    @pytest.mark.parametrize("text", [
+        "[]", "null", "3",
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deeply-nested"),
+    ])
     def test_registry_that_is_not_an_object_is_damage(self, tmp_path, text):
         with _seed_store(tmp_path) as store:
             (tmp_path / EPOCHS_FILE).write_text(text, encoding="utf-8")

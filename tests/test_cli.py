@@ -297,41 +297,47 @@ class TestResilience:
         assert code == 0
         assert "reproduced in" in capsys.readouterr().out
 
-    def test_run_journal_round_trip(self, capsys, tmp_path):
-        runs = str(tmp_path / "runs")
-        code = main(
-            ["reproduce", "pbzip2-order-free", "--seed", "3",
-             "--runs", runs, "--run-id", "demo"]
-        )
+    def test_killed_run_resumes_from_its_store(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.store.persistent import PersistentAttemptCache
+
+        cold = tmp_path / "cold.txt"
+        assert main(
+            ["reproduce", "mysql-atom-log", "--seed", "4",
+             "--report-out", str(cold)]
+        ) == 0
+        store, rerun = str(tmp_path / "store"), tmp_path / "rerun.txt"
+        command = ["reproduce", "mysql-atom-log", "--seed", "4",
+                   "--store", store, "--report-out", str(rerun)]
+
+        put, puts = PersistentAttemptCache.put, []
+
+        def killing_put(self, key, outcome):
+            put(self, key, outcome)
+            puts.append(key)
+            if len(puts) == 5:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(PersistentAttemptCache, "put", killing_put)
+        capsys.readouterr()
+        assert main(command) == 130
         out = capsys.readouterr().out
-        assert code == 0
-        assert "run journal:" in out
-        assert "--resume demo" in out
+        assert "INTERRUPTED after 5 attempt(s)" in out
+        assert (f"resume: run the same command again; the store {store} "
+                "keeps every decided attempt") in out
 
-        code = main(
-            ["reproduce", "pbzip2-order-free", "--seed", "3",
-             "--runs", runs, "--resume", "demo"]
-        )
-        resumed = capsys.readouterr().out
-        assert code == 0
-        assert "resuming run 'demo'" in resumed
-        assert "run already completed" in resumed
+        monkeypatch.undo()
+        assert main(command) == 0
+        assert "5 attempt(s) answered from the store" in capsys.readouterr().out
+        assert rerun.read_bytes() == cold.read_bytes()
 
-    def test_run_id_and_resume_are_mutually_exclusive(self, capsys):
-        code = main(
-            ["reproduce", "pbzip2-order-free", "--seed", "3",
-             "--run-id", "a", "--resume", "b"]
-        )
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_resuming_an_unknown_run_is_a_usage_error(self, capsys, tmp_path):
-        code = main(
-            ["reproduce", "pbzip2-order-free", "--seed", "3",
-             "--runs", str(tmp_path / "runs"), "--resume", "nope"]
-        )
-        assert code == 2
-        assert "no run journal" in capsys.readouterr().err
+    def test_resuming_an_unknown_run_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["reproduce", "pbzip2-order-free", "--seed", "3",
+                  "--resume", "x"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
 
     def test_interrupt_mid_exploration_exits_130(self, capsys, monkeypatch):
         from repro.robust.supervise import Supervisor
@@ -345,6 +351,7 @@ class TestResilience:
         assert code == 130
         assert "interrupted: true" in out
         assert "INTERRUPTED after 0 attempt(s)" in out
+        assert "resume: pass --store DIR" in out
 
     def test_doctor_triages_and_cleans_a_store_directory(
         self, capsys, tmp_path

@@ -54,7 +54,9 @@ execution is new to this session is re-mined at fold time.  And the
 engine keeps the session's one prefix-snapshot tree
 (:mod:`repro.core.prefix`): outcomes ship back the snapshots their
 candidates resume from, and each resume plan carries its parent's
-snapshot to wherever the attempt runs.
+snapshot to wherever the attempt runs.  An attempt run in the engine's
+own process also snapshots where its not-yet-run siblings depart from
+their parent, so each of them resumes there.
 
 Fault tolerance is delegated to a :class:`~repro.robust.supervise.Supervisor`,
 which owns the pool: attempt deadlines, retry/backoff on worker death,
@@ -104,6 +106,7 @@ from repro.core.prefix import (
     ResumePlan,
     Snapshot,
     capture_hooks,
+    family_depth,
     pack,
     resume_depth,
     resume_depths,
@@ -241,6 +244,12 @@ class AttemptOutcome:
     snapshots: Tuple[Tuple[int, Snapshot], ...] = field(
         default=(), compare=False, repr=False
     )
+    #: ``(depth, snapshot)`` family snapshots taken at the depths the
+    #: resume plan's ``siblings`` asked for, for the engine's prefix
+    #: tree.  Stripped before caching.
+    shared: Tuple[Tuple[int, Snapshot], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
 
 def _ladder_snapshots(
@@ -269,7 +278,8 @@ def run_attempt(
     starts from the plan's snapshot of the parent attempt instead of
     step 0, and the live run captures its own snapshots into
     ``snapshots`` (keyed by depth) as it passes each ladder depth, so
-    future children can resume from *this* attempt.  Capturing is
+    future children can resume from *this* attempt, and at each of the
+    plan's ``siblings`` depths, for its siblings.  Capturing is
     observation-only and resume failures of any kind fall back to a cold
     run — attempts are pure, so the trace is identical either way
     (property-tested in ``tests/core/test_prefix.py``).
@@ -304,6 +314,8 @@ def run_attempt(
             # the resume point; only capture deeper ones
             start = len(machine.schedule)
             depths = tuple(d for d in depths if d > start)
+        if resume is not None:
+            depths = (*depths, *resume.siblings)
         trace = machine.run(snapshot_depths=depths, on_snapshot=on_snapshot)
     else:
         trace = machine.run()
@@ -337,7 +349,8 @@ def evaluate_attempt(
     is not mined and the outcome says so.  A matched attempt skips
     mining too — the search stops at it anyway — and carries the
     winning schedule instead.  A mined attempt ships back the ladder
-    snapshots its candidates can resume from.
+    snapshots its candidates can resume from, and every attempt the
+    family snapshots its resume plan asked for.
     """
     tracer = ctx.attempt_tracer()
     attempt_span = tracer.span(
@@ -354,6 +367,11 @@ def evaluate_attempt(
         fingerprint = trace_fingerprint(trace)
         candidates: Tuple[Candidate, ...] = ()
         snapshots: Tuple[Tuple[int, Snapshot], ...] = ()
+        shared = tuple(
+            (depth, captured[depth])
+            for depth in (resume.siblings if resume is not None else ())
+            if depth in captured
+        )
         schedule: Optional[Tuple[int, ...]] = None
         mined = True
         if matched:
@@ -385,6 +403,7 @@ def evaluate_attempt(
         mined=mined,
         spans=tuple(tracer.spans),
         snapshots=snapshots,
+        shared=shared,
     )
 
 
@@ -612,6 +631,17 @@ class ParallelExplorer:
         #: the snapshots outcomes ship back, read at batch assembly to
         #: put the parent's snapshot on each resume plan.
         self._prefix_tree = PrefixTree()
+        #: whether attempts run in this process (the supervisor has no
+        #: pool), so plans ask for family captures; a pool worker would
+        #: have to pickle and ship each one (see docs/parallel.md).
+        self._in_process = False
+        #: per mined parent ``(constraints, seed)``, while attempts run in
+        #: process, its children as ``(constraints, family depth)`` pairs:
+        #: where a sibling's run can snapshot for each (see
+        #: :func:`~repro.core.prefix.family_depth`; 0 is nowhere).
+        self._families: Dict[
+            Tuple[ConstraintSet, int], Tuple[Tuple[ConstraintSet, int], ...]
+        ] = {}
         #: resume plans issued at batch assembly — the logical count the
         #: report and metrics publish, from candidate metadata alone.  The
         #: tree's ``hits`` are the plans that carried a snapshot; the tree
@@ -825,7 +855,7 @@ class ParallelExplorer:
             # cached outcome must inherit neither.
             self.cache.put(
                 self._cache_key(outcome.constraints, outcome.seed),
-                replace(outcome, spans=(), snapshots=()),
+                replace(outcome, spans=(), snapshots=(), shared=()),
             )
 
     def _remine(self, outcome: AttemptOutcome) -> AttemptOutcome:
@@ -859,7 +889,8 @@ class ParallelExplorer:
         the exploration schedule, identical for every ``jobs`` value.
         The plan carries the parent's snapshot from the engine's tree,
         so the attempt resumes wherever it runs; with no warm rung it
-        runs cold.
+        runs cold.  In process, it also names the family depths of the
+        candidate's not-yet-run siblings, for the run to snapshot at.
         """
         if candidate.flip is None:
             return None
@@ -870,13 +901,31 @@ class ParallelExplorer:
         self._prefix_hits += 1
         metrics.counter("parallel.prefix_hits").inc()
         metrics.histogram("parallel.prefix_depth").observe(depth)
+        parent = candidate.constraints - {candidate.flip}
+        siblings = (
+            self._pending_siblings(parent, seed) if self._in_process else ()
+        )
         plan = self._prefix_tree.plan(
             candidate.constraints, seed, candidate.flip, depth,
-            candidate.parent_steps,
+            candidate.parent_steps, candidate.safe_prefix, siblings,
         )
         if plan is not None:
             metrics.counter("parallel.prefix_realized").inc()
         return plan
+
+    def _pending_siblings(
+        self, parent: ConstraintSet, seed: int
+    ) -> Tuple[int, ...]:
+        """The family depths of ``(parent, seed)``'s untried children,
+        ascending; a family with none left is forgotten."""
+        children = self._families.get((parent, seed), ())
+        pending = tuple(sorted({
+            depth for constraints, depth in children
+            if depth and not self.db.tried(constraints, seed)
+        }))
+        if not pending:
+            self._families.pop((parent, seed), None)
+        return pending
 
     def _lane_for(self, pid: int) -> int:
         """The timeline lane for spans recorded by ``pid``.
@@ -973,12 +1022,20 @@ class ParallelExplorer:
                 first_attempt=result.attempt_count,
             ):
                 outcomes = supervisor.evaluate_batch(batch, self.use_feedback)
-            for outcome in outcomes:
-                if self._fold(result, outcome, push):
+            # Known once the first batch ran; no plan precedes it.
+            self._in_process = supervisor.serial
+            for (_, _, _, resume, _), outcome in zip(batch, outcomes):
+                if self._fold(result, outcome, push, resume):
                     return
             metrics.gauge("frontier_peak").max(len(frontier))
 
-    def _fold(self, result: ExplorationResult, outcome: AttemptOutcome, push) -> bool:
+    def _fold(
+        self,
+        result: ExplorationResult,
+        outcome: AttemptOutcome,
+        push,
+        resume: Optional[ResumePlan],
+    ) -> bool:
         """Merge one outcome into the running result; True when done.
 
         Called only in pop order, which is what makes every counter and
@@ -1034,6 +1091,11 @@ class ParallelExplorer:
             result.winning_trace = trace
             return True
         tree = self._prefix_tree
+        if outcome.shared:
+            tree.share(
+                outcome.constraints - {resume.flip}, outcome.seed,
+                outcome.shared,
+            )
         if new_execution:
             metrics.counter("candidates_mined").inc(len(outcome.candidates))
             for candidate in outcome.candidates:
@@ -1046,6 +1108,14 @@ class ParallelExplorer:
                 max(resume_depths(outcome.candidates), default=0),
             )
             tree.store(outcome.constraints, outcome.seed, outcome.snapshots)
+            if self._in_process:
+                self._families[(outcome.constraints, outcome.seed)] = tuple(
+                    (
+                        child.constraints,
+                        family_depth(child.parent_steps, child.safe_prefix),
+                    )
+                    for child in outcome.candidates
+                )
         else:
             tree.discard(outcome.constraints, outcome.seed)
         return False

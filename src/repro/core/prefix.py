@@ -6,38 +6,63 @@ flip's gate provably cannot alter anything before the candidate's
 *safe prefix* (see :class:`~repro.core.feedback._PrefixIndex`), so the
 child re-simulates the parent's opening steps — same picks, same RNG
 draws, same events — before the search actually begins.  This module
-skips that shared prefix: a live attempt snapshots its simulator state
-as it passes a ladder of planned depths (:func:`capture_hooks`) and
-returns the snapshots its own candidates can resume from
-(:func:`resume_depths`); the engine's one :class:`PrefixTree` keeps them
-keyed by ``(constraint set, seed, depth)`` and hands each child the
-deepest one inside its safe prefix on a :class:`ResumePlan`; and
-:func:`restore_machine` materializes the child machine from the plan,
-wherever the attempt runs.
+skips that shared prefix:
+
+* **The ladder.**  A live attempt snapshots its simulator state as it
+  passes a ladder of planned depths (:func:`capture_hooks`) and returns
+  the snapshots its own candidates can resume from
+  (:func:`resume_depths`); the engine's one :class:`PrefixTree` keeps
+  them keyed by ``(constraints, seed, depth)`` and hands each child the
+  deepest one inside its safe prefix on a :class:`ResumePlan`; and
+  :func:`restore_machine` materializes the child machine from the plan,
+  wherever the attempt runs.
+* **Family snapshots.**  A rung can sit up to half a safe prefix short
+  of where the child departs from its parent.  So a plan also names the
+  safe prefixes of the parent's not-yet-run children that lie inside
+  the child's own (:attr:`ResumePlan.siblings`), the resumed run
+  snapshots there too — up to its safe prefix its state *is* the
+  parent's — and the tree keeps those captures under the parent's
+  family key, so each later sibling resumes where it departs
+  (:func:`family_depth`).  The same identity chains up the lineage, so
+  a child with no family snapshot yet resumes from an ancestor's.
+  Family captures are taken only when attempts run in the engine's own
+  process, where a capture shares the run's events; a pool worker would
+  have to pickle and ship each one, for a session that waits on
+  dispatch more than on steps (see ``docs/parallel.md``).
 
 Design constraints, in order:
 
 * **Exactness.**  A resumed attempt must produce the byte-identical
   trace of a cold run.  Snapshots carry all mutable machine state as a
   pickle blob and rebuild generators by feed replay
-  (:meth:`Machine.capture_state`); the scheduler fast-forward carries
-  the RNG, cursor, and occurrence counts
-  (:meth:`PIRScheduler.capture_resume_state`).  Any surprise in the
-  resume machinery falls back to a cold run — attempts are pure, so the
-  result is the same either way, just slower.
+  (:meth:`Machine.capture_state`), checking that every rebuilt thread
+  waits on the op it waited on when captured; the scheduler
+  fast-forward carries the RNG, cursor, and occurrence counts
+  (:meth:`PIRScheduler.capture_resume_state`), all
+  constraint-independent, so one child's capture serves its siblings
+  too.  Any surprise in the resume machinery falls back to a cold run —
+  attempts are pure, so the result is the same either way, just slower.
 * **Jobs-invariance.**  Capturing is pure observation: a copy of mid-run
   state cannot change the attempt's outcome.  The tree lives in the
   engine, is filled at fold time and read at batch assembly — both in
   pop order — so which plans are issued, and which of them carry a
-  snapshot, is a function of the exploration schedule alone.  No worker
-  holds a tree; a snapshot travels to the worker on the plan.
+  ladder snapshot, is a function of the exploration schedule alone.  No
+  worker holds a tree; a snapshot travels to the worker on the plan.  A
+  family snapshot only deepens a plan whose ladder rung is warm, and
+  only short of the next ladder depth, so the child still captures
+  every rung it would have: the ladder, and every planned and realized
+  resume count, is the same at every ``jobs``.
 * **Bounded memory and overhead.**  Capture depths double
-  (48, 96, 192, ...), so a live attempt pays O(log steps) snapshots and
-  ships back only those at the depths its candidates resume from.  The
-  tree holds at most ``max_nodes`` snapshots, evicting
-  least-recently-used, and drops, as each attempt folds, the lineage
+  (48, 96, 192, ...), so a live attempt pays O(log steps) ladder
+  snapshots and ships back only those at the depths its candidates
+  resume from.  The tree holds at most ``max_nodes`` distinct ladder
+  snapshots, evicting least-recently-used keys (a lineage alias shares
+  its target and is free), and drops, as each attempt folds, the
   aliases none of its pushed children can resume from
-  (:meth:`PrefixTree.discard`).
+  (:meth:`PrefixTree.discard`).  Family snapshots have their own
+  budget of ``max_shared``, least-recently-used first; since a family
+  snapshot also serves the parent's descendants (a child's state is its
+  parent's up to its safe prefix), a session needs few of them.
 """
 
 from __future__ import annotations
@@ -106,37 +131,80 @@ def resume_depths(candidates: Iterable[Any]) -> FrozenSet[int]:
     return frozenset(d for d in depths if d > 0)
 
 
+def family_depth(parent_steps: int, safe_prefix: int) -> int:
+    """Where a sibling's run snapshots for this child, or 0 for nowhere.
+
+    The child's safe prefix, when it lies past the child's ladder rung
+    and short of the next capture depth (twice the rung: the ladder
+    doubles) — the window in which :meth:`PrefixTree.plan` resumes from
+    a family snapshot.  Otherwise the ladder already starts the child as
+    deep (0).
+    """
+    rung = resume_depth(parent_steps, safe_prefix)
+    return safe_prefix if rung and rung < safe_prefix < 2 * rung else 0
+
+
 @dataclass(frozen=True)
 class ResumePlan:
     """Where a child attempt resumes, with the state it resumes from.
 
     Built by the engine at batch assembly from its :class:`PrefixTree`:
     ``snapshot`` is the parent's (``constraints - {flip}``, same seed)
-    deepest ladder snapshot inside the child's safe prefix, taken at
-    ``depth`` steps.  The plan travels with the task, so a pool worker,
-    an in-process fallback and a chaos retry all restore the same state.
+    state ``depth`` steps in — its deepest ladder rung inside the
+    child's safe prefix, or a family snapshot deeper still.  The plan
+    travels with the task, so a pool worker, an in-process fallback and
+    a chaos retry all restore the same state.
     """
 
     flip: OrderConstraint
     depth: int
     snapshot: Snapshot
+    #: safe prefixes of the parent's not-yet-run children that lie past
+    #: ``depth`` and inside this child's own safe prefix, ascending: the
+    #: run snapshots there for them.  Empty while attempts run in pool
+    #: workers (see the module docstring).
+    siblings: Tuple[int, ...] = ()
 
 
 class PrefixTree:
-    """The engine's LRU store of mid-attempt simulator snapshots.
+    """The engine's store of mid-attempt simulator snapshots.
 
-    ``max_nodes`` bounds snapshots, not attempts: each attempt keeps
-    only the rungs its children can resume from, so the default holds
-    the parents of a long best-first frontier.
+    Ladder rungs are keyed ``(constraints, seed, depth)``, least-recently
+    used first.  ``max_nodes`` bounds distinct rung snapshots, not keys:
+    a lineage alias shares its target's snapshot and costs nothing, and
+    a snapshot dies with its last key.  The default holds the parents of
+    a long best-first frontier, since each attempt keeps only the rungs
+    its children can resume from.
+
+    Family snapshots live apart, keyed by the parent's
+    ``(constraints, seed)`` and a depth, under their own budget of
+    ``max_shared``, so a sibling capture can never evict a rung a plan
+    needs.  The E12 session keeps 64 of them.
     """
 
-    def __init__(self, max_nodes: int = 256) -> None:
+    def __init__(self, max_nodes: int = 256, max_shared: int = 128) -> None:
         self.max_nodes = max_nodes
+        self.max_shared = max_shared
         self._nodes: Dict[Tuple, Snapshot] = {}
+        #: live keys per distinct rung snapshot, by object identity (a
+        #: snapshot in here is always held by one of ``_nodes``' keys).
+        self._refs: Dict[int, int] = {}
+        #: family snapshots by depth, per parent ``(constraints, seed)``,
+        #: least-recently-used family first.
+        self._shared: Dict[Tuple[ConstraintSet, int], Dict[int, Snapshot]] = {}
+        self._shared_count = 0
+        #: each planned attempt's ``(parent constraints, safe prefix)``,
+        #: by ``(constraints, seed)``: up to the safe prefix its state is
+        #: its parent's.
+        self._lineage: Dict[
+            Tuple[ConstraintSet, int], Tuple[ConstraintSet, int]
+        ] = {}
         self.hits = 0
         self.misses = 0
         self.captures = 0
         self.aliases = 0
+        #: plans that resumed from a family snapshot.
+        self.shared_hits = 0
 
     def get(self, key: Tuple) -> Optional[Snapshot]:
         node = self._nodes.get(key)
@@ -149,9 +217,7 @@ class PrefixTree:
         return node
 
     def put(self, key: Tuple, snapshot: Snapshot) -> None:
-        if key in self._nodes:
-            del self._nodes[key]
-        self._nodes[key] = snapshot
+        self._link(key, snapshot)
         self.captures += 1
         self._evict()
 
@@ -160,20 +226,34 @@ class PrefixTree:
 
         Sound whenever the two keys provably name identical states —
         snapshots are immutable once stored (restores copy out of them),
-        so sharing is free.
+        so sharing is free, and an alias never counts against
+        ``max_nodes``.
         """
         node = self._nodes.get(src)
         if node is None:
             return
-        if dst in self._nodes:
-            del self._nodes[dst]
-        self._nodes[dst] = node
+        self._link(dst, node)
         self.aliases += 1
-        self._evict()
+
+    def _link(self, key: Tuple, snapshot: Snapshot) -> None:
+        self._unlink(key)
+        self._nodes[key] = snapshot
+        ref = id(snapshot)
+        self._refs[ref] = self._refs.get(ref, 0) + 1
+
+    def _unlink(self, key: Tuple) -> None:
+        snapshot = self._nodes.pop(key, None)
+        if snapshot is None:
+            return
+        ref = id(snapshot)
+        if self._refs[ref] > 1:
+            self._refs[ref] -= 1
+        else:
+            del self._refs[ref]
 
     def _evict(self) -> None:
-        while len(self._nodes) > self.max_nodes:
-            del self._nodes[next(iter(self._nodes))]
+        while len(self._refs) > self.max_nodes:
+            self._unlink(next(iter(self._nodes)))
 
     def store(
         self,
@@ -189,10 +269,65 @@ class PrefixTree:
         self, constraints: ConstraintSet, seed: int, keep_below: int = 0
     ) -> None:
         """Drop the snapshots of attempt ``(constraints, seed)`` deeper
-        than ``keep_below`` — the ones no child of it can resume from."""
+        than ``keep_below`` — the ones no child of it can resume from.
+        With none kept, no descendant walks up through the attempt
+        either, so its lineage goes too."""
         for depth in CAPTURE_DEPTHS:
             if depth > keep_below:
-                self._nodes.pop((constraints, seed, depth), None)
+                self._unlink((constraints, seed, depth))
+        if not keep_below:
+            self._lineage.pop((constraints, seed), None)
+
+    def share(
+        self,
+        parent: ConstraintSet,
+        seed: int,
+        snapshots: Iterable[Tuple[int, Snapshot]],
+    ) -> None:
+        """Keep the family snapshots a child of ``(parent, seed)`` took
+        for its siblings, evicting the least recently used family's
+        shallowest beyond ``max_shared``."""
+        family = (parent, seed)
+        shared = self._shared.pop(family, {})
+        for depth, snapshot in snapshots:
+            if depth not in shared:
+                shared[depth] = snapshot
+                self._shared_count += 1
+        if shared:
+            self._shared[family] = shared
+        while self._shared_count > self.max_shared:
+            oldest, kept = next(iter(self._shared.items()))
+            del kept[min(kept)]
+            self._shared_count -= 1
+            if not kept:
+                del self._shared[oldest]
+
+    def _deepest_shared(
+        self, parent: ConstraintSet, seed: int, above: int, bound: int
+    ) -> Tuple[int, Optional[Snapshot]]:
+        """``(depth, snapshot)``: the deepest family snapshot that is
+        ``(parent, seed)``'s state at a depth in ``(above, bound]``, or
+        ``(above, None)``.
+
+        Walks up the lineage: a planned attempt's state equals its
+        parent's up to its safe prefix, so an ancestor's family snapshot
+        serves too, bounded by every safe prefix on the way up.
+        """
+        best: Tuple[int, Optional[Snapshot]] = (above, None)
+        family = (parent, seed)
+        while self._shared and bound > best[0]:
+            shared = self._shared.get(family)
+            if shared:
+                for at in sorted(shared):
+                    if best[0] < at <= bound:
+                        best = (at, shared[at])
+                self._shared[family] = self._shared.pop(family)  # LRU
+            lineage = self._lineage.get(family)
+            if lineage is None:
+                break
+            family = (lineage[0], seed)
+            bound = min(bound, lineage[1])
+        return best
 
     def plan(
         self,
@@ -201,6 +336,8 @@ class PrefixTree:
         flip: OrderConstraint,
         depth: int,
         parent_steps: int,
+        safe_prefix: int = 0,
+        siblings: Tuple[int, ...] = (),
     ) -> Optional[ResumePlan]:
         """A plan carrying the parent's deepest snapshot at or below
         ``depth``, or None (counted as a miss) when no rung is warm.
@@ -212,8 +349,16 @@ class PrefixTree:
         resumed run never revisits those depths — without the aliases a
         resumed lineage would starve its own descendants of shallow
         snapshots.
+
+        The plan then starts from the deepest family snapshot of the
+        parent's lineage past the rung, inside ``safe_prefix`` and short
+        of the next capture depth (so the run still captures every rung
+        it would have), and asks the run to snapshot at those of
+        ``siblings`` — the family depths of the parent's children that
+        have not run yet — that it passes and nothing serves yet.
         """
         parent: ConstraintSet = constraints - {flip}
+        self._lineage[(constraints, seed)] = (parent, safe_prefix)
         ladder = planned_depths(parent_steps)
         for found in reversed(ladder):
             if found <= depth and (parent, seed, found) in self._nodes:
@@ -222,12 +367,27 @@ class PrefixTree:
                     if rung > found:
                         break
                     self.alias((parent, seed, rung), (constraints, seed, rung))
-                return ResumePlan(flip=flip, depth=found, snapshot=snapshot)
+                start, shared = self._deepest_shared(
+                    parent, seed, found, min(safe_prefix, 2 * found - 1)
+                )
+                if shared is not None:
+                    snapshot = shared
+                    self.shared_hits += 1
+                wanted = tuple(
+                    at for at in siblings
+                    if start < at <= safe_prefix
+                    and self._deepest_shared(parent, seed, at - 1, at)[1] is None
+                )
+                return ResumePlan(
+                    flip=flip, depth=start, snapshot=snapshot, siblings=wanted
+                )
         self.misses += 1
         return None
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        """Distinct ladder snapshots held (the quantity ``max_nodes``
+        bounds)."""
+        return len(self._refs)
 
 
 def capture_hooks(

@@ -262,7 +262,8 @@ class Machine:
         mutable pieces are deep-copied) and can seed any number of fresh
         machines via :meth:`restore_state`.  Generators are represented
         by their (body, args, kwargs, feeds) recipe, not the generator
-        object — see :class:`ThreadState`.
+        object — see :class:`ThreadState` — plus the op each thread is
+        waiting on, which the rebuild must reproduce.
 
         With ``serialize=True`` the mutable pieces are stored as one
         pickle blob instead of a deep copy — considerably cheaper to
@@ -287,6 +288,7 @@ class Machine:
                     "args": ts.args,
                     "kwargs": ts.kwargs,
                     "feeds": list(ts.feeds),
+                    "pending": _pending_key(ts.pending_op),
                 }
             )
         live = {
@@ -317,7 +319,9 @@ class Machine:
         (the caller is responsible for fast-forwarding its scheduler with
         matching state).  The snapshot itself is not consumed — mutable
         pieces are deep-copied again here, so one snapshot can seed many
-        sibling attempts.
+        sibling attempts.  Raises :class:`SimUsageError` when a rebuilt
+        thread waits on another op than it did when captured: its body
+        read something besides its feeds, so the snapshot is unusable.
         """
         if self._ran:
             raise SimUsageError("restore_state requires an unused Machine")
@@ -381,6 +385,11 @@ class Machine:
                 ts.resuming_wait = op
                 _, lock_name = op.obj
                 ts.pending_op = Op(OpKind.LOCK, obj=lock_name)
+        if _pending_key(ts.pending_op) != meta["pending"]:
+            raise SimUsageError(
+                f"thread {ts.name!r} does not rebuild from its feeds: it "
+                f"waits on {ts.pending_op!r}, not {meta['pending']!r}"
+            )
         ts.feeds = list(meta["feeds"])
         return ts
 
@@ -815,6 +824,24 @@ class Machine:
 #: Guard key of every syscall: kernel state changes only when a syscall
 #: executes, so any syscall re-evaluates every blocked one.
 _KERNEL_GUARD: Tuple[str, Any] = ("kernel", None)
+
+
+def _pending_key(op: Optional[Op]) -> Any:
+    """``op``'s fields, picklable and comparable across a rebuild.
+
+    A rebuilt generator yields fresh function objects (an RMW's update
+    function is typically a lambda), so a callable value stands in by
+    its qualified name; every other field compares as :class:`Op` does.
+    """
+    if op is None:
+        return None
+    value = op.value
+    if callable(value):
+        value = getattr(value, "__qualname__", repr(type(value)))
+    return (
+        op.kind, op.addr, value, op.obj, op.name, op.args, op.label, op.msg,
+        op.cost,
+    )
 
 
 def _guard_key(op: Op) -> Tuple[str, Any]:

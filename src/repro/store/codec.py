@@ -123,8 +123,8 @@ def encode_record(key: Tuple, outcome: AttemptOutcome, tick: Tuple[int, int]) ->
 
     The outcome's ``constraints``/``seed`` equal the key's by construction
     (the engine keys every memoization on the outcome itself), so they
-    are stored once, on the key side.  ``spans`` and ``snapshots`` are
-    never persisted.
+    are stored once, on the key side.  ``spans``, ``snapshots`` and
+    ``shared`` are never persisted.
     """
     record = {
         "key": encode_key(key),

@@ -8,6 +8,7 @@ import pytest
 
 from repro.apps import get_bug
 from repro.bench.seeds import find_failing_seed
+from repro.core import parallel
 from repro.core.parallel import AttemptContext, evaluate_attempt, run_attempt
 from repro.core.prefix import (
     BASE_DEPTH,
@@ -15,6 +16,7 @@ from repro.core.prefix import (
     MIN_RESUME_DEPTH,
     PrefixTree,
     ResumePlan,
+    family_depth,
     pack,
     planned_depths,
     resume_depth,
@@ -23,11 +25,29 @@ from repro.core.prefix import (
 )
 from repro.core.recorder import record
 from repro.core.sketches import SketchKind
-from repro.sim import MachineConfig
+from repro.sim import MachineConfig, Program
 from repro.sim.machine import Machine
 
 #: flips from these bugs span both constraint families (mem and lock).
 BUGS = ("mysql-atom-log", "apache-order-ref", "pbzip2-order-free")
+
+#: Module state the impure guest below reads outside its feeds.
+_OUTSIDE = {"cell": 0}
+
+
+def _impure_worker(ctx, n):
+    # ``cell`` is no feed: a rebuild from the feeds reads it anew.
+    cell = _OUTSIDE["cell"]
+    for i in range(n):
+        yield ctx.write(("cell", cell), i)
+
+
+def _impure_main(ctx):
+    workers = []
+    for _ in range(2):
+        workers.append((yield ctx.spawn(_impure_worker, 40)))
+    for tid in workers:
+        yield ctx.join(tid)
 
 
 class TestPlannedDepths:
@@ -115,6 +135,81 @@ class TestPrefixTree:
         # a parent with no warm rung plans nothing (and counts a miss)
         assert tree.plan(frozenset({"q", "y"}), 0, "y", 96, 1000) is None
         assert tree.misses == 1
+
+    def test_aliases_never_evict_another_snapshot(self):
+        tree = PrefixTree(max_nodes=2)
+        tree.put("b", ("b", 0))
+        tree.put("a", ("a", 0))
+        for n in range(50):
+            tree.alias("a", ("alias", n))
+        # fifty-two keys name two snapshots: the bound is not reached,
+        # and "b", the least recently used, stays
+        assert len(tree) == 2
+        assert tree.get("b") == ("b", 0)
+        # a third snapshot evicts least-recently-used keys until one
+        # snapshot has lost its last key: "a" goes with all its aliases
+        tree.put("c", ("c", 0))
+        assert len(tree) == 2
+        assert tree.get("b") == ("b", 0) and tree.get("c") == ("c", 0)
+        assert tree.get(("alias", 49)) is None
+
+    def test_family_snapshots_have_their_own_budget(self):
+        tree = PrefixTree(max_nodes=2, max_shared=3)
+        parent = frozenset({"p"})
+        tree.put((parent, 0, 48), ("rung", 48))
+        tree.put((parent, 0, 96), ("rung", 96))
+        for depth in range(100, 110):
+            tree.share(parent, 0, [(depth, ("family", depth))])
+        assert tree._shared_count == 3
+        # shallowest family snapshots went first; every rung stayed
+        assert sorted(tree._shared[(parent, 0)]) == [107, 108, 109]
+        assert len(tree) == 2 and tree.get((parent, 0, 48)) == ("rung", 48)
+
+    def test_plan_resumes_siblings_from_family_snapshots(self):
+        tree = PrefixTree()
+        parent = frozenset({"p"})
+        tree.put((parent, 0, 96), ("rung", 96))
+        first = tree.plan(
+            parent | {"x"}, 0, "x", 96, 300,
+            safe_prefix=180, siblings=(120, 150, 170, 185),
+        )
+        # the first child starts at the rung and snapshots for the
+        # siblings inside its own safe prefix
+        assert (first.depth, first.snapshot) == (96, ("rung", 96))
+        assert first.siblings == (120, 150, 170)
+        tree.share(parent, 0, [(d, ("family", d)) for d in first.siblings])
+        second = tree.plan(
+            parent | {"y"}, 0, "y", 96, 300,
+            safe_prefix=150, siblings=(120, 170, 185),
+        )
+        assert (second.depth, second.snapshot) == (150, ("family", 150))
+        assert second.siblings == ()
+        assert tree.shared_hits == 1
+        # a grandchild walks up to its grandparent's family snapshots,
+        # bounded by its parent's safe prefix (170 lies past 150)
+        grandchild = tree.plan(
+            parent | {"y", "z"}, 0, "z", 96, 300, safe_prefix=175
+        )
+        assert (grandchild.depth, grandchild.snapshot) == (150, ("family", 150))
+        # the ladder's counts see plans, not family snapshots
+        assert tree.hits == 3 and tree.misses == 0
+
+    def test_a_family_snapshot_never_starts_a_run_past_a_rung(self):
+        # The parent kept only its first rung, so the child resumes at 48
+        # and must still capture its own rung at 96: a family snapshot
+        # deeper than that would skip it.
+        tree = PrefixTree()
+        parent = frozenset({"p"})
+        tree.put((parent, 0, 48), ("rung", 48))
+        tree.share(parent, 0, [(90, ("family", 90)), (100, ("family", 100))])
+        plan = tree.plan(parent | {"x"}, 0, "x", 96, 300, safe_prefix=120)
+        assert (plan.depth, plan.snapshot) == (90, ("family", 90))
+
+    def test_family_depth_marks_only_prefixes_past_their_rung(self):
+        assert family_depth(300, 150) == 150
+        assert family_depth(300, 96) == 0  # the rung starts it there
+        assert family_depth(300, 40) == 0  # too shallow to resume at all
+        assert family_depth(100, 99) == 99
 
 
 def _context(bug_id: str) -> AttemptContext:
@@ -274,19 +369,81 @@ class TestResumedTraceIdentity:
         )
         assert _trace_identity(cold) == _trace_identity(via_garbage)
 
+    def test_a_guest_that_reads_outside_its_feeds_resumes_cold(
+        self, monkeypatch
+    ):
+        program = Program(name="impure", main=_impure_main)
+        recorded = record(
+            program, sketch=SketchKind.SYNC, seed=0,
+            config=MachineConfig(ncpus=2),
+        )
+        ctx = AttemptContext(recorded=recorded)
+        root, tree = _root_with_tree(ctx)
+        candidate = _resumable(root.candidates)[0]
+        plan = _plan(tree, candidate)
+        assert restore_machine(ctx, candidate.constraints, 0, plan)
+        # the workers' rebuild now reads another cell than they wrote
+        # before the snapshot, so they wait on other ops than captured
+        monkeypatch.setitem(_OUTSIDE, "cell", 1)
+        assert restore_machine(ctx, candidate.constraints, 0, plan) is None
+        cold, _ = run_attempt(ctx, candidate.constraints, 0)
+        warm, _ = run_attempt(ctx, candidate.constraints, 0, resume=plan)
+        assert _trace_identity(cold) == _trace_identity(warm)
 
-def _e12_session(jobs: int):
+    def test_family_resumes_match_cold(self, monkeypatch):
+        # Every attempt an E12 session resumes from a family snapshot —
+        # a sibling's capture or an ancestor's, past the ladder — replays
+        # its cold trace event for event.
+        checked = []
+        original = parallel.run_attempt
+
+        def checked_run(ctx, constraints, seed, resume=None, snapshots=None):
+            trace, matched = original(
+                ctx, constraints, seed, resume=resume, snapshots=snapshots
+            )
+            if resume is not None and resume.depth not in CAPTURE_DEPTHS:
+                assert restore_machine(ctx, constraints, seed, resume)
+                cold, cold_matched = original(ctx, constraints, seed)
+                assert _trace_identity(trace) == _trace_identity(cold)
+                assert matched == cold_matched
+                checked.append(resume.depth)
+            return trace, matched
+
+        monkeypatch.setattr(parallel, "run_attempt", checked_run)
+        _, tree = _e12_session(jobs=1)
+        assert len(checked) == tree.shared_hits > 200
+
+
+def _e12_session(jobs: int, max_attempts: int = 300, batch_size: int = 0):
     """An E12 session at ``jobs``: its report and the engine's tree."""
     from repro.bench.speedup import e12_workload
     from repro.core.explorer import ExplorerConfig
     from repro.core.reproducer import Reproducer
 
     reproducer = Reproducer(
-        e12_workload(), ExplorerConfig(max_attempts=300, jobs=jobs),
+        e12_workload(),
+        ExplorerConfig(
+            max_attempts=max_attempts, jobs=jobs, batch_size=batch_size
+        ),
         match_output=True,
     )
     report = reproducer.run()
     return report, reproducer.explorer._prefix_tree
+
+
+def _count_steps(monkeypatch):
+    """Count the steps each Machine.run in this process executes."""
+    executed = []
+    original = Machine.run
+
+    def counted(machine, **kwargs):
+        start = len(machine.schedule)
+        trace = original(machine, **kwargs)
+        executed.append(len(machine.schedule) - start)
+        return trace
+
+    monkeypatch.setattr(Machine, "run", counted)
+    return executed
 
 
 class TestInProcessEngine:
@@ -312,3 +469,55 @@ class TestInProcessEngine:
         assert report.prefix_hits == tree.hits + tree.misses
         assert report.realized_resumes == tree.hits
         assert report.realized_resumes >= 0.9 * report.prefix_hits
+
+
+class TestFamilySnapshots:
+    """In process, each child resumes where it departs from its parent."""
+
+    def test_serial_session_resumes_where_children_depart(self, monkeypatch):
+        from repro.core.reproducer import render_report
+
+        # the reference: the same request with every attempt run cold
+        monkeypatch.setattr(
+            parallel.ParallelExplorer, "_resume_plan",
+            lambda self, candidate, seed: None,
+        )
+        reference, _ = _e12_session(jobs=1)
+        monkeypatch.undo()
+        executed = _count_steps(monkeypatch)
+        report, tree = _e12_session(jobs=1)
+        # ladder rungs alone leave 35,708 steps to execute
+        assert sum(executed) <= 22_000
+        assert report.realized_resumes == report.prefix_hits == 299
+        assert tree.shared_hits > 0
+        assert render_report(report) == render_report(reference)
+
+    def test_long_serial_session_realizes_every_planned_resume(self):
+        # Lineage aliases are free: counted as snapshots, they once
+        # evicted rungs that later plans needed (589 of 599 here).
+        report, _ = _e12_session(jobs=1, max_attempts=600)
+        assert report.prefix_hits == 599
+        assert report.realized_resumes == report.prefix_hits
+
+    def test_prefix_metrics_stay_planned_ladder_quantities(self):
+        # The pool takes no family captures and jobs=1 does, yet every
+        # prefix metric is the same: each counts the planned ladder.
+        from repro.bench.speedup import e12_workload
+        from repro.core.explorer import ExplorerConfig
+        from repro.core.reproducer import reproduce
+        from repro.obs.session import ObsSession
+
+        views = {}
+        for jobs in (1, 2):
+            session = ObsSession.create(trace=False, metrics=True)
+            reproduce(
+                e12_workload(), ExplorerConfig(max_attempts=300, batch_size=4),
+                match_output=True, jobs=jobs, obs=session,
+            )
+            snapshot = session.metrics.snapshot()
+            views[jobs] = tuple(
+                snapshot["counters"][name]
+                for name in ("parallel.prefix_hits", "parallel.prefix_realized")
+            ) + (snapshot["histograms"]["parallel.prefix_depth"],)
+        assert views[1] == views[2]
+        assert views[1][0] == views[1][1] > 0

@@ -25,8 +25,11 @@ Three families cover every producer:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.sketchlog import _from_jsonable, _jsonable
 from repro.sim.events import Event
@@ -192,17 +195,6 @@ def constraints_from_json(data: List[Dict[str, Any]]) -> ConstraintSet:
     return frozenset(constraint_from_json(c) for c in data)
 
 
-def _acquire_key(event_kind: OpKind, obj: object, value: object) -> Optional[str]:
-    """Lock name if this event/op is a lock acquisition, else None.
-
-    Mutex LOCK, successful TRYLOCK, and reader-writer acquisitions all
-    count: each is a scheduling point whose order a flip can target.
-    """
-    if event_kind.is_lock and (event_kind is not OpKind.TRYLOCK or value):
-        return obj
-    return None
-
-
 class OccurrenceCounter:
     """Counts executed actions so EventRefs can be resolved online."""
 
@@ -338,46 +330,88 @@ class ConstraintGate:
         return True
 
 
-#: An EventRef's fields as a plain tuple: (tid, family, key, occurrence).
-_RefFields = Tuple[int, str, Address, int]
+class RefState:
+    """A :class:`RefIndex` after a trace's first :attr:`events` events:
+    each one's occurrence number, and the per-(thread, address) and
+    per-(thread, mutex) counts a resumed index goes on counting from."""
+
+    __slots__ = ("events", "occurrences", "mem", "lock")
+
+    def __init__(
+        self,
+        events: int,
+        occurrences: "array[int]",
+        mem: Dict[Tuple[int, Address], int],
+        lock: Dict[Tuple[int, str], int],
+    ) -> None:
+        self.events = events
+        self.occurrences = occurrences
+        self.mem = mem
+        self.lock = lock
 
 
 class RefIndex:
     """Maps every memory access / lock acquisition of a trace to its EventRef.
 
-    One pass over the events assigns occurrence numbers; afterwards
-    :meth:`ref_of` answers by global index.  Refs are kept as field
-    tuples and built on demand: a trace names every access, and a miner
-    asks about a few dozen.
+    One pass over the events assigns occurrence numbers, kept per event
+    in a compact array (0 for unnamed kinds); afterwards :meth:`ref_of`
+    answers by global index.  Refs are built on demand: a trace names
+    every access, and a miner asks about a few dozen.
+
+    ``resume`` continues from a :class:`RefState` of a trace whose first
+    ``resume.events`` events this one shares; ``checkpoints`` names
+    event counts at which to copy the state into :attr:`checkpoints`.
     """
 
-    def __init__(self, events: Iterable[Event]) -> None:
-        self._refs: Dict[int, _RefFields] = {}
-        self._gidx: Optional[Dict[_RefFields, int]] = None
-        mem: Dict[Tuple[int, Address], int] = {}
-        lock: Dict[Tuple[int, str], int] = {}
-        for event in events:
-            if event.kind.is_memory:
-                key = (event.tid, event.addr)
-                count = mem[key] = mem.get(key, 0) + 1
-                self._refs[event.gidx] = (event.tid, "mem", event.addr, count)
-            else:
-                mutex = _acquire_key(event.kind, event.obj, event.value)
-                if mutex is not None:
-                    key = (event.tid, mutex)
+    def __init__(
+        self,
+        events: Sequence[Event],
+        resume: Optional[RefState] = None,
+        checkpoints: Iterable[int] = (),
+    ) -> None:
+        if resume is None:
+            start, occurrences, mem, lock = 0, array("i"), {}, {}
+        else:
+            start = resume.events
+            occurrences = resume.occurrences[:]
+            mem, lock = dict(resume.mem), dict(resume.lock)
+        self._occurrences = occurrences
+        #: the index's state at each requested event count.
+        self.checkpoints: Dict[int, RefState] = {}
+        append = occurrences.append
+        wanted = {n for n in checkpoints if start <= n <= len(events)}
+        pos = start
+        for stop in (*sorted(wanted), len(events)):
+            for event in events[pos:stop]:
+                kind = event.kind
+                if kind.is_memory:
+                    key = (event.tid, event.addr)
+                    count = mem[key] = mem.get(key, 0) + 1
+                elif kind.is_lock and (kind is not OpKind.TRYLOCK or event.value):
+                    # LOCK, a successful TRYLOCK and reader-writer
+                    # acquisitions: each is a scheduling point a flip can
+                    # target.
+                    key = (event.tid, event.obj)
                     count = lock[key] = lock.get(key, 0) + 1
-                    self._refs[event.gidx] = (event.tid, "lock", mutex, count)
+                else:
+                    count = 0
+                append(count)
+            if stop in wanted:
+                self.checkpoints[stop] = RefState(
+                    stop, occurrences[:], dict(mem), dict(lock)
+                )
+            pos = stop
 
     def ref_of(self, event: Event) -> Optional[EventRef]:
         """The ref naming this event, or None for unnamed kinds."""
-        fields = self._refs.get(event.gidx)
-        return None if fields is None else EventRef(*fields)
-
-    def gidx_of(self, ref: EventRef) -> Optional[int]:
-        """The global index of the event a ref names, if it executed."""
-        if self._gidx is None:
-            self._gidx = {fields: gidx for gidx, fields in self._refs.items()}
-        return self._gidx.get((ref.tid, ref.family, ref.key, ref.occurrence))
+        gidx = event.gidx
+        occurrences = self._occurrences
+        count = occurrences[gidx] if gidx < len(occurrences) else 0
+        if not count:
+            return None
+        if event.kind.is_memory:
+            return EventRef(event.tid, "mem", event.addr, count)
+        return EventRef(event.tid, "lock", event.obj, count)
 
     def lock_ref(self, tid: int, mutex: str, occurrence: int) -> EventRef:
         """Explicit lock-family ref (for lifted flips)."""

@@ -34,14 +34,17 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple,
+)
 
-from repro.analysis.hb_race import HBAnalysis, RacePair
+from repro.analysis.hb_race import HBAnalysis, RacePair, SweepState
 from repro.core.constraints import (
     ConstraintSet,
     EventRef,
     OrderConstraint,
     RefIndex,
+    RefState,
 )
 from repro.core.sketches import SketchKind
 from repro.sim.events import Event
@@ -121,7 +124,54 @@ _KIND_REPRS: Dict[int, str] = {kind.bit: repr(kind) for kind in OpKind}
 _FINGERPRINT_CHUNK = 512
 
 
-def trace_fingerprint(trace: Trace) -> str:
+def _process_local() -> None:
+    """What a process-local object unpickles as: nothing."""
+    return None
+
+
+class AnalysisCheckpoint:
+    """Each per-attempt pass's state after a trace's first :attr:`events`
+    events, kept beside the prefix snapshot taken there.
+
+    A replay resumed from that snapshot shares those events with the
+    trace, object for object (:meth:`covers`), so its fingerprint, race
+    sweep and ref index continue from here: an attempt analyzes only
+    the events it executed.  A pass that did not run on the trace (an
+    attempt that was not mined has no sweep) leaves its slot None, and
+    its resumed run does that pass from event 0.
+
+    Process-local: a SHA-1 state does not pickle, so a checkpoint
+    pickles as None, and a snapshot or plan sent to another process
+    arrives without one.
+    """
+
+    __slots__ = ("events", "last", "digest", "sweep", "refs")
+
+    def __init__(self, trace: Trace, events: int) -> None:
+        self.events = events
+        #: the last event covered; identity ties the state to its trace.
+        self.last = trace.events[events - 1] if events else None
+        #: SHA-1 state of :func:`trace_fingerprint` (a ``hashlib`` object).
+        self.digest = None
+        self.sweep: Optional[SweepState] = None
+        self.refs: Optional[RefState] = None
+
+    def covers(self, trace: Trace) -> bool:
+        """Whether ``trace`` begins with the events this state covers."""
+        n = self.events
+        return len(trace.events) >= n and (
+            n == 0 or trace.events[n - 1] is self.last
+        )
+
+    def __reduce__(self):
+        return (_process_local, ())
+
+
+def trace_fingerprint(
+    trace: Trace,
+    resume: Optional[AnalysisCheckpoint] = None,
+    checkpoints: Optional[Mapping[int, AnalysisCheckpoint]] = None,
+) -> str:
     """Stable digest of *what* a trace executed (signatures, in order).
 
     The sha1 of the concatenated ``repr(event.signature())`` of every
@@ -134,22 +184,37 @@ def trace_fingerprint(trace: Trace) -> str:
     interpreter's string-hash randomization.  The digest is memoized on
     the trace — dedup, caching, and candidate mining all fingerprint the
     same trace, and events are immutable once emitted.
+
+    SHA-1 streams, so hashing resumes: ``resume`` (which must cover this
+    trace) continues from its copied state past its events, and each of
+    ``checkpoints`` — keyed by event count — receives a copy of the
+    state at its count.
     """
     cached = getattr(trace, "_fingerprint", None)
-    if cached is not None:
+    if cached is not None and not checkpoints:
         return cached
-    digest = hashlib.sha1()
+    checkpoints = checkpoints or {}
     events = trace.events
+    if resume is not None and resume.digest is not None:
+        digest, start = resume.digest.copy(), resume.events
+    else:
+        digest, start = hashlib.sha1(), 0
     kinds = _KIND_REPRS
-    for start in range(0, len(events), _FINGERPRINT_CHUNK):
-        chunk = "".join(
-            [
-                "(%r, %s, %r, %r, %r, %r)"
-                % (e.tid, kinds[e.kind.bit], e.addr, e.obj, e.name, e.label)
-                for e in events[start:start + _FINGERPRINT_CHUNK]
-            ]
-        )
-        digest.update(chunk.encode("utf-8"))
+    wanted = {n for n in checkpoints if start <= n <= len(events)}
+    pos = start
+    for stop in (*sorted(wanted), len(events)):
+        for lo in range(pos, stop, _FINGERPRINT_CHUNK):
+            chunk = "".join(
+                [
+                    "(%r, %s, %r, %r, %r, %r)"
+                    % (e.tid, kinds[e.kind.bit], e.addr, e.obj, e.name, e.label)
+                    for e in events[lo:min(lo + _FINGERPRINT_CHUNK, stop)]
+                ]
+            )
+            digest.update(chunk.encode("utf-8"))
+        if stop in wanted:
+            checkpoints[stop].digest = digest.copy()
+        pos = stop
     fingerprint = digest.hexdigest()
     trace._fingerprint = fingerprint
     return fingerprint
@@ -308,50 +373,53 @@ def _flip_for_race(
 
 
 class _PrefixIndex:
-    """Per-trace tables for computing a flip's safe resume prefix.
+    """Computes a flip's safe resume prefix in the trace it was mined from.
 
-    ``safe_prefix(flip)`` is the first schedule step at which the flip's
-    gate could possibly block something.  The gate only ever blocks the
-    thread named by ``flip.after``, and only from the moment that
-    thread's pending op first satisfies ``pending_matches`` — for a mem
-    ref that is the named access itself (memory ops never fail, so the
-    occurrence-th access is the first match); for a lock ref it may be
-    an earlier *failed* TRYLOCK of the same mutex at the same prior-
-    acquisition count.  Blocking a pending op can reshape the schedule
-    from the pick right after the thread's previous event, so the safe
-    prefix ends there.
+    ``safe_prefix(flip, gidx)`` is the first schedule step at which the
+    flip's gate could possibly block something.  The gate only ever
+    blocks the thread named by ``flip.after``, and only from the moment
+    that thread's pending op first satisfies ``pending_matches`` — for a
+    mem ref that is the named access itself (memory ops never fail, so
+    the occurrence-th access is the first match; its caller passes its
+    ``gidx``); for a lock ref it may be an earlier *failed* TRYLOCK of
+    the same mutex at the same prior-acquisition count.  Blocking a
+    pending op can reshape the schedule from the pick right after the
+    thread's previous event, so the safe prefix ends there.
+
+    Only lock refs need a table, and only flips mined without a sketch
+    name them, so it is built on first use.
     """
 
-    def __init__(self, trace: Trace, refs: RefIndex) -> None:
-        self._refs = refs
-        self._prev_of: Dict[int, int] = {}
-        self._lock_attempts: Dict[Tuple[int, object], List[Tuple[int, int]]] = {}
-        last_by_tid: Dict[int, int] = {}
-        acquired: Dict[Tuple[int, object], int] = {}
-        for event in trace.events:
-            self._prev_of[event.gidx] = last_by_tid.get(event.tid, -1)
-            last_by_tid[event.tid] = event.gidx
-            if event.kind.is_lock:
-                key = (event.tid, event.obj)
-                self._lock_attempts.setdefault(key, []).append(
-                    (event.gidx, acquired.get(key, 0))
-                )
-                if event.kind is not OpKind.TRYLOCK or event.value:
-                    acquired[key] = acquired.get(key, 0) + 1
+    def __init__(self, trace: Trace) -> None:
+        self._events = trace.events
+        #: ``(tid, mutex, prior acquisitions) -> gidx`` of the first
+        #: attempt at that count.
+        self._lock_attempts: Optional[Dict[Tuple[int, object, int], int]] = None
 
-    def safe_prefix(self, flip: OrderConstraint) -> int:
+    def safe_prefix(self, flip: OrderConstraint, gidx: Optional[int]) -> int:
         after = flip.after
-        if after.family == "mem":
-            gidx = self._refs.gidx_of(after)
-        else:
-            gidx = None
-            for g, prior in self._lock_attempts.get((after.tid, after.key), ()):
-                if prior == after.occurrence - 1:
-                    gidx = g
-                    break
+        if after.family != "mem":
+            gidx = self._first_lock_attempt(after)
         if gidx is None:
             return 0
-        return self._prev_of.get(gidx, -1) + 1
+        events = self._events
+        for prev in range(gidx - 1, -1, -1):
+            if events[prev].tid == after.tid:
+                return prev + 1
+        return 0
+
+    def _first_lock_attempt(self, ref: EventRef) -> Optional[int]:
+        if self._lock_attempts is None:
+            self._lock_attempts = {}
+            acquired: Dict[Tuple[int, object], int] = {}
+            for event in self._events:
+                if event.kind.is_lock:
+                    key = (event.tid, event.obj)
+                    prior = acquired.get(key, 0)
+                    self._lock_attempts.setdefault((*key, prior), event.gidx)
+                    if event.kind is not OpKind.TRYLOCK or event.value:
+                        acquired[key] = prior + 1
+        return self._lock_attempts.get((ref.tid, ref.key, ref.occurrence - 1))
 
 
 def _lock_order_flips(trace: Trace, refs: RefIndex) -> List[Tuple[OrderConstraint, int]]:
@@ -390,16 +458,37 @@ class FeedbackGenerator:
         self,
         attempt_trace: Trace,
         current: ConstraintSet,
+        resume: Optional[AnalysisCheckpoint] = None,
+        checkpoints: Optional[Mapping[int, AnalysisCheckpoint]] = None,
     ) -> List[Candidate]:
-        """Ranked, unseen constraint sets derived from one attempt."""
+        """Ranked, unseen constraint sets derived from one attempt.
+
+        ``resume`` (which must cover the trace) lets the race sweep and
+        the ref index continue past its events; each of ``checkpoints``
+        receives their states at its event count.
+        """
         if len(current) >= self.max_constraint_depth:
             return []
+        checkpoints = checkpoints or {}
 
         use_lock_edges = self.sketch.includes(SketchKind.SYNC)
-        analysis = HBAnalysis(attempt_trace, use_lock_edges=use_lock_edges)
-        refs = RefIndex(attempt_trace.events)
+        analysis = HBAnalysis(
+            attempt_trace, use_lock_edges=use_lock_edges,
+            resume=resume.sweep if resume is not None else None,
+            checkpoints=checkpoints,
+        )
+        refs = RefIndex(
+            attempt_trace.events,
+            resume=resume.refs if resume is not None else None,
+            checkpoints=checkpoints,
+        )
+        for n, checkpoint in checkpoints.items():
+            checkpoint.sweep = analysis.checkpoints.get(n)
+            checkpoint.refs = refs.checkpoints.get(n)
 
-        raw: List[Tuple[OrderConstraint, int, int]] = []
+        # (flip, anchor, shape, gidx of the event a mem-family
+        # ``flip.after`` names)
+        raw: List[Tuple[OrderConstraint, int, int, Optional[int]]] = []
         for race in analysis.races:
             flip = _flip_for_race(race, refs, self.sketch)
             if flip is not None:
@@ -407,20 +496,25 @@ class FeedbackGenerator:
                     race.first.kind is OpKind.READ
                     or race.second.kind is OpKind.READ
                 )
-                raw.append((flip, race.second.gidx, 0 if involves_read else 1))
+                raw.append((
+                    flip, race.second.gidx, 0 if involves_read else 1,
+                    race.first.gidx,
+                ))
         if self.sketch is SketchKind.NONE:
             raw.extend(
-                (flip, anchor, 0)
+                (flip, anchor, 0, None)
                 for flip, anchor in _lock_order_flips(attempt_trace, refs)
             )
 
         current_inverses = {_inverse(c) for c in current}
         seen_sets: Set[ConstraintSet] = set()
         out: List[Candidate] = []
-        prefixes = _PrefixIndex(attempt_trace, refs)
+        prefixes = _PrefixIndex(attempt_trace)
         # Check-act-shaped races first, then later-in-trace first, so the
         # per-attempt cap keeps the likeliest flips.
-        for flip, anchor, shape in sorted(raw, key=lambda t: (t[2], -t[1])):
+        for flip, anchor, shape, after_gidx in sorted(
+            raw, key=lambda t: (t[2], -t[1])
+        ):
             if flip in current or _inverse(flip) in current:
                 continue
             if flip in current_inverses:
@@ -436,7 +530,7 @@ class FeedbackGenerator:
                     anchor_gidx=anchor,
                     shape=shape,
                     flip=flip,
-                    safe_prefix=prefixes.safe_prefix(flip),
+                    safe_prefix=prefixes.safe_prefix(flip, after_gidx),
                     parent_steps=attempt_trace.steps,
                 )
             )

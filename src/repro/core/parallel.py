@@ -105,7 +105,9 @@ from repro.core.prefix import (
     PrefixTree,
     ResumePlan,
     Snapshot,
+    analysis_of,
     capture_hooks,
+    checkpoint_snapshots,
     family_depth,
     pack,
     resume_depth,
@@ -339,6 +341,7 @@ def evaluate_attempt(
     mine: bool = True,
     resume: Optional[ResumePlan] = None,
     known: AbstractSet[str] = frozenset(),
+    checkpoint: bool = True,
 ) -> AttemptOutcome:
     """Run one attempt and summarize it as a picklable outcome.
 
@@ -351,6 +354,12 @@ def evaluate_attempt(
     winning schedule instead.  A mined attempt ships back the ladder
     snapshots its candidates can resume from, and every attempt the
     family snapshots its resume plan asked for.
+
+    A run resumed from a snapshot that keeps an analysis checkpoint
+    fingerprints, sweeps and indexes only the events it executed, and
+    each snapshot the run takes keeps the analysis at its depth.
+    ``checkpoint=False`` (pool workers) takes no checkpoints: they could
+    not leave the process (see :func:`~repro.core.prefix.analysis_of`).
     """
     tracer = ctx.attempt_tracer()
     attempt_span = tracer.span(
@@ -364,14 +373,15 @@ def evaluate_attempt(
                 snapshots=captured if mine else None,
             )
         outcome, detail = _classify(trace, matched)
-        fingerprint = trace_fingerprint(trace)
+        inherited = analysis_of(resume.snapshot) if resume is not None else None
+        if inherited is not None and not inherited.covers(trace):
+            inherited = None  # the run did not resume from this snapshot
+        checkpoints = (
+            checkpoint_snapshots(captured, trace) if checkpoint else {}
+        )
+        fingerprint = trace_fingerprint(trace, inherited, checkpoints)
         candidates: Tuple[Candidate, ...] = ()
         snapshots: Tuple[Tuple[int, Snapshot], ...] = ()
-        shared = tuple(
-            (depth, captured[depth])
-            for depth in (resume.siblings if resume is not None else ())
-            if depth in captured
-        )
         schedule: Optional[Tuple[int, ...]] = None
         mined = True
         if matched:
@@ -383,10 +393,19 @@ def evaluate_attempt(
                     max_candidates_per_attempt=ctx.max_candidates_per_attempt,
                     max_constraint_depth=ctx.max_constraint_depth,
                 )
-                candidates = tuple(generator.candidates(trace, constraints))
+                candidates = tuple(
+                    generator.candidates(
+                        trace, constraints, inherited, checkpoints
+                    )
+                )
             snapshots = _ladder_snapshots(captured, candidates)
         else:
             mined = False
+        shared = tuple(
+            (depth, captured[depth])
+            for depth in (resume.siblings if resume is not None else ())
+            if depth in captured
+        )
         attempt_span.note(
             outcome=outcome, steps=trace.steps, candidates=len(candidates)
         )
@@ -448,7 +467,7 @@ def _worker_run(
     token, constraints, seed, mine, resume, known = task
     outcome = evaluate_attempt(
         _worker_session(token), constraints, seed,
-        mine=mine, resume=resume, known=known,
+        mine=mine, resume=resume, known=known, checkpoint=False,
     )
     if outcome.snapshots:
         outcome = replace(outcome, snapshots=tuple(

@@ -29,6 +29,17 @@ skips that shared prefix:
   process, where a capture shares the run's events; a pool worker would
   have to pickle and ship each one, for a session that waits on
   dispatch more than on steps (see ``docs/parallel.md``).
+* **The analysis travels too.**  An attempt run in the engine's own
+  process analyzes its trace after the run — fingerprint, race sweep,
+  ref index — and copies each pass's state at every depth it
+  snapshotted into an :class:`~repro.core.feedback.AnalysisCheckpoint`
+  kept beside the snapshot (:func:`checkpoint_snapshots`).  A child
+  resumed from the snapshot shares those events with its parent, so its
+  analysis continues from the copy (:func:`analysis_of`): an attempt
+  fingerprints, sweeps and indexes only the events it executed.  The
+  checkpoint is process-local — it pickles as None — so a snapshot
+  packed in a pool worker, or a plan sent to one, carries none, and the
+  worker analyzes from event 0.
 
 Design constraints, in order:
 
@@ -72,8 +83,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.core.constraints import ConstraintSet, OrderConstraint
+from repro.core.feedback import AnalysisCheckpoint
 from repro.core.pir import PIRScheduler
 from repro.sim.machine import Machine
+from repro.sim.trace import Trace
 
 #: Snapshots below this depth are not worth the restore cost.
 MIN_RESUME_DEPTH = 24
@@ -82,9 +95,11 @@ BASE_DEPTH = 48
 #: The full capture ladder, covering any plausible attempt length.
 CAPTURE_DEPTHS: Tuple[int, ...] = tuple(BASE_DEPTH * (1 << k) for k in range(12))
 
-#: One ladder snapshot: ``(machine state, scheduler state)``, or that
-#: pair as one pickle blob (:func:`pack`) once it has crossed a process
-#: boundary.
+#: One snapshot: ``(machine state, scheduler state, analysis)``, where
+#: ``analysis`` is the process-local
+#: :class:`~repro.core.feedback.AnalysisCheckpoint` at the same point or
+#: None, or that triple as one pickle blob (:func:`pack`) once it has
+#: crossed a process boundary.
 Snapshot = Any
 
 
@@ -93,9 +108,35 @@ def pack(snapshot: Snapshot) -> bytes:
 
     The engine stores and forwards a packed snapshot without unpickling
     it, so a snapshot crossing two process boundaries is pickled once
-    and unpickled once, where it is restored.
+    and unpickled once, where it is restored.  Its analysis checkpoint,
+    if any, does not survive the pickling.
     """
     return pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def checkpoint_snapshots(
+    captured: Dict[int, Snapshot], trace: Trace
+) -> Dict[int, AnalysisCheckpoint]:
+    """Give each snapshot ``captured`` from ``trace``'s run an empty
+    analysis checkpoint; returns them keyed by event count, for the
+    analysis passes to fill."""
+    checkpoints: Dict[int, AnalysisCheckpoint] = {}
+    for depth, (machine_state, scheduler_state, _) in captured.items():
+        events = len(machine_state["events"])
+        checkpoint = checkpoints.get(events)
+        if checkpoint is None:
+            checkpoint = checkpoints[events] = AnalysisCheckpoint(trace, events)
+        captured[depth] = (machine_state, scheduler_state, checkpoint)
+    return checkpoints
+
+
+def analysis_of(snapshot: Snapshot) -> Optional[AnalysisCheckpoint]:
+    """The analysis checkpoint kept beside ``snapshot``, if it has one."""
+    if isinstance(snapshot, tuple) and snapshot:
+        analysis = snapshot[-1]
+        if isinstance(analysis, AnalysisCheckpoint):
+            return analysis
+    return None
 
 
 def planned_depths(parent_steps: int) -> Tuple[int, ...]:
@@ -153,7 +194,9 @@ class ResumePlan:
     state ``depth`` steps in — its deepest ladder rung inside the
     child's safe prefix, or a family snapshot deeper still.  The plan
     travels with the task, so a pool worker, an in-process fallback and
-    a chaos retry all restore the same state.
+    a chaos retry all restore the same state; in process the snapshot's
+    analysis checkpoint comes along, and the child's analysis resumes
+    too.
     """
 
     flip: OrderConstraint
@@ -408,6 +451,7 @@ def capture_hooks(
             into[len(machine.schedule)] = (
                 machine.capture_state(serialize=True),
                 scheduler.capture_resume_state(serialize=True),
+                None,
             )
         except Exception:
             pass  # unclean state at this depth; deeper rungs may still work
@@ -435,7 +479,7 @@ def restore_machine(
         snapshot = plan.snapshot
         if isinstance(snapshot, bytes):
             snapshot = pickle.loads(snapshot)
-        machine_state, scheduler_state = snapshot
+        machine_state, scheduler_state, _ = snapshot
         recorded = ctx.recorded
         scheduler = PIRScheduler(
             recorded.log,

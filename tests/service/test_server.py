@@ -17,6 +17,7 @@ headline assertions:
 import http.client
 import json
 import socket
+import threading
 
 import pytest
 
@@ -33,13 +34,47 @@ SEED = 3
 MAX_ATTEMPTS = 200
 
 
-def _slow_request(**overrides):
-    """A request that runs long enough (~0.4s: server-side seed search
-    plus a 19-attempt exploration) that submits racing it — queue-full,
-    budget-full, cancel-while-queued — are deterministic in practice."""
-    fields = dict(bug="mysql-atom-log", seed=None)
+#: the bug of the job that holds a slot (see :func:`held_slot`).
+HOLDER = "mysql-atom-log"
+
+
+def _holding_request(**overrides):
+    """A request whose replay :func:`held_slot` holds until released."""
+    fields = dict(bug=HOLDER, seed=None)
     fields.update(overrides)
     return JobRequest(**fields)
+
+
+class _Gate:
+    def __init__(self):
+        #: set once the holding job has entered its replay (it has a slot)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+
+@pytest.fixture
+def held_slot(monkeypatch):
+    """Hold every :data:`HOLDER` job's replay until ``release`` is set.
+
+    The server runs jobs in this process, so the gate wraps the
+    ``reproduce`` its job pipeline calls.  Submits racing the holding
+    job (queue-full, budget-full, result-before-done, cancel-while-
+    queued) then see it running however fast the replay is.
+    """
+    from repro.service import jobs
+
+    gate = _Gate()
+    original = jobs.reproduce
+
+    def gated(recorded, *args, **kwargs):
+        if recorded.program.name == HOLDER:
+            gate.entered.set()
+            gate.release.wait(timeout=60)
+        return original(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(jobs, "reproduce", gated)
+    yield gate
+    gate.release.set()
 
 
 @pytest.fixture(scope="module")
@@ -157,17 +192,21 @@ class TestErrors:
             client.status("j999999")
         assert err.value.status == 404
 
-    def test_result_before_done_409(self, tmp_path):
+    def test_result_before_done_409(self, tmp_path, held_slot):
         with ServiceThread(
             str(tmp_path / "store"), slots=1, pool_jobs=2
         ) as svc:
             local = ServiceClient(svc.url)
-            running = local.submit(_slow_request())
-            queued = local.submit(JobRequest(bug=BUG, seed=SEED))
-            # The second job cannot have started: one slot, FIFO queue.
-            with pytest.raises(ServiceError) as err:
-                local.result(queued["id"])
-            assert err.value.status == 409
+            try:
+                running = local.submit(_holding_request())
+                assert held_slot.entered.wait(timeout=30)
+                queued = local.submit(JobRequest(bug=BUG, seed=SEED))
+                # The second job cannot have started: one slot, held.
+                with pytest.raises(ServiceError) as err:
+                    local.result(queued["id"])
+                assert err.value.status == 409
+            finally:
+                held_slot.release.set()
             for doc in (running, queued):
                 local.wait_for(doc["id"])
 
@@ -222,35 +261,45 @@ class TestErrors:
 
 
 class TestBackpressure:
-    def test_tenant_budget_refuses_with_429(self, tmp_path):
+    def test_tenant_budget_refuses_with_429(self, tmp_path, held_slot):
         with ServiceThread(
             str(tmp_path / "store"), slots=1, tenant_slots=1, pool_jobs=2
         ) as svc:
             local = ServiceClient(svc.url)
-            first = local.submit(_slow_request(tenant="busy"))
-            with pytest.raises(ServiceError) as err:
-                local.submit(JobRequest(bug=BUG, seed=SEED, tenant="busy"))
-            assert err.value.status == 429
-            # Another tenant is unaffected by the noisy neighbour.
-            other = local.submit(JobRequest(bug=BUG, seed=SEED, tenant="calm"))
+            try:
+                first = local.submit(_holding_request(tenant="busy"))
+                assert held_slot.entered.wait(timeout=30)
+                with pytest.raises(ServiceError) as err:
+                    local.submit(JobRequest(bug=BUG, seed=SEED, tenant="busy"))
+                assert err.value.status == 429
+                # Another tenant is unaffected by the noisy neighbour.
+                other = local.submit(
+                    JobRequest(bug=BUG, seed=SEED, tenant="calm")
+                )
+            finally:
+                held_slot.release.set()
             local.wait_for(first["id"])
             local.wait_for(other["id"])
             # Budget freed: the same tenant is admitted again.
             retry = local.submit(JobRequest(bug=BUG, seed=SEED, tenant="busy"))
             assert local.wait_for(retry["id"])["state"] == "done"
 
-    def test_queue_bound_refuses_with_429(self, tmp_path):
+    def test_queue_bound_refuses_with_429(self, tmp_path, held_slot):
         with ServiceThread(
             str(tmp_path / "store"), slots=1, max_queued=1, pool_jobs=2
         ) as svc:
             local = ServiceClient(svc.url)
-            admitted = [
-                local.submit(_slow_request())["id"],  # occupies the slot
-                local.submit(JobRequest(bug=BUG, seed=SEED))["id"],  # queues
-            ]
-            with pytest.raises(ServiceError) as err:
-                local.submit(JobRequest(bug=BUG, seed=SEED))
-            assert err.value.status == 429
+            try:
+                admitted = [local.submit(_holding_request())["id"]]
+                assert held_slot.entered.wait(timeout=30)  # occupies the slot
+                admitted.append(
+                    local.submit(JobRequest(bug=BUG, seed=SEED))["id"]  # queues
+                )
+                with pytest.raises(ServiceError) as err:
+                    local.submit(JobRequest(bug=BUG, seed=SEED))
+                assert err.value.status == 429
+            finally:
+                held_slot.release.set()
             for job_id in admitted:
                 local.wait_for(job_id)
 
@@ -262,15 +311,19 @@ class TestLifecycle:
         counters = client.metrics()["counters"]
         assert counters["service.submitted"] >= counters["service.done"] > 0
 
-    def test_cancel_queued_job(self, tmp_path):
+    def test_cancel_queued_job(self, tmp_path, held_slot):
         with ServiceThread(
             str(tmp_path / "store"), slots=1, pool_jobs=2
         ) as svc:
             local = ServiceClient(svc.url)
-            running = local.submit(_slow_request())
-            queued = local.submit(JobRequest(bug=BUG, seed=SEED))
-            cancelled = local.cancel(queued["id"])
-            assert cancelled["state"] == "cancelled"
+            try:
+                running = local.submit(_holding_request())
+                assert held_slot.entered.wait(timeout=30)
+                queued = local.submit(JobRequest(bug=BUG, seed=SEED))
+                cancelled = local.cancel(queued["id"])
+                assert cancelled["state"] == "cancelled"
+            finally:
+                held_slot.release.set()
             assert local.wait_for(running["id"])["state"] == "done"
 
     def test_drain_finishes_running_jobs_and_flushes_the_store(self, tmp_path):

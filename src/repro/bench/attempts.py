@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.apps.spec import BugSpec
-from repro.bench.seeds import find_failing_seed
-from repro.core.explorer import ExplorerConfig
-from repro.core.recorder import record
-from repro.core.reproducer import ReproductionReport, reproduce
+from repro.core.reproducer import ReproductionReport
+from repro.core.request import ReproduceRequest, run_request
 from repro.core.sketches import SKETCH_ORDER, SketchKind
-from repro.sim import MachineConfig
 
 
 @dataclass
@@ -23,7 +21,7 @@ class AttemptCell:
     attempts: int
     replay_steps: int
     constraints_used: int
-    #: reproduction wall time in seconds (whole exploration loop).
+    #: reproduction wall time in seconds (recording and exploration).
     wall_time: float = 0.0
 
     def render(self) -> str:
@@ -59,26 +57,16 @@ def attempts_row(
     **params,
 ) -> AttemptRow:
     """Reproduce one bug under each sketch; returns the attempts per cell."""
-    if seed is None:
-        seed = find_failing_seed(spec, ncpus=ncpus, **params)
-    if seed is None:
-        raise RuntimeError(f"{spec.bug_id}: no failing production run found")
-    program = spec.make_program(**params)
+    request = ReproduceRequest(
+        spec.bug_id, params=params, seed=seed, ncpus=ncpus,
+        max_attempts=max_attempts, feedback=use_feedback,
+    ).resolved()
     cells: Dict[SketchKind, AttemptCell] = {}
     for sketch in sketches:
-        recorded = record(
-            program,
-            sketch=sketch,
-            seed=seed,
-            config=MachineConfig(ncpus=ncpus),
-            oracle=spec.oracle,
-        )
         started = time.perf_counter()
-        report = reproduce(
-            recorded,
-            ExplorerConfig(max_attempts=max_attempts, jobs=jobs),
-            use_feedback=use_feedback,
-        )
+        report = run_request(
+            dataclasses.replace(request, sketch=sketch), jobs=jobs
+        ).report
         elapsed = time.perf_counter() - started
         cells[sketch] = AttemptCell(
             success=report.success,
@@ -88,7 +76,8 @@ def attempts_row(
             wall_time=elapsed,
         )
     return AttemptRow(
-        bug_id=spec.bug_id, bug_type=spec.bug_type, seed=seed, cells=cells
+        bug_id=spec.bug_id, bug_type=spec.bug_type, seed=request.seed,
+        cells=cells,
     )
 
 
@@ -123,18 +112,7 @@ def reproduce_once(
     **params,
 ) -> ReproductionReport:
     """One full reproduction, returning the raw report (E7/E8 building block)."""
-    seed = find_failing_seed(spec, ncpus=ncpus, **params)
-    if seed is None:
-        raise RuntimeError(f"{spec.bug_id}: no failing production run found")
-    recorded = record(
-        spec.make_program(**params),
-        sketch=sketch,
-        seed=seed,
-        config=MachineConfig(ncpus=ncpus),
-        oracle=spec.oracle,
-    )
-    return reproduce(
-        recorded,
-        ExplorerConfig(max_attempts=max_attempts),
-        use_feedback=use_feedback,
-    )
+    return run_request(ReproduceRequest(
+        spec.bug_id, params=params, sketch=sketch, ncpus=ncpus,
+        max_attempts=max_attempts, feedback=use_feedback,
+    )).report

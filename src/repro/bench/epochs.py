@@ -30,19 +30,18 @@ gates CI on the JSON this module emits.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.apps import all_bugs
 from repro.apps.spec import BugSpec
+from repro.bench.prediction import jobs_invariant
 from repro.bench.results import BenchResult
 from repro.bench.seeds import find_longest_failing_seed
-from repro.core.epochs import EpochConfig
-from repro.core.explorer import ExplorerConfig
-from repro.core.recorder import RecordedRun, record
-from repro.core.reproducer import render_report, reproduce
-from repro.core.sketches import SketchKind
-from repro.sim import MachineConfig
+from repro.core.recorder import RecordedRun
+from repro.core.reproducer import render_report
+from repro.core.request import ReproduceRequest, run_request
 
 #: the long-running server workloads the windowing story is *for*: their
 #: production runs dwarf the bug window, so these are where the strict
@@ -123,19 +122,6 @@ def epoch_pitch(recorded_full: RecordedRun) -> int:
     return max(10, recorded_full.stats.total_events // E18_TARGET_EPOCHS)
 
 
-def _record_windowed(
-    spec: BugSpec, seed: int, steps: int, window: int
-) -> RecordedRun:
-    return record(
-        spec.make_program(),
-        sketch=SketchKind.SYNC,
-        seed=seed,
-        config=MachineConfig(ncpus=E18_NCPUS),
-        oracle=spec.oracle,
-        epochs=EpochConfig(steps=steps, window=window),
-    )
-
-
 def epoch_bench_row(
     spec: BugSpec,
     max_attempts: int = E18_MAX_ATTEMPTS,
@@ -147,18 +133,15 @@ def epoch_bench_row(
         seed = find_longest_failing_seed(spec, ncpus=E18_NCPUS)
     if seed is None:
         raise RuntimeError(f"{spec.bug_id}: no failing production run found")
-    full = record(
-        spec.make_program(),
-        sketch=SketchKind.SYNC,
-        seed=seed,
-        config=MachineConfig(ncpus=E18_NCPUS),
-        oracle=spec.oracle,
+    request = ReproduceRequest(
+        spec.bug_id, seed=seed, ncpus=E18_NCPUS, max_attempts=max_attempts
     )
+    full, _, full_report = run_request(request)
     steps = epoch_pitch(full)
-    windowed = _record_windowed(spec, seed, steps, window)
-    config = ExplorerConfig(max_attempts=max_attempts)
-    full_report = reproduce(full, config)
-    windowed_report = reproduce(windowed, config)
+    windowed_request = dataclasses.replace(
+        request, epoch_steps=steps, epoch_window=window
+    )
+    windowed, _, windowed_report = run_request(windowed_request)
     reproduced_from = ""
     for rung in windowed_report.epoch_path:
         if rung.success:
@@ -190,17 +173,11 @@ def epoch_bench_row(
         reproduced_from=reproduced_from,
     )
     if spec.bug_id in E18_SERVER_BUGS:
-        baseline = render_report(windowed_report)
-        row.jobs_identical = all(
-            render_report(
-                reproduce(windowed, config, jobs=jobs)
-            ) == baseline
-            for jobs in E18_JOBS_ARMS
-        )
-        wider = _record_windowed(spec, seed, steps, window + 1)
-        row.window_identical = (
-            render_report(reproduce(wider, config)) == baseline
-        )
+        row.jobs_identical = jobs_invariant(windowed_request, E18_JOBS_ARMS)
+        wider = dataclasses.replace(windowed_request, epoch_window=window + 1)
+        row.window_identical = render_report(
+            run_request(wider).report
+        ) == render_report(windowed_report)
     return row
 
 

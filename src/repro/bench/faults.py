@@ -23,18 +23,13 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from typing import List, Optional
+from typing import List
 
-from repro.apps import get_bug
 from repro.bench.results import BenchResult
-from repro.bench.seeds import find_failing_seed
-from repro.core.explorer import ExplorerConfig
-from repro.core.recorder import record
-from repro.core.reproducer import report_signature, reproduce
-from repro.core.sketches import SketchKind
+from repro.core.reproducer import report_signature
+from repro.core.request import ReproduceRequest, run_request
 from repro.obs.session import ObsSession
 from repro.robust.supervise import SuperviseConfig
-from repro.sim import MachineConfig
 
 #: Suite bugs exercised by E17 — the same spread E14 uses, so the two
 #: robustness benchmarks stay comparable.
@@ -76,37 +71,27 @@ def build_e17(obs=None) -> BenchResult:
     records: List[dict] = []
     all_identical = True
     total_injected = 0
-    config = ExplorerConfig(
-        max_attempts=E17_MAX_ATTEMPTS, jobs=2, batch_size=4
-    )
     # Zero-delay backoff: retry decisions stay deterministic either way,
     # and the benchmark should measure supervision, not sleeping.
     supervise = SuperviseConfig(backoff_base=0.0)
 
     for bug_id in E17_BUGS:
-        spec = get_bug(bug_id)
-        seed = find_failing_seed(spec)
-        assert seed is not None, f"{bug_id}: no failing seed"
-        recorded = record(
-            spec.make_program(),
-            sketch=SketchKind.SYNC,
-            seed=seed,
-            config=MachineConfig(ncpus=4),
-            oracle=spec.oracle,
-        )
+        request = ReproduceRequest(
+            bug_id, max_attempts=E17_MAX_ATTEMPTS, batch_size=4
+        ).resolved()
 
         started = time.perf_counter()
-        baseline = reproduce(recorded, config, supervise=supervise)
+        baseline = run_request(request, jobs=2, supervise=supervise).report
         baseline_elapsed = time.perf_counter() - started
 
         chaos_obs = ObsSession.create(trace=False, metrics=True)
         with tempfile.TemporaryDirectory() as root:
             store_dir = os.path.join(root, "store")
             started = time.perf_counter()
-            chaotic = reproduce(
-                recorded, config, store=store_dir, obs=chaos_obs,
+            chaotic = run_request(
+                request, jobs=2, store=store_dir, obs=chaos_obs,
                 supervise=supervise, chaos=E17_CHAOS,
-            )
+            ).report
             chaos_elapsed = time.perf_counter() - started
 
         counters = {
@@ -138,7 +123,7 @@ def build_e17(obs=None) -> BenchResult:
         records.append(
             {
                 "bug": bug_id,
-                "seed": seed,
+                "seed": request.seed,
                 "success": baseline.success,
                 "attempts": baseline.attempts,
                 "chaos_spec": E17_CHAOS,

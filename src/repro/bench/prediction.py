@@ -1,10 +1,11 @@
 """E13: predictive-sanitizer ablation (plan-seeded vs unplanned replay).
 
-The record-rich / replay-coarse pipeline under test: record each T1 bug
-once at RW fidelity, run the static sanitizer over that log
-(:func:`repro.sanitize.build_plan`), then reproduce the *SYNC projection*
-of the same recording twice — once unplanned (the E3/E5 baseline), once
-with the plan's applicable candidates seeded into the first attempts.
+The record-rich / replay-coarse pipeline under test, as
+``pres reproduce --plan`` runs it: reproduce each T1 bug's SYNC
+recording twice — once unplanned (the E3/E5 baseline), once with the
+applicable candidates of the plan the sanitizer
+(:func:`repro.sanitize.build_plan`) builds from an RW recording of the
+same run seeded into the first attempts.
 
 Attempt 1 is the baseline empty attempt in both arms (plan candidates
 rank behind it, see ``TIER_PLAN``), so the plan can tie but never slow a
@@ -23,16 +24,12 @@ import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.apps import all_bugs, get_bug
+from repro.apps import all_bugs
 from repro.bench.results import BenchResult
-from repro.bench.seeds import find_failing_seed
-from repro.core.explorer import ExplorerConfig
-from repro.core.recorder import RecordedRun, record
-from repro.core.reproducer import reproduce
+from repro.core.plan import DYNAMIC
+from repro.core.reproducer import render_report
+from repro.core.request import ReproduceRequest, run_request
 from repro.core.sketches import SketchKind
-from repro.core.sketchlog import derive_coarser
-from repro.sanitize import build_plan
-from repro.sim.machine import MachineConfig
 
 #: Bugs used for the plan-enabled jobs-invariance spot check (both have
 #: applicable plans, so the check exercises the seeded frontier).
@@ -75,23 +72,6 @@ class PredictionRow:
         )
 
 
-def _record_rich(spec, seed: int, ncpus: int) -> RecordedRun:
-    return record(
-        spec.make_program(),
-        sketch=SketchKind.RW,
-        seed=seed,
-        config=MachineConfig(ncpus=ncpus),
-        oracle=spec.oracle,
-    )
-
-
-def _sync_projection(recorded: RecordedRun) -> RecordedRun:
-    sync_log = derive_coarser(recorded.log, SketchKind.SYNC)
-    return dataclasses.replace(
-        recorded, sketch=SketchKind.SYNC, log=sync_log
-    )
-
-
 def prediction_row(
     spec,
     max_attempts: int = 400,
@@ -99,27 +79,25 @@ def prediction_row(
     obs=None,
 ) -> PredictionRow:
     """Run one bug through both arms of the ablation."""
-    seed = find_failing_seed(spec, ncpus=ncpus)
-    if seed is None:
-        raise RuntimeError(f"{spec.bug_id}: no failing production run found")
-    rich = _record_rich(spec, seed, ncpus)
-    plan = build_plan(rich.log)
-    replayable = _sync_projection(rich)
-    config = ExplorerConfig(max_attempts=max_attempts)
-    kwargs = {} if obs is None else {"obs": obs}
-    baseline = reproduce(replayable, config, **kwargs)
-    planned = reproduce(replayable, config, plans=[plan], **kwargs)
+    request = ReproduceRequest(
+        spec.bug_id, ncpus=ncpus, max_attempts=max_attempts
+    ).resolved()
+    baseline = run_request(request, obs=obs).report
+    planned = run_request(
+        dataclasses.replace(request, plans=(DYNAMIC,)), obs=obs
+    )
+    plan = planned.plans[0]
     return PredictionRow(
         bug_id=spec.bug_id,
-        seed=seed,
+        seed=request.seed,
         races=len(plan.races),
         violations=len(plan.violations),
         deadlocks=len(plan.deadlocks),
         applicable=len(plan.seeds_for(SketchKind.SYNC)),
         baseline_attempts=baseline.attempts,
         baseline_success=baseline.success,
-        planned_attempts=planned.attempts,
-        planned_success=planned.success,
+        planned_attempts=planned.report.attempts,
+        planned_success=planned.report.success,
     )
 
 
@@ -136,6 +114,16 @@ def prediction_ablation(
     ]
 
 
+def jobs_invariant(
+    request: ReproduceRequest, jobs_values: Sequence[int]
+) -> bool:
+    """Whether ``request`` renders one report at every ``jobs`` value."""
+    return len({
+        render_report(run_request(request, jobs=jobs).report)
+        for jobs in jobs_values
+    }) == 1
+
+
 def plan_jobs_invariant(
     bug_ids: Sequence[str] = INVARIANCE_BUGS,
     jobs_values: Sequence[int] = (1, 2),
@@ -147,34 +135,16 @@ def plan_jobs_invariant(
 
     At a fixed ``batch_size`` the exploration schedule is defined to
     depend only on the batch size, never on worker count; seeding plan
-    candidates must preserve that (identical attempt counts and winning
-    constraints across ``jobs_values``).
+    candidates must preserve that (an identical rendered report across
+    ``jobs_values``).
     """
-    for bug_id in bug_ids:
-        spec = get_bug(bug_id)
-        seed = find_failing_seed(spec, ncpus=ncpus)
-        if seed is None:
-            return False
-        rich = _record_rich(spec, seed, ncpus)
-        plan = build_plan(rich.log)
-        replayable = _sync_projection(rich)
-        outcomes = []
-        for jobs in jobs_values:
-            report = reproduce(
-                replayable,
-                ExplorerConfig(
-                    max_attempts=max_attempts,
-                    jobs=jobs,
-                    batch_size=batch_size,
-                ),
-                plans=[plan],
-            )
-            outcomes.append(
-                (report.success, report.attempts, report.winning_constraints)
-            )
-        if any(outcome != outcomes[0] for outcome in outcomes[1:]):
-            return False
-    return True
+    return all(
+        jobs_invariant(ReproduceRequest(
+            bug_id, ncpus=ncpus, max_attempts=max_attempts,
+            batch_size=batch_size, plans=(DYNAMIC,),
+        ), jobs_values)
+        for bug_id in bug_ids
+    )
 
 
 def build_e13(obs=None) -> BenchResult:
@@ -241,6 +211,7 @@ __all__ = [
     "INVARIANCE_BUGS",
     "PredictionRow",
     "build_e13",
+    "jobs_invariant",
     "plan_jobs_invariant",
     "prediction_ablation",
     "prediction_row",

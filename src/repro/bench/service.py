@@ -29,19 +29,13 @@ import tempfile
 import time
 from typing import Dict, List, Tuple
 
-from repro.apps import get_bug
 from repro.bench.results import BenchResult
-from repro.bench.seeds import find_failing_seed
 from repro.bench.warmstore import E14_BUGS
-from repro.core.explorer import ExplorerConfig
-from repro.core.recorder import record
-from repro.core.reproducer import render_report, reproduce
-from repro.core.sketches import SketchKind
-from repro.sim import MachineConfig
-
-# repro.service is imported inside build_e15: the service's job engine
-# uses repro.bench.seeds, so a module-level import here would close an
-# import cycle through repro.bench.__init__.
+from repro.core.reproducer import render_report
+from repro.core.request import ReproduceRequest, run_request
+from repro.service.client import ServiceClient
+from repro.service.protocol import JobRequest
+from repro.service.server import ServiceThread
 
 #: Jobs per arm: the E14 bug spread, round-robin.
 E15_JOBS = 100
@@ -61,31 +55,19 @@ def _serial_references(bugs) -> Dict[str, Tuple[int, str]]:
     """Per bug: the failing seed and the serial CLI report bytes."""
     references: Dict[str, Tuple[int, str]] = {}
     for bug_id in bugs:
-        spec = get_bug(bug_id)
-        seed = find_failing_seed(spec)
-        assert seed is not None, f"{bug_id}: no failing seed"
-        recorded = record(
-            spec.make_program(),
-            sketch=SketchKind.SYNC,
-            seed=seed,
-            config=MachineConfig(ncpus=4),
-            oracle=spec.oracle,
+        recorded, _, report = run_request(
+            ReproduceRequest(bug_id, max_attempts=E15_MAX_ATTEMPTS)
         )
-        report = reproduce(
-            recorded, ExplorerConfig(max_attempts=E15_MAX_ATTEMPTS)
-        )
-        references[bug_id] = (seed, render_report(report))
+        references[bug_id] = (recorded.seed, render_report(report))
     return references
 
 
 def _run_arm(
-    client: "ServiceClient",
+    client: ServiceClient,
     references: Dict[str, Tuple[int, str]],
     n_jobs: int,
 ) -> dict:
     """Submit ``n_jobs`` round-robin, wait for all, audit every report."""
-    from repro.service.protocol import JobRequest
-
     bugs = sorted(references)
     started = time.perf_counter()
     submitted: List[Tuple[str, str]] = []  # (job_id, bug)
@@ -135,9 +117,6 @@ def build_e15(obs=None) -> BenchResult:
         serial reference reproductions charge into it, so
         ``pres bench e15 --metrics-out`` still exports engine counters.
     """
-    from repro.service.client import ServiceClient
-    from repro.service.server import ServiceThread
-
     references = _serial_references(E14_BUGS)
     arms: List[Tuple[str, dict]] = []
     with tempfile.TemporaryDirectory() as root:

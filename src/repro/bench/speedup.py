@@ -29,16 +29,13 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.apps import get_bug
 from repro.bench.results import BenchResult
-from repro.bench.seeds import find_failing_seed
 from repro.core.constraints import EventRef, OrderConstraint, canonical_order
 from repro.core.explorer import ExplorerConfig
 from repro.core.feedback import AttemptCache
-from repro.core.recorder import RecordedRun, record
+from repro.core.recorder import RecordedRun
 from repro.core.reproducer import ReproductionReport, reproduce
-from repro.core.sketches import SketchKind
-from repro.sim import MachineConfig
+from repro.core.request import ReproduceRequest, record_request
 
 #: The E12 workload: radix sort's rank-order bug with ODR-strict output
 #: matching needs several hundred attempts at this size — big enough for
@@ -105,19 +102,12 @@ def e12_workload(
     params: Optional[Dict[str, int]] = None,
     ncpus: int = E12_NCPUS,
 ) -> RecordedRun:
-    """Record the E12 production run (one recording serves every arm)."""
-    spec = get_bug(bug)
-    params = dict(E12_PARAMS if params is None else params)
-    seed = find_failing_seed(spec, ncpus=ncpus, **params)
-    if seed is None:
-        raise RuntimeError(f"{bug}: no failing production run found")
-    return record(
-        spec.make_program(**params),
-        sketch=SketchKind.SYNC,
-        seed=seed,
-        config=MachineConfig(ncpus=ncpus),
-        oracle=spec.oracle,
-    )
+    """Record the E12 production run (one recording serves every arm,
+    each reproducing it with ``match_output``, which no request sets)."""
+    return record_request(ReproduceRequest(
+        bug, params=dict(E12_PARAMS if params is None else params),
+        ncpus=ncpus,
+    ))
 
 
 def _timed_reproduce(

@@ -28,19 +28,17 @@ The harness also checks two invariances:
 
 from __future__ import annotations
 
+import dataclasses
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.analysis.static_ import analyze_program
 from repro.apps import all_bugs, get_bug
+from repro.bench.prediction import jobs_invariant
 from repro.bench.results import BenchResult
-from repro.bench.seeds import find_failing_seed
-from repro.core.explorer import ExplorerConfig
-from repro.core.recorder import RecordedRun, record
-from repro.core.reproducer import render_report, reproduce
+from repro.core.plan import STATIC
+from repro.core.request import ReproduceRequest, run_request
 from repro.core.sketches import SketchKind
-from repro.sim.machine import MachineConfig
-
-from dataclasses import dataclass
 
 #: Bugs used for the static-seeded jobs-invariance check (both carry
 #: applicable static candidates, so the check exercises the seeded
@@ -85,16 +83,6 @@ class StaticRow:
         )
 
 
-def _record_none(spec, seed: int, ncpus: int) -> RecordedRun:
-    return record(
-        spec.make_program(),
-        sketch=SketchKind.NONE,
-        seed=seed,
-        config=MachineConfig(ncpus=ncpus),
-        oracle=spec.oracle,
-    )
-
-
 def static_row(
     spec,
     max_attempts: int = 400,
@@ -102,20 +90,18 @@ def static_row(
     obs=None,
 ) -> StaticRow:
     """Run one bug through both arms of the ablation."""
-    seed = find_failing_seed(spec, ncpus=ncpus)
-    if seed is None:
-        raise RuntimeError(f"{spec.bug_id}: no failing production run found")
-    recorded = _record_none(spec, seed, ncpus)
-    plan = analyze_program(
-        spec.make_program(), failure=recorded.failure.describe()
+    request = ReproduceRequest(
+        spec.bug_id, sketch=SketchKind.NONE, ncpus=ncpus,
+        max_attempts=max_attempts,
+    ).resolved()
+    baseline = run_request(request, obs=obs).report
+    guided = run_request(
+        dataclasses.replace(request, plans=(STATIC,)), obs=obs
     )
-    config = ExplorerConfig(max_attempts=max_attempts)
-    kwargs = {} if obs is None else {"obs": obs}
-    baseline = reproduce(recorded, config, **kwargs)
-    guided = reproduce(recorded, config, plans=[plan], **kwargs)
+    plan = guided.plans[0]
     return StaticRow(
         bug_id=spec.bug_id,
-        seed=seed,
+        seed=request.seed,
         races=len(plan.races),
         violations=len(plan.violations),
         deadlocks=len(plan.deadlocks),
@@ -123,8 +109,8 @@ def static_row(
         applicable=len(plan.seeds_for(SketchKind.NONE)),
         baseline_attempts=baseline.attempts,
         baseline_success=baseline.success,
-        static_attempts=guided.attempts,
-        static_success=guided.success,
+        static_attempts=guided.report.attempts,
+        static_success=guided.report.success,
     )
 
 
@@ -166,30 +152,14 @@ def static_jobs_invariant(
     that — the *rendered report* (the byte-for-byte CLI surface) must be
     identical across ``jobs_values``.
     """
-    for bug_id in bug_ids:
-        spec = get_bug(bug_id)
-        seed = find_failing_seed(spec, ncpus=ncpus)
-        if seed is None:
-            return False
-        recorded = _record_none(spec, seed, ncpus)
-        plan = analyze_program(
-            spec.make_program(), failure=recorded.failure.describe()
-        )
-        reports = []
-        for jobs in jobs_values:
-            report = reproduce(
-                recorded,
-                ExplorerConfig(
-                    max_attempts=max_attempts,
-                    jobs=jobs,
-                    batch_size=batch_size,
-                ),
-                plans=[plan],
-            )
-            reports.append(render_report(report))
-        if any(text != reports[0] for text in reports[1:]):
-            return False
-    return True
+    return all(
+        jobs_invariant(ReproduceRequest(
+            bug_id, sketch=SketchKind.NONE, ncpus=ncpus,
+            max_attempts=max_attempts, batch_size=batch_size,
+            plans=(STATIC,),
+        ), jobs_values)
+        for bug_id in bug_ids
+    )
 
 
 def build_e16(obs=None) -> BenchResult:

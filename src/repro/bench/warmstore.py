@@ -21,16 +21,11 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import List, Optional
+from typing import List
 
-from repro.apps import get_bug
 from repro.bench.results import BenchResult
-from repro.bench.seeds import find_failing_seed
-from repro.core.explorer import ExplorerConfig
-from repro.core.recorder import record
-from repro.core.reproducer import ReproductionReport, reproduce
-from repro.core.sketches import SketchKind
-from repro.sim import MachineConfig
+from repro.core.reproducer import report_signature
+from repro.core.request import ReproduceRequest, run_request
 
 #: Suite bugs exercised by E14 — a spread of bug types, kept small
 #: enough for CI (the store contract is per-recording, not per-suite).
@@ -42,19 +37,6 @@ E14_BUGS = (
 )
 
 E14_MAX_ATTEMPTS = 200
-
-
-def _signature(report: ReproductionReport) -> tuple:
-    """Everything two equivalent reproductions must agree on."""
-    return (
-        report.success,
-        report.attempts,
-        tuple(
-            (r.outcome, r.base_seed, r.n_constraints) for r in report.records
-        ),
-        report.winning_constraints,
-        report.complete_log.to_json() if report.complete_log else None,
-    )
 
 
 def build_e14(obs=None) -> BenchResult:
@@ -70,34 +52,26 @@ def build_e14(obs=None) -> BenchResult:
     records: List[dict] = []
     all_identical = True
     zero_live_warm = True
-    config = ExplorerConfig(max_attempts=E14_MAX_ATTEMPTS)
 
     for bug_id in E14_BUGS:
-        spec = get_bug(bug_id)
-        seed = find_failing_seed(spec)
-        assert seed is not None, f"{bug_id}: no failing seed"
-        recorded = record(
-            spec.make_program(),
-            sketch=SketchKind.SYNC,
-            seed=seed,
-            config=MachineConfig(ncpus=4),
-            oracle=spec.oracle,
-        )
-        baseline = reproduce(recorded, config, obs=obs)
+        request = ReproduceRequest(
+            bug_id, max_attempts=E14_MAX_ATTEMPTS
+        ).resolved()
+        baseline = run_request(request, obs=obs).report
         with tempfile.TemporaryDirectory() as root:
             store_dir = os.path.join(root, "store")
-            cold = reproduce(recorded, config, store=store_dir, obs=obs)
-            warm = reproduce(recorded, config, store=store_dir, obs=obs)
+            cold = run_request(request, store=store_dir, obs=obs).report
+            warm = run_request(request, store=store_dir, obs=obs).report
             stats = AttemptStore(store_dir).stats()
             gc_store = AttemptStore(store_dir)
             gc_report = gc_store.gc(max(1, stats.records // 2))
-            partial = reproduce(recorded, config, store=store_dir, obs=obs)
+            partial = run_request(request, store=store_dir, obs=obs).report
 
         identical = (
-            _signature(baseline)
-            == _signature(cold)
-            == _signature(warm)
-            == _signature(partial)
+            report_signature(baseline)
+            == report_signature(cold)
+            == report_signature(warm)
+            == report_signature(partial)
         )
         warm_live = warm.attempts - warm.cache_hits
         partial_live = partial.attempts - partial.cache_hits
@@ -111,7 +85,7 @@ def build_e14(obs=None) -> BenchResult:
         records.append(
             {
                 "bug": bug_id,
-                "seed": seed,
+                "seed": request.seed,
                 "success": cold.success,
                 "attempts": cold.attempts,
                 "cold_cache_hits": cold.cache_hits,

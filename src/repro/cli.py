@@ -82,20 +82,31 @@ replay live, to a byte-identical report.
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 from typing import Optional
 
 from repro.apps import all_bugs, get_bug
 from repro.bench.seeds import find_failing_seed
-from repro.core.explorer import ExplorerConfig
 from repro.core.full_replay import CompleteLog, replay_complete
 from repro.core.diagnose import diagnose
-from repro.core.epochs import EpochConfig
 from repro.core.plan import DYNAMIC, STATIC, Plan, PlanFormatError
 from repro.core.recorder import record
-from repro.core.reproducer import render_report, reproduce
+from repro.core.reproducer import refuse_uncomposable, render_report
+from repro.core.request import (
+    ReproduceRequest,
+    record_request,
+    require_failure,
+    run_request,
+)
 from repro.core.sketches import parse_sketch_kind
-from repro.errors import RecorderKilled, SimUsageError, SketchFormatError
+from repro.errors import (
+    NoFailingRunError,
+    RecorderKilled,
+    SimUsageError,
+    SketchFormatError,
+)
 from repro.obs.session import ObsSession
 from repro.robust.atomic import atomic_write_text
 from repro.sim import MachineConfig
@@ -150,30 +161,21 @@ def _add_epoch_flags(parser: argparse.ArgumentParser) -> None:
                              "(default)")
 
 
-def _epoch_config(args) -> Optional[EpochConfig]:
-    """The :class:`EpochConfig` the epoch flags describe, or ``None``."""
-    if not args.epoch_steps and not args.epoch_window:
-        return None
-    if not args.epoch_steps:
-        raise SimUsageError(
-            "--epoch-window needs --epoch-steps (a window of epochs only "
-            "exists once boundaries are being cut)"
-        )
-    return EpochConfig(
-        steps=args.epoch_steps, window=args.epoch_window
-    ).validate()
+def _request(args, **fields) -> ReproduceRequest:
+    """The (validated) request the common flags plus ``fields`` describe."""
+    return ReproduceRequest(
+        args.bug, sketch=parse_sketch_kind(args.sketch), seed=args.seed,
+        ncpus=args.ncpus, **fields,
+    )
 
 
-def _resolve_seed(args, spec) -> Optional[int]:
-    if args.seed is not None:
-        return args.seed
-    print(f"searching for a failing production run of {spec.bug_id} ...")
-    seed = find_failing_seed(spec, ncpus=args.ncpus)
-    if seed is None:
-        print("no failing seed found within the search budget", file=sys.stderr)
-        return None
-    print(f"found failing seed {seed}")
-    return seed
+def _record(request: ReproduceRequest, **kwargs):
+    """:func:`record_request`, announcing a seed search on stdout."""
+    if request.seed is None:
+        print(f"searching for a failing production run of {request.bug} ...")
+        request = request.resolved()
+        print(f"found failing seed {request.seed}")
+    return record_request(request, **kwargs)
 
 
 def cmd_bugs(args) -> int:
@@ -208,26 +210,16 @@ def _inject_file_fault(path: str, plan) -> None:
 
 
 def cmd_record(args) -> int:
-    spec = get_bug(args.bug)
-    seed = _resolve_seed(args, spec)
-    if seed is None:
-        return 1
+    request = _request(args, epoch_steps=args.epoch_steps,
+                       epoch_window=args.epoch_window)
     fault = _parse_fault_arg(args.inject_fault)
     kill_at = fault.arg if fault is not None and fault.kind == "kill" else None
     if fault is not None and fault.kind != "kill" and not (args.journal or args.out):
         print("--inject-fault needs --journal or --out to damage", file=sys.stderr)
         return 2
     try:
-        recorded = record(
-            spec.make_program(),
-            sketch=parse_sketch_kind(args.sketch),
-            seed=seed,
-            config=MachineConfig(ncpus=args.ncpus),
-            oracle=spec.oracle,
-            journal_path=args.journal,
-            kill_at_event=kill_at,
-            epochs=_epoch_config(args),
-        )
+        recorded = _record(request, record=functools.partial(
+            record, journal_path=args.journal, kill_at_event=kill_at))
     except RecorderKilled as killed:
         print(f"fault injected: {killed}")
         if args.journal:
@@ -330,14 +322,31 @@ def _print_plan_summary(plan, sketch) -> None:
           f"candidate(s) applicable at {sketch.value}")
 
 
+def _plans(args) -> tuple:
+    """The request's plans: ``--plan``, then ``--static-plan`` or ``--static``."""
+    plans = (DYNAMIC,) if args.plan else ()
+    if args.static_plan:
+        with open(args.static_plan, "r", encoding="utf-8") as handle:
+            return plans + (Plan.from_json(handle.read()),)
+    return plans + ((STATIC,) if args.static else ())
+
+
 def cmd_reproduce(args) -> int:
-    spec = get_bug(args.bug)
-    epochs = _epoch_config(args)
-    if epochs is not None and args.degrade:
-        print("--epoch-steps does not compose with --degrade (both are "
-              "rung walks over their own exploration); drop one",
-              file=sys.stderr)
+    request = _request(
+        args, epoch_steps=args.epoch_steps, epoch_window=args.epoch_window,
+        max_attempts=args.max_attempts, batch_size=args.batch_size,
+        feedback=not args.no_feedback, degrade=args.degrade,
+        plans=_plans(args),
+    )
+    fault = _parse_fault_arg(args.inject_fault)
+    if fault is not None and fault.kind != "kill" and not args.journal:
+        print("--inject-fault needs --journal on reproduce", file=sys.stderr)
         return 2
+    if args.salvage:
+        if not args.journal:
+            print("--salvage needs --journal on reproduce", file=sys.stderr)
+            return 2
+        refuse_uncomposable(request.epochs is not None, full_history=True)
     chaos = None
     if args.chaos:
         from repro.robust.inject import parse_chaos
@@ -352,36 +361,15 @@ def cmd_reproduce(args) -> int:
             **({"max_retries": args.max_retries}
                if args.max_retries is not None else {}),
         )
-    seed = _resolve_seed(args, spec)
-    if seed is None:
-        return 1
-    sketch = parse_sketch_kind(args.sketch)
-    fault = _parse_fault_arg(args.inject_fault)
-    if fault is not None and fault.kind != "kill" and not args.journal:
-        print("--inject-fault needs --journal on reproduce", file=sys.stderr)
-        return 2
     kill_at = fault.arg if fault is not None and fault.kind == "kill" else None
     obs = _obs_from_args(args)
     try:
-        recorded = record(
-            spec.make_program(),
-            sketch=sketch,
-            seed=seed,
-            config=MachineConfig(ncpus=args.ncpus),
-            oracle=spec.oracle,
-            journal_path=args.journal,
-            kill_at_event=kill_at,
-            epochs=epochs,
-            **({"obs": obs} if obs is not None else {}),
-        )
+        recorded = require_failure(_record(request, obs=obs, record=functools.partial(
+            record, journal_path=args.journal, kill_at_event=kill_at)))
     except RecorderKilled as killed:
         print(f"fault injected: {killed}", file=sys.stderr)
         print("the recorder died before observing a failure; nothing to "
               "reproduce (salvage the journal with `pres doctor`)",
-              file=sys.stderr)
-        return 1
-    if not recorded.failed:
-        print("that production run did not fail; try another seed",
               file=sys.stderr)
         return 1
     print(f"production: {recorded.failure.describe()}")
@@ -393,18 +381,9 @@ def cmd_reproduce(args) -> int:
 
     salvaged_entries = None
     dropped_records = 0
-    if epochs is not None and (args.salvage or args.plan or args.static
-                               or args.static_plan):
-        print("--epoch-steps does not compose with --salvage/--plan/"
-              "--static (those operate on full-history logs; the epoch "
-              "walk replays windowed suffixes)", file=sys.stderr)
-        return 2
     if fault is not None and fault.kind != "kill":
         _inject_file_fault(args.journal, fault)
     if args.salvage:
-        if not args.journal:
-            print("--salvage needs --journal on reproduce", file=sys.stderr)
-            return 2
         import dataclasses
 
         from repro.robust.journal import load_sketch_journal
@@ -417,61 +396,20 @@ def cmd_reproduce(args) -> int:
             salvaged_entries = len(log)
             dropped_records = salvage_report.dropped_lines
 
-    plans = []
-    if args.plan:
-        from repro.core.sketches import SketchKind
-        from repro.sanitize import build_plan
-
-        # Re-record the same production run (same seed, deterministic)
-        # at RW fidelity: the sanitizer reads rich, the replayer follows
-        # the cheap sketch the user asked for.
-        rich = record(
-            spec.make_program(),
-            sketch=SketchKind.RW,
-            seed=seed,
-            config=MachineConfig(ncpus=args.ncpus),
-            oracle=spec.oracle,
-        )
-        plans.append(build_plan(rich.log))
-
-    if args.static_plan:
-        with open(args.static_plan, "r", encoding="utf-8") as handle:
-            plans.append(Plan.from_json(handle.read()))
-        if plans[-1].provenance != STATIC:
-            raise PlanFormatError(
-                f"{args.static_plan} holds a {plans[-1].provenance} plan; "
-                "--static-plan takes `pres analyze BUG --static --out` output"
-            )
-    elif args.static:
-        from repro.analysis.static_ import analyze_program
-
-        # The recorded failure message is the SysPro-style artifact: it
-        # narrows the static candidates to the failure's def-use slice.
-        plans.append(analyze_program(
-            spec.make_program(),
-            failure=recorded.failure.describe(),
-        ))
-    for plan in plans:
-        _print_plan_summary(plan, sketch)
-
-    config = ExplorerConfig(
-        max_attempts=args.max_attempts,
+    result = run_request(
+        request,
+        recorded=recorded,
         jobs=args.jobs,
-        batch_size=args.batch_size,
-    )
-    report = reproduce(
-        recorded,
-        config,
-        use_feedback=not args.no_feedback,
         store=args.store,
         obs=obs,
-        plans=plans,
         supervise=supervise,
         chaos=chaos,
-        degrade=args.degrade,
         salvaged_entries=salvaged_entries,
         dropped_records=dropped_records,
     )
+    for plan in result.plans:
+        _print_plan_summary(plan, request.sketch)
+    report = result.report
     if args.degrade or recorded.epochs is not None:
         for rung in report.degradation_path + report.epoch_path:
             print(f"  rung {rung.describe()}")
@@ -510,38 +448,26 @@ def cmd_reproduce(args) -> int:
     if args.exec_out:
         from repro.sim.persist import save_trace
 
-        trace = replay_complete(
-            spec.make_program(), report.complete_log, oracle=spec.oracle
-        )
-        save_trace(trace, args.exec_out)
+        save_trace(_replay(request, report), args.exec_out)
         print(f"reproduced execution written to {args.exec_out}")
     return 0
 
 
-def cmd_diagnose(args) -> int:
-    spec = get_bug(args.bug)
-    seed = _resolve_seed(args, spec)
-    if seed is None:
-        return 1
-    sketch = parse_sketch_kind(args.sketch)
-    recorded = record(
-        spec.make_program(),
-        sketch=sketch,
-        seed=seed,
-        config=MachineConfig(ncpus=args.ncpus),
-        oracle=spec.oracle,
+def _replay(request: ReproduceRequest, report):
+    """The reproduced execution: the winning schedule replayed in full."""
+    spec = get_bug(request.bug)
+    return replay_complete(
+        spec.make_program(), report.complete_log, oracle=spec.oracle
     )
-    if not recorded.failed:
-        print("that production run did not fail", file=sys.stderr)
-        return 1
-    report = reproduce(recorded, ExplorerConfig(max_attempts=args.max_attempts))
+
+
+def cmd_diagnose(args) -> int:
+    request = _request(args, max_attempts=args.max_attempts)
+    report = run_request(request, recorded=_record(request)).report
     if not report.success:
         print("could not reproduce the failure", file=sys.stderr)
         return 1
-    trace = replay_complete(
-        spec.make_program(), report.complete_log, oracle=spec.oracle
-    )
-    print(diagnose(trace).render())
+    print(diagnose(_replay(request, report)).render())
     return 0
 
 
@@ -582,6 +508,11 @@ def cmd_bench(args) -> int:
         for name in available_experiments():
             print(name)
         return 0
+    if args.json and not os.path.isdir(args.json_dir):
+        # Refuse before the experiment runs, not after its whole table.
+        print(f"error: --json-dir {args.json_dir} is not a directory",
+              file=sys.stderr)
+        return 2
     obs = _obs_from_args(args)
     try:
         result = run_experiment_result(args.experiment, obs=obs)
@@ -660,8 +591,6 @@ def cmd_replay(args) -> int:
 
 
 def cmd_doctor(args) -> int:
-    import os
-
     from repro.robust.doctor import (
         SALVAGEABLE,
         diagnosis_metrics,
@@ -1115,6 +1044,9 @@ def main(argv: Optional[list] = None) -> int:
     except SimUsageError as exc:  # flags whose walks do not compose
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NoFailingRunError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except ValueError as exc:  # bad --sketch / --inject-fault / --chaos spec
         print(exc, file=sys.stderr)
         return 2

@@ -13,10 +13,11 @@ The usual flow::
     assert report.success and report.attempts <= 10
     trace = replay_complete(program, report.complete_log)   # every time
 
-:func:`reproduce` is the one entry point.  It walks a list of *rungs*,
-each a recorded run plus a share of the attempt budget: one full-history
-rung by default, the epoch ladder when the recording is epoch-windowed,
-and the sketch degradation ladder with ``degrade=True``.
+:func:`reproduce` explores a recording (``run_request`` makes one from
+a request).  It walks a list of *rungs*, each a recorded run plus a
+share of the attempt budget: one full-history rung by default, the epoch
+ladder for an epoch-windowed recording, and the sketch degradation
+ladder with ``degrade=True``.
 """
 
 from __future__ import annotations
@@ -376,7 +377,7 @@ def reproduce(
     salvaged_entries: Optional[int] = None,
     dropped_records: int = 0,
 ) -> ReproductionReport:
-    """Reproduce a recorded failure: the one reproduction entry point.
+    """Reproduce a recorded failure: the engine's entry point.
 
     The session walks a list of rungs, each a recorded run explored by
     :class:`Reproducer` under a share of ``config.max_attempts``:
@@ -457,23 +458,13 @@ def reproduce(
     :param salvaged_entries: entry count recovered by salvage, recorded
         on the report for the bug ticket (``None`` = log was pristine).
     :param dropped_records: journal lines salvage had to discard.
-    :raises SimUsageError: for walks that do not compose — ``degrade``
-        with an epoch-windowed recording, or ``plans``/salvage accounting
-        with an epoch-windowed recording (those describe full-history
-        logs).
+    :raises SimUsageError: for walks that do not compose with an
+        epoch-windowed recording (see :func:`refuse_uncomposable`).
     """
     windowed = recorded.epochs is not None
-    if degrade and windowed:
-        raise SimUsageError(
-            "degrade does not compose with an epoch-windowed recording "
-            "(both are rung walks over their own exploration)"
-        )
-    if windowed and (plans or salvaged_entries is not None
-                     or dropped_records):
-        raise SimUsageError(
-            "plans and salvage describe full-history logs; an "
-            "epoch-windowed recording replays windowed suffixes"
-        )
+    refuse_uncomposable(windowed, bool(
+        degrade or plans or dropped_records or salvaged_entries is not None
+    ))
     config = config or ExplorerConfig()
     if jobs is not None:
         config = dataclasses.replace(config, jobs=jobs)
@@ -497,6 +488,18 @@ def reproduce(
     finally:
         if close_after is not None:
             close_after.close()
+
+
+def refuse_uncomposable(windowed: bool, full_history: bool) -> None:
+    """Refuse a walk over full-history logs (degrade, plans, salvage) of
+    an epoch-windowed recording: the one home of this rule, shared by
+    :func:`reproduce` and :class:`~repro.core.request.ReproduceRequest`."""
+    if windowed and full_history:
+        raise SimUsageError(
+            "--epoch-steps does not compose with --degrade/--salvage/--plan/"
+            "--static (they walk full-history logs; the epoch walk replays "
+            "windowed suffixes)"
+        )
 
 
 @dataclass

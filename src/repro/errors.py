@@ -95,5 +95,10 @@ class RecorderKilled(ReproError):
         self.at_event = at_event
 
 
+class NoFailingRunError(ReproError):
+    """A request has no failing production run to reproduce: the seed
+    search found none, or the given seed's run did not fail."""
+
+
 class BudgetExceededError(ReproError):
     """A reproduction session ran out of its attempt or step budget."""

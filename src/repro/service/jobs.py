@@ -34,15 +34,12 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, Optional
 
 from repro.apps import get_bug
-from repro.bench.seeds import find_failing_seed
-from repro.core.explorer import ExplorerConfig
 from repro.core.parallel import PoolLease
 from repro.core.recorder import record
 from repro.core.reproducer import render_report, reproduce
-from repro.core.sketches import parse_sketch_kind
+from repro.core.request import run_request
 from repro.obs.metrics import MetricsRegistry
 from repro.service.protocol import JobRequest, ProtocolError
-from repro.sim import MachineConfig
 from repro.store.persistent import PersistentAttemptCache
 
 __all__ = ["Job", "JobManager", "BackpressureError"]
@@ -242,9 +239,6 @@ class JobManager:
         else:
             if job.cancel_requested:
                 self._settle(job, CANCELLED)
-            elif outcome.get("error"):
-                job.error = str(outcome["error"])
-                self._settle(job, FAILED)
             else:
                 job.result = outcome
                 # Aggregate engine totals, charged here (loop thread) so
@@ -279,38 +273,23 @@ class JobManager:
     def _execute(self, job: Job) -> Dict[str, object]:
         """The whole pipeline for one job: seed -> record -> reproduce.
 
-        Runs on a worker thread.  Returns a result document; a pipeline
-        that cannot produce a report returns ``{"error": ...}`` instead
-        of raising, so expected outcomes ("no failing seed") read as
-        job-level failures, not server faults.
+        Runs on a worker thread and returns the result document.  A job
+        with no failing run raises, and :meth:`_finish` files it as
+        ``failed`` with the error.
         """
         request = job.request
-        spec = get_bug(request.bug)
-        seed = request.seed
-        if seed is None:
-            seed = find_failing_seed(spec, ncpus=request.ncpus)
-            if seed is None:
-                return {"error": "no failing seed found within the search budget"}
-        recorded = record(
-            spec.make_program(),
-            sketch=parse_sketch_kind(request.sketch),
-            seed=seed,
-            config=MachineConfig(ncpus=request.ncpus),
-            oracle=spec.oracle,
-        )
-        if not recorded.failed:
-            return {"error": f"seed {seed} did not fail; nothing to reproduce"}
         jobs = request.jobs or self.default_jobs
-        config = ExplorerConfig(max_attempts=request.max_attempts, jobs=jobs)
-        report = reproduce(
-            recorded,
-            config,
+        result = run_request(
+            request.reproduce_request(), jobs=jobs,
             cache=self._cache_for(request.tenant),
             pool=self.lease if jobs > 1 else None,
+            # This module's names, so a profiler or a test can wrap them.
+            record=record, reproduce=reproduce,
         )
+        report = result.report
         return {
             "bug": request.bug,
-            "seed": seed,
+            "seed": result.recorded.seed,
             "success": report.success,
             "attempts": report.attempts,
             "cache_hits": report.cache_hits,

@@ -18,6 +18,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.core.request import ReproduceRequest
+from repro.core.sketches import parse_sketch_kind
+from repro.errors import SimUsageError
+
 __all__ = [
     "Route",
     "ROUTES",
@@ -30,9 +34,6 @@ __all__ = [
 #: Tenant namespaces double as store subdirectories, so the charset is
 #: restricted to names that are safe as a single path component.
 TENANT_RE = re.compile(r"^[a-z0-9][a-z0-9_-]{0,31}$")
-
-#: Sketch kinds a job may request (mirrors ``pres record --sketch``).
-SKETCH_KINDS = ("none", "sync", "sys", "func", "bb", "rw")
 
 
 @dataclass(frozen=True)
@@ -138,22 +139,32 @@ class JobRequest:
             raise ProtocolError(
                 400, f"tenant: must match {TENANT_RE.pattern!r}"
             )
-        if self.sketch not in SKETCH_KINDS:
-            raise ProtocolError(
-                400, f"sketch: must be one of {', '.join(SKETCH_KINDS)}"
-            )
+        if not isinstance(self.sketch, str):
+            raise ProtocolError(400, "sketch: must be a string")
         if self.seed is not None and not _is_int(self.seed):
             raise ProtocolError(400, "seed: must be an integer or null")
-        if not _is_int(self.max_attempts) or self.max_attempts < 1:
-            raise ProtocolError(400, "max_attempts: must be a positive integer")
+        if not _is_int(self.max_attempts):
+            raise ProtocolError(400, "max_attempts: must be an integer")
         if not _is_int(self.jobs) or self.jobs < 0:
             raise ProtocolError(400, "jobs: must be a non-negative integer")
-        if not _is_int(self.ncpus) or not 1 <= self.ncpus <= 64:
-            raise ProtocolError(400, "ncpus: must be an integer in [1, 64]")
+        if not _is_int(self.ncpus) or self.ncpus > 64:
+            raise ProtocolError(400, "ncpus: must be an integer of at most 64")
         if not isinstance(self.meta, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in self.meta.items()
         ):
             raise ProtocolError(400, "meta: must map strings to strings")
+        try:
+            self.reproduce_request()
+        except (SimUsageError, ValueError) as exc:  # ValueError: sketch
+            raise ProtocolError(400, str(exc)) from None
+
+    def reproduce_request(self) -> ReproduceRequest:
+        """What ``pres reproduce`` builds from the same flags; its rules
+        answer 400 at parse time, before a job exists."""
+        return ReproduceRequest(
+            self.bug, sketch=parse_sketch_kind(self.sketch), seed=self.seed,
+            ncpus=self.ncpus, max_attempts=self.max_attempts,
+        )
 
     @classmethod
     def from_json(cls, body: bytes) -> "JobRequest":

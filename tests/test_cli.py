@@ -124,6 +124,24 @@ class TestBench:
         assert len(payload["records"]) == 13
         assert all("failure_rate" in record for record in payload["records"])
 
+    @pytest.mark.parametrize("target", ["missing", "a-file"])
+    def test_bad_json_dir_is_refused_before_the_experiment_runs(
+        self, capsys, tmp_path, monkeypatch, target
+    ):
+        from repro.bench import runner
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the experiment ran before --json-dir was checked")
+
+        monkeypatch.setattr(runner, "run_experiment_result", must_not_run)
+        (tmp_path / "a-file").write_text("", encoding="utf-8")
+        json_dir = tmp_path / target
+        assert main(["bench", "t1", "--json", "--json-dir", str(json_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "--json-dir" in err
+        assert not (tmp_path / "missing").exists()
+
 
 class TestExecOut:
     def test_reproduce_saves_execution(self, capsys, tmp_path):

@@ -8,8 +8,7 @@ to flip on the next attempt.
 
 Also here: vector clocks, a lockset detector (used to lift flip points for
 lock-protected accesses up to the lock acquisitions), Goodlock lock-order
-analysis (with gate-lock suppression), wait-for-graph deadlock analysis
-and trace diffing.
+analysis (with gate-lock suppression) and trace diffing.
 
 The *predictive* entry points of :mod:`repro.sanitize` (which run the
 same families of analyses over recorded sketch logs instead of traces)
@@ -39,7 +38,6 @@ from repro.analysis.lockorder import (
 from repro.analysis.timeline import failure_window, render_timeline
 from repro.analysis.tracediff import Divergence, first_divergence, same_execution
 from repro.analysis.vector_clock import VectorClock
-from repro.analysis.waitfor import WaitForGraph
 
 #: sanitize entry points re-exported lazily (PEP 562): importing them
 #: eagerly would create a cycle, because repro.sanitize modules import
@@ -76,7 +74,6 @@ __all__ = [
     "RacePair",
     "SketchHB",
     "VectorClock",
-    "WaitForGraph",
     "analyze_program",
     "build_plan",
     "collect_lock_order",

@@ -318,17 +318,6 @@ class ConstraintGate:
                 return True
         return False
 
-    def all_satisfiable_by(self, finished_tids: Iterable[int]) -> bool:
-        """Sanity: a ``before`` owned by a finished thread can never fire."""
-        finished = set(finished_tids)
-        for constraint in self.constraints:
-            if (
-                not self.counter.executed(constraint.before)
-                and constraint.before.tid in finished
-            ):
-                return False
-        return True
-
 
 class RefState:
     """A :class:`RefIndex` after a trace's first :attr:`events` events:

@@ -88,8 +88,6 @@ class ExplorerConfig:
     max_attempts: int = 200
     base_seed: int = 0
     seed_restarts: int = 16
-    max_candidates_per_attempt: int = 24
-    max_constraint_depth: int = 8
     #: replay workers.  1 = serial: the engine evaluates every batch
     #: in-process; N > 1 dispatches attempt batches to a process pool
     #: (see :mod:`repro.core.parallel`).  Exploration results are
@@ -100,13 +98,6 @@ class ExplorerConfig:
     #: a pool.  Any fixed value gives the same schedule at every ``jobs``,
     #: and ``batch_size=1`` is the serial (``jobs=1``) schedule.
     batch_size: int = 0
-    #: collect spans for this exploration (see :mod:`repro.obs`) when no
-    #: explicit :class:`~repro.obs.session.ObsSession` is passed in.
-    trace: bool = False
-    #: collect metrics (counters/gauges/histograms) likewise.  Counter
-    #: and histogram values are identical for every ``jobs`` at a fixed
-    #: ``batch_size`` — the metrics face of the determinism contract.
-    metrics: bool = False
     #: ``(provenance, constraints)`` pairs pre-seeded by the predictive
     #: passes (:meth:`repro.core.plan.Plan.seeds_for`), each plan's in
     #: rank order.  Dynamic seeds are explored right after the root empty

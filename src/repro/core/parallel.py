@@ -115,7 +115,7 @@ from repro.core.prefix import (
     restore_machine,
 )
 from repro.core.recorder import RecordedRun, apply_oracle
-from repro.obs.session import ObsSession, resolve_session
+from repro.obs.session import NULL_SESSION, ObsSession
 from repro.obs.tracer import NULL_TRACER, PARENT_TRACK, SpanRecord, Tracer
 from repro.robust.inject import ChaosInjector, ChaosSpec, parse_chaos
 from repro.robust.supervise import Supervisor, SuperviseConfig
@@ -169,8 +169,6 @@ class AttemptContext:
     recorded: RecordedRun
     base_policy: str = "random"
     match_output: bool = False
-    max_candidates_per_attempt: int = 24
-    max_constraint_depth: int = 8
     #: canonical-order memo so each distinct constraint set is sorted
     #: once per session, not once per replay.
     sorted_cache: Dict[ConstraintSet, Tuple] = field(default_factory=dict)
@@ -388,11 +386,7 @@ def evaluate_attempt(
             schedule = tuple(trace.schedule)
         elif mine and fingerprint not in known:
             with tracer.span("mine", category="feedback"):
-                generator = FeedbackGenerator(
-                    sketch=ctx.recorded.sketch,
-                    max_candidates_per_attempt=ctx.max_candidates_per_attempt,
-                    max_constraint_depth=ctx.max_constraint_depth,
-                )
+                generator = FeedbackGenerator(sketch=ctx.recorded.sketch)
                 candidates = tuple(
                     generator.candidates(
                         trace, constraints, inherited, checkpoints
@@ -603,13 +597,11 @@ class ParallelExplorer:
         epoch_base: Optional[EpochResumeBase] = None,
     ) -> None:
         self.config = config or ExplorerConfig()
-        self.obs = resolve_session(self.config, obs)
+        self.obs = obs or NULL_SESSION
         self.context = AttemptContext(
             recorded=recorded,
             base_policy=base_policy,
             match_output=match_output,
-            max_candidates_per_attempt=self.config.max_candidates_per_attempt,
-            max_constraint_depth=self.config.max_constraint_depth,
             trace_attempts=self.obs.tracer.enabled,
             trace_epoch=self.obs.tracer.epoch,
             epoch_base=epoch_base,

@@ -41,7 +41,7 @@ from repro.core.recorder import RecordedRun
 from repro.core.sketches import SKETCH_ORDER, SketchKind
 from repro.core.sketchlog import derive_coarser
 from repro.errors import SimUsageError
-from repro.obs.session import ObsSession, resolve_session
+from repro.obs.session import NULL_SESSION, ObsSession
 from repro.robust.supervise import SuperviseConfig
 
 #: base-seed offset between consecutive rungs of a walk
@@ -260,7 +260,7 @@ class Reproducer:
                 (plan.provenance, seed)
                 for plan, seeds in self.plans for seed in seeds
             ))
-        self.obs = resolve_session(self.config, obs)
+        self.obs = obs or NULL_SESSION
         #: ``match_output`` is ODR-style strictness: besides re-triggering
         #: the failure, an attempt must reproduce the production run's
         #: observable output.
@@ -426,9 +426,8 @@ def reproduce(
         :meth:`~repro.store.attempt_store.AttemptStore.expire_epochs`).
         Mutually exclusive with ``cache``.
     :param obs: optional :class:`~repro.obs.session.ObsSession` shared by
-        every rung, so the exported timeline shows the whole walk;
-        defaults to the ``config.trace`` / ``config.metrics`` knobs (off
-        = zero cost).
+        every rung, so the exported timeline shows the whole walk; off
+        (zero cost) when not given.
     :param plans: predictive :class:`~repro.core.plan.Plan` s whose
         candidates applicable at each rung's sketch seed the search.  A
         ``dynamic`` plan (:func:`repro.sanitize.build_plan`) seeds the
@@ -468,7 +467,7 @@ def reproduce(
     config = config or ExplorerConfig()
     if jobs is not None:
         config = dataclasses.replace(config, jobs=jobs)
-    session = resolve_session(config, obs)
+    session = obs or NULL_SESSION
     cache, close_after = _resolve_store(store, cache)
     try:
         rungs = _rungs(recorded, degrade)

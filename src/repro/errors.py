@@ -98,7 +98,3 @@ class RecorderKilled(ReproError):
 class NoFailingRunError(ReproError):
     """A request has no failing production run to reproduce: the seed
     search found none, or the given seed's run did not fail."""
-
-
-class BudgetExceededError(ReproError):
-    """A reproduction session ran out of its attempt or step budget."""

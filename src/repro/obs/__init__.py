@@ -21,10 +21,9 @@ the same point) — this package is that tooling for the reproduction:
   the codebase threads around, with :data:`NULL_SESSION` as the
   zero-cost default.
 
-Entry points: ``reproduce(..., obs=...)`` /
-``ExplorerConfig(trace=True, metrics=True)`` in code, and
-``pres reproduce --trace-out t.json --metrics-out m.json`` plus
-``pres inspect t.json`` on the command line.  See
+Entry points: ``reproduce(..., obs=...)`` (or ``run_request(...,
+obs=...)``) in code, and ``pres reproduce --trace-out t.json
+--metrics-out m.json`` plus ``pres inspect t.json`` on the command line.  See
 ``docs/observability.md`` for the guided tour.
 """
 
@@ -49,7 +48,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.session import NULL_SESSION, ObsSession, resolve_session
+from repro.obs.session import NULL_SESSION, ObsSession
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER, SpanRecord, Tracer
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "render_phases",
     "render_totals",
     "render_trace",
-    "resolve_session",
     "save_chrome_trace",
     "validate_trace_event",
 ]

@@ -10,7 +10,6 @@ makes "observability off" the zero-cost default — callers never
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
 
 from repro.obs.export import save_chrome_trace
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -50,21 +49,3 @@ class ObsSession:
 
 #: The shared disabled session: a null tracer and a null registry.
 NULL_SESSION = ObsSession(tracer=NULL_TRACER, metrics=NULL_METRICS)
-
-
-def resolve_session(config: Any, obs: Optional[ObsSession]) -> ObsSession:
-    """The session a pipeline stage should use.
-
-    An explicit ``obs`` wins; otherwise the ``trace`` / ``metrics`` knobs
-    on an :class:`~repro.core.explorer.ExplorerConfig`-shaped config turn
-    a fresh session on (looked up with ``getattr`` so this module keeps
-    no import edge into :mod:`repro.core`); otherwise the shared
-    :data:`NULL_SESSION`.
-    """
-    if obs is not None:
-        return obs
-    trace = bool(getattr(config, "trace", False))
-    metrics = bool(getattr(config, "metrics", False))
-    if trace or metrics:
-        return ObsSession.create(trace=trace, metrics=metrics)
-    return NULL_SESSION

@@ -26,22 +26,6 @@ def region_of(addr: Address) -> Address:
     return addr
 
 
-def addresses_conflict(a: Address, b: Address) -> bool:
-    """Whether two accesses to these addresses can race.
-
-    Exact equality conflicts; additionally a scalar address that names a
-    region conflicts with every cell of that region, because freeing the
-    region (addressed by its name) conflicts with any access to its cells.
-    """
-    if a == b:
-        return True
-    if isinstance(a, tuple) and not isinstance(b, tuple):
-        return region_of(a) == b
-    if isinstance(b, tuple) and not isinstance(a, tuple):
-        return region_of(b) == a
-    return False
-
-
 class SharedMemory:
     """The machine's shared address space."""
 

@@ -337,13 +337,6 @@ def trace_from_salvage(report) -> Trace:
     )
 
 
-def load_trace_journaled(path: str) -> Trace:
-    """Strict journal load; raises on any damage."""
-    from repro.robust.journal import read_journal
-
-    return trace_from_salvage(read_journal(path))
-
-
 def salvage_trace(path: str) -> Tuple[Trace, Any]:
     """Tolerant journal load: best-effort trace plus the salvage report."""
     from repro.robust.journal import salvage

@@ -1,6 +1,6 @@
-"""Tests for trace diffing and wait-for graphs."""
+"""Tests for trace diffing."""
 
-from repro.analysis import WaitForGraph, first_divergence, same_execution
+from repro.analysis import first_divergence, same_execution
 from repro.sim import FixedOrderScheduler, Machine
 
 from tests.conftest import counter_program, run_program
@@ -39,41 +39,3 @@ class TestTraceDiff:
             counter_program(), FixedOrderScheduler(original.schedule)
         ).run()
         assert same_execution(original, replay, check_values=True)
-
-
-class TestWaitForGraph:
-    def test_no_cycle_in_chain(self):
-        g = WaitForGraph()
-        g.add_wait(1, 2, "m1")
-        g.add_wait(2, 3, "m2")
-        assert g.find_cycle() == []
-        assert "no deadlock" in g.describe()
-
-    def test_two_cycle(self):
-        g = WaitForGraph()
-        g.add_wait(1, 2, "A")
-        g.add_wait(2, 1, "B")
-        cycle = g.find_cycle()
-        assert sorted(cycle) == [1, 2]
-        assert g.cycle_resources() == ["A", "B"]
-        assert "deadlock" in g.describe()
-
-    def test_three_cycle_with_tail(self):
-        g = WaitForGraph()
-        g.add_wait(0, 1, "t")  # tail into the cycle
-        g.add_wait(1, 2, "x")
-        g.add_wait(2, 3, "y")
-        g.add_wait(3, 1, "z")
-        cycle = g.find_cycle()
-        assert sorted(cycle) == [1, 2, 3]
-
-    def test_self_wait_is_a_cycle(self):
-        g = WaitForGraph()
-        g.add_wait(5, 5, "m")
-        assert g.find_cycle() == [5]
-
-    def test_waiting_pairs_sorted(self):
-        g = WaitForGraph()
-        g.add_wait(3, 1)
-        g.add_wait(1, 2)
-        assert g.waiting_pairs() == [(1, 2), (3, 1)]

@@ -175,7 +175,8 @@ def find_seed(program: Program, want_failure: bool = True, limit: int = 300) -> 
     )
 
 
-def explore_stub(monkeypatch, runner, config, sketch, use_feedback=True):
+def explore_stub(monkeypatch, runner, config, sketch, use_feedback=True,
+                 obs=None):
     """Run the exploration engine with ``runner`` standing in for replay.
 
     ``runner(constraints, seed) -> (trace, matched)`` replaces
@@ -199,7 +200,7 @@ def explore_stub(monkeypatch, runner, config, sketch, use_feedback=True):
     monkeypatch.setattr(parallel, "run_attempt", stub)
     recorded = record(counter_program(), sketch=sketch, seed=0)
     explorer = parallel.ParallelExplorer(
-        recorded, config, use_feedback=use_feedback
+        recorded, config, use_feedback=use_feedback, obs=obs
     )
     return explorer, explorer.explore()
 

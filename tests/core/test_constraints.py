@@ -106,20 +106,6 @@ class TestConstraintGate:
         gate.observe(mem_event(0, 2, OpKind.READ, "x"))
         assert gate.blocks(2, ctx.read("x"))  # 2nd access gated
 
-    def test_satisfiability_check(self):
-        gate = ConstraintGate(
-            [
-                OrderConstraint(
-                    before=EventRef(1, "mem", "x", 1),
-                    after=EventRef(2, "mem", "x", 1),
-                )
-            ]
-        )
-        assert gate.all_satisfiable_by(finished_tids=[])
-        assert not gate.all_satisfiable_by(finished_tids=[1])
-        gate.observe(mem_event(0, 1, OpKind.WRITE, "x"))
-        assert gate.all_satisfiable_by(finished_tids=[1])
-
 
 class TestRefIndex:
     def test_indexes_memory_and_lock_events(self):

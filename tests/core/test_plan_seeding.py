@@ -8,6 +8,7 @@ from repro.core.plan import DYNAMIC
 from repro.core.recorder import record
 from repro.core.reproducer import Reproducer, reproduce
 from repro.core.sketches import SketchKind
+from repro.obs.session import ObsSession
 from repro.sanitize import build_plan
 from repro.sim import Program
 from repro.sim.failures import Failure, FailureKind
@@ -98,11 +99,10 @@ class TestSerialExplorer:
         def runner(constraints, seed):
             return _trace(failed=bool(constraints)), bool(constraints)
 
-        config = ExplorerConfig(
-            max_attempts=4, plan_seeds=DYNAMIC_SEEDS, metrics=True
-        )
+        config = ExplorerConfig(max_attempts=4, plan_seeds=DYNAMIC_SEEDS)
         explorer, result = explore_stub(
-            monkeypatch, runner, config, SketchKind.SYNC
+            monkeypatch, runner, config, SketchKind.SYNC,
+            obs=ObsSession.create(trace=False, metrics=True),
         )
         assert result.success
         assert result.winning_constraints == SEEDS[0]
@@ -114,11 +114,10 @@ class TestSerialExplorer:
         def runner(constraints, seed):
             return _trace(failed=True), True  # attempt 1 wins outright
 
-        config = ExplorerConfig(
-            max_attempts=4, plan_seeds=DYNAMIC_SEEDS, metrics=True
-        )
+        config = ExplorerConfig(max_attempts=4, plan_seeds=DYNAMIC_SEEDS)
         explorer, result = explore_stub(
-            monkeypatch, runner, config, SketchKind.SYNC
+            monkeypatch, runner, config, SketchKind.SYNC,
+            obs=ObsSession.create(trace=False, metrics=True),
         )
         assert result.success
         assert result.attempt_count == 1

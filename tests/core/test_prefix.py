@@ -227,8 +227,6 @@ def _context(bug_id: str) -> AttemptContext:
         recorded=recorded,
         base_policy="random",
         match_output=False,
-        max_candidates_per_attempt=24,
-        max_constraint_depth=8,
     )
 
 

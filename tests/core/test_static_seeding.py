@@ -16,6 +16,7 @@ from repro.core.plan import DYNAMIC, STATIC
 from repro.core.recorder import record
 from repro.core.reproducer import reproduce
 from repro.core.sketches import SketchKind
+from repro.obs.session import ObsSession
 from repro.sim.failures import Failure, FailureKind
 from repro.sim.trace import Trace
 
@@ -140,11 +141,10 @@ class TestSerialExplorer:
         def runner(constraints, seed):
             return _trace(failed=bool(constraints)), bool(constraints)
 
-        config = ExplorerConfig(
-            max_attempts=4, plan_seeds=STATIC_SEEDS, metrics=True
-        )
+        config = ExplorerConfig(max_attempts=4, plan_seeds=STATIC_SEEDS)
         explorer, result = explore_stub(
-            monkeypatch, runner, config, SketchKind.NONE
+            monkeypatch, runner, config, SketchKind.NONE,
+            obs=ObsSession.create(trace=False, metrics=True),
         )
         assert result.success
         assert result.winning_constraints == STATICS[0]
@@ -163,11 +163,10 @@ class TestSerialExplorer:
                 seen.append(constraints)
                 return _trace(), False
 
-            config = ExplorerConfig(
-                max_attempts=5, plan_seeds=plan_seeds, metrics=True
-            )
+            config = ExplorerConfig(max_attempts=5, plan_seeds=plan_seeds)
             explorer, _ = explore_stub(
-                monkeypatch, runner, config, SketchKind.NONE
+                monkeypatch, runner, config, SketchKind.NONE,
+                obs=ObsSession.create(trace=False, metrics=True),
             )
             assert seen[:2] == [frozenset(), STATICS[0]]
             assert seen.count(STATICS[0]) == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimMemoryError
-from repro.sim.memory import SharedMemory, addresses_conflict, region_of
+from repro.sim.memory import SharedMemory, region_of
 
 
 class TestBasicAccess:
@@ -144,18 +144,3 @@ class TestAddressHelpers:
 
     def test_region_of_scalar_is_itself(self):
         assert region_of("x") == "x"
-
-    @pytest.mark.parametrize(
-        "a, b, conflict",
-        [
-            ("x", "x", True),
-            ("x", "y", False),
-            (("buf", 0), ("buf", 0), True),
-            (("buf", 0), ("buf", 1), False),
-            (("buf", 0), "buf", True),  # cell vs region free
-            ("buf", ("buf", 5), True),
-            (("a", 0), "b", False),
-        ],
-    )
-    def test_addresses_conflict(self, a, b, conflict):
-        assert addresses_conflict(a, b) is conflict

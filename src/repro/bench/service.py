@@ -51,12 +51,12 @@ def _percentile(values: List[float], fraction: float) -> float:
     return ordered[rank]
 
 
-def _serial_references(bugs) -> Dict[str, Tuple[int, str]]:
+def _serial_references(bugs, obs=None) -> Dict[str, Tuple[int, str]]:
     """Per bug: the failing seed and the serial CLI report bytes."""
     references: Dict[str, Tuple[int, str]] = {}
     for bug_id in bugs:
         recorded, _, report = run_request(
-            ReproduceRequest(bug_id, max_attempts=E15_MAX_ATTEMPTS)
+            ReproduceRequest(bug_id, max_attempts=E15_MAX_ATTEMPTS), obs=obs
         )
         references[bug_id] = (recorded.seed, render_report(report))
     return references
@@ -117,7 +117,7 @@ def build_e15(obs=None) -> BenchResult:
         serial reference reproductions charge into it, so
         ``pres bench e15 --metrics-out`` still exports engine counters.
     """
-    references = _serial_references(E14_BUGS)
+    references = _serial_references(E14_BUGS, obs)
     arms: List[Tuple[str, dict]] = []
     with tempfile.TemporaryDirectory() as root:
         with ServiceThread(

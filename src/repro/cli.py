@@ -169,13 +169,16 @@ def _request(args, **fields) -> ReproduceRequest:
     )
 
 
-def _record(request: ReproduceRequest, **kwargs):
-    """:func:`record_request`, announcing a seed search on stdout."""
+def _record(request: ReproduceRequest, journal=None, fault=None, obs=None):
+    """:func:`record_request` under the journal flags, announcing a seed
+    search on stdout."""
     if request.seed is None:
         print(f"searching for a failing production run of {request.bug} ...")
         request = request.resolved()
         print(f"found failing seed {request.seed}")
-    return record_request(request, **kwargs)
+    kill_at = fault.arg if fault is not None and fault.kind == "kill" else None
+    return record_request(request, obs=obs, record=functools.partial(
+        record, journal_path=journal, kill_at_event=kill_at))
 
 
 def cmd_bugs(args) -> int:
@@ -213,13 +216,11 @@ def cmd_record(args) -> int:
     request = _request(args, epoch_steps=args.epoch_steps,
                        epoch_window=args.epoch_window)
     fault = _parse_fault_arg(args.inject_fault)
-    kill_at = fault.arg if fault is not None and fault.kind == "kill" else None
     if fault is not None and fault.kind != "kill" and not (args.journal or args.out):
         print("--inject-fault needs --journal or --out to damage", file=sys.stderr)
         return 2
     try:
-        recorded = _record(request, record=functools.partial(
-            record, journal_path=args.journal, kill_at_event=kill_at))
+        recorded = _record(request, args.journal, fault)
     except RecorderKilled as killed:
         print(f"fault injected: {killed}")
         if args.journal:
@@ -323,7 +324,7 @@ def _print_plan_summary(plan, sketch) -> None:
 
 
 def _plans(args) -> tuple:
-    """The request's plans: ``--plan``, then ``--static-plan`` or ``--static``."""
+    """The plans ``--plan``, ``--static-plan`` and ``--static`` ask for."""
     plans = (DYNAMIC,) if args.plan else ()
     if args.static_plan:
         with open(args.static_plan, "r", encoding="utf-8") as handle:
@@ -361,11 +362,9 @@ def cmd_reproduce(args) -> int:
             **({"max_retries": args.max_retries}
                if args.max_retries is not None else {}),
         )
-    kill_at = fault.arg if fault is not None and fault.kind == "kill" else None
     obs = _obs_from_args(args)
     try:
-        recorded = require_failure(_record(request, obs=obs, record=functools.partial(
-            record, journal_path=args.journal, kill_at_event=kill_at)))
+        recorded = require_failure(_record(request, args.journal, fault, obs))
     except RecorderKilled as killed:
         print(f"fault injected: {killed}", file=sys.stderr)
         print("the recorder died before observing a failure; nothing to "

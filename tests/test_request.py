@@ -110,7 +110,7 @@ REFUSED = [
 
 
 @pytest.mark.parametrize("argv,flags", REFUSED,
-                         ids=[" ".join(argv[3:]) + f" ({argv[0]})"
+                         ids=[" ".join(argv[4:]) + f" ({argv[0]})"
                               for argv, _ in REFUSED])
 def test_each_rule_is_refused_before_anything_runs(
     argv, flags, capsys, tmp_path, monkeypatch

@@ -17,6 +17,7 @@ The paper's contribution, in four movements:
 * :mod:`repro.core.reproducer` / :mod:`repro.core.full_replay` — the
   driver loop, and the reproduce-every-time guarantee: a successful
   attempt's complete schedule replays deterministically forever after.
+  :mod:`repro.core.request` runs the whole pipeline from one request.
 """
 
 from repro.core.cost import CostModel

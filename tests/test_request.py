@@ -19,11 +19,13 @@ import pytest
 
 from repro.apps import ALL_BUG_IDS
 from repro.cli import main
+from repro.core.plan import Plan
 from repro.core.reproducer import render_report
 from repro.core.request import ReproduceRequest, run_request
 from repro.core.sketches import SketchKind
 from repro.errors import SimUsageError
 from repro.service import JobRequest, ServiceClient, ServiceThread
+from repro.service import jobs as service_jobs
 
 PATHS = [(bug, sketch) for bug in ALL_BUG_IDS for sketch in ("sync", "sys")]
 
@@ -126,8 +128,6 @@ def test_each_rule_is_refused_before_anything_runs(
 
 
 def test_a_saved_plan_must_be_static():
-    from repro.core.plan import Plan
-
     with pytest.raises(SimUsageError, match="--static-plan"):
         ReproduceRequest(
             "pbzip2-order-free",
@@ -151,18 +151,16 @@ def test_the_wire_refuses_the_same_rules_before_a_job_exists(
 
 
 def test_a_job_calls_the_service_seams_once_each(client, monkeypatch):
-    from repro.service import jobs
-
     calls = {"record": 0, "reproduce": 0}
 
     def counted(name):
-        original = getattr(jobs, name)
+        original = getattr(service_jobs, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(jobs, name, wrapper)
+        monkeypatch.setattr(service_jobs, name, wrapper)
 
     counted("record")
     counted("reproduce")

@@ -23,8 +23,8 @@ the same point) — this package is that tooling for the reproduction:
 
 Entry points: ``reproduce(..., obs=...)`` (or ``run_request(...,
 obs=...)``) in code, and ``pres reproduce --trace-out t.json
---metrics-out m.json`` plus ``pres inspect t.json`` on the command line.  See
-``docs/observability.md`` for the guided tour.
+--metrics-out m.json`` plus ``pres inspect t.json`` on the command
+line.  See ``docs/observability.md`` for the guided tour.
 """
 
 from repro.obs.export import (

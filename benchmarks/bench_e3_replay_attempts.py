@@ -65,11 +65,12 @@ def test_e3_most_bugs_under_ten_with_sync_or_sys(matrix, benchmark):
 
 def test_e3_reproduction_speed(benchmark):
     """Timed portion: one full reproduction session (SYNC sketch)."""
-    from repro.apps import get_bug
-    from repro.bench.attempts import reproduce_once
+    from repro.core.request import ReproduceRequest, run_request
 
     def session():
-        return reproduce_once(get_bug("pbzip2-order-free"), SketchKind.SYNC)
+        return run_request(ReproduceRequest(
+            "pbzip2-order-free", sketch=SketchKind.SYNC
+        )).report
 
     report = benchmark.pedantic(session, rounds=3, iterations=1)
     assert report.success

@@ -10,10 +10,9 @@ import pytest
 
 from repro.apps import all_bugs, get_bug
 from repro.bench import format_table
-from repro.bench.attempts import reproduce_once
 from repro.bench.seeds import find_failing_seed
 from repro.core.full_replay import replay_complete
-from repro.core.sketches import SketchKind
+from repro.core.request import ReproduceRequest, run_request
 
 REPLAYS = 5
 
@@ -22,7 +21,9 @@ REPLAYS = 5
 def complete_logs():
     logs = {}
     for spec in all_bugs():
-        report = reproduce_once(spec, SketchKind.SYNC, max_attempts=400)
+        report = run_request(ReproduceRequest(
+            spec.bug_id, max_attempts=400
+        )).report
         assert report.success, spec.bug_id
         logs[spec.bug_id] = report.complete_log
     return logs

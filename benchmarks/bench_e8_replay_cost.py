@@ -12,7 +12,7 @@ import pytest
 
 from repro.apps import all_bugs
 from repro.bench import format_table
-from repro.bench.attempts import reproduce_once
+from repro.core.request import ReproduceRequest, run_request
 from repro.core.sketches import SketchKind
 
 SKETCHES = (SketchKind.NONE, SketchKind.SYNC, SketchKind.SYS, SketchKind.RW)
@@ -23,7 +23,9 @@ def reports():
     table = {}
     for spec in all_bugs():
         table[spec.bug_id] = {
-            sketch: reproduce_once(spec, sketch, max_attempts=400)
+            sketch: run_request(ReproduceRequest(
+                spec.bug_id, sketch=sketch, max_attempts=400
+            )).report
             for sketch in SKETCHES
         }
     return table

@@ -26,7 +26,7 @@ from repro.core.feedback import AttemptCache
 from repro.core.full_replay import CompleteLog, replay_complete
 from repro.core.parallel import ParallelExplorer
 from repro.core.recorder import RecordedRun, record, record_with_trace
-from repro.core.reproducer import ReproductionReport, Reproducer, reproduce
+from repro.core.reproducer import ReproductionReport, reproduce
 from repro.core.sketches import SKETCH_ORDER, SketchKind, parse_sketch_kind
 from repro.core.systematic import SystematicResult, systematic_search
 from repro.obs import MetricsRegistry, ObsSession, Tracer
@@ -59,7 +59,6 @@ __all__ = [
     "Program",
     "RandomScheduler",
     "RecordedRun",
-    "Reproducer",
     "ReproductionReport",
     "SKETCH_ORDER",
     "SketchKind",

@@ -215,9 +215,6 @@ class HBAnalysis:
                 ]
         return self._event_vcs
 
-    def vc_of(self, gidx: int) -> VectorClock:
-        return self.event_vcs[gidx]
-
     def ordered(self, first_gidx: int, second_gidx: int) -> bool:
         """Whether event ``first_gidx`` happens-before event ``second_gidx``."""
         return self.event_vcs[first_gidx].leq(self.event_vcs[second_gidx])

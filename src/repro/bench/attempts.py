@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.apps.spec import BugSpec
-from repro.core.reproducer import ReproductionReport
 from repro.core.request import ReproduceRequest, run_request
 from repro.core.sketches import SKETCH_ORDER, SketchKind
 
@@ -101,18 +100,3 @@ def attempts_matrix(
         )
         for spec in specs
     ]
-
-
-def reproduce_once(
-    spec: BugSpec,
-    sketch: SketchKind,
-    max_attempts: int = 400,
-    ncpus: int = 4,
-    use_feedback: bool = True,
-    **params,
-) -> ReproductionReport:
-    """One full reproduction, returning the raw report (E7/E8 building block)."""
-    return run_request(ReproduceRequest(
-        spec.bug_id, params=params, sketch=sketch, ncpus=ncpus,
-        max_attempts=max_attempts, feedback=use_feedback,
-    )).report

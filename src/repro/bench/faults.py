@@ -27,7 +27,7 @@ from typing import List
 
 from repro.bench.results import BenchResult
 from repro.core.reproducer import report_signature
-from repro.core.request import ReproduceRequest, run_request
+from repro.core.request import ReproduceRequest, record_request, run_request
 from repro.obs.session import ObsSession
 from repro.robust.supervise import SuperviseConfig
 
@@ -79,9 +79,12 @@ def build_e17(obs=None) -> BenchResult:
         request = ReproduceRequest(
             bug_id, max_attempts=E17_MAX_ATTEMPTS, batch_size=4
         ).resolved()
+        recorded = record_request(request)
 
         started = time.perf_counter()
-        baseline = run_request(request, jobs=2, supervise=supervise).report
+        baseline = run_request(
+            request, recorded=recorded, jobs=2, supervise=supervise
+        ).report
         baseline_elapsed = time.perf_counter() - started
 
         chaos_obs = ObsSession.create(trace=False, metrics=True)
@@ -89,8 +92,8 @@ def build_e17(obs=None) -> BenchResult:
             store_dir = os.path.join(root, "store")
             started = time.perf_counter()
             chaotic = run_request(
-                request, jobs=2, store=store_dir, obs=chaos_obs,
-                supervise=supervise, chaos=E17_CHAOS,
+                request, recorded=recorded, jobs=2, store=store_dir,
+                obs=chaos_obs, supervise=supervise, chaos=E17_CHAOS,
             ).report
             chaos_elapsed = time.perf_counter() - started
 

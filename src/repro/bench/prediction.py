@@ -28,7 +28,7 @@ from repro.apps import all_bugs
 from repro.bench.results import BenchResult
 from repro.core.plan import DYNAMIC
 from repro.core.reproducer import render_report
-from repro.core.request import ReproduceRequest, run_request
+from repro.core.request import ReproduceRequest, record_request, run_request
 from repro.core.sketches import SketchKind
 
 #: Bugs used for the plan-enabled jobs-invariance spot check (both have
@@ -82,9 +82,11 @@ def prediction_row(
     request = ReproduceRequest(
         spec.bug_id, ncpus=ncpus, max_attempts=max_attempts
     ).resolved()
-    baseline = run_request(request, obs=obs).report
+    recorded = record_request(request, obs=obs)
+    baseline = run_request(request, recorded=recorded, obs=obs).report
     planned = run_request(
-        dataclasses.replace(request, plans=(DYNAMIC,)), obs=obs
+        dataclasses.replace(request, plans=(DYNAMIC,)), recorded=recorded,
+        obs=obs,
     )
     plan = planned.plans[0]
     return PredictionRow(
@@ -117,9 +119,13 @@ def prediction_ablation(
 def jobs_invariant(
     request: ReproduceRequest, jobs_values: Sequence[int]
 ) -> bool:
-    """Whether ``request`` renders one report at every ``jobs`` value."""
+    """Whether ``request`` renders one report at every ``jobs`` value
+    (one recording serves every value)."""
+    recorded = record_request(request)
     return len({
-        render_report(run_request(request, jobs=jobs).report)
+        render_report(
+            run_request(request, recorded=recorded, jobs=jobs).report
+        )
         for jobs in jobs_values
     }) == 1
 

@@ -117,10 +117,10 @@ def _timed_reproduce(
     cache: Optional[AttemptCache] = None,
     obs=None,
 ) -> "tuple[ReproductionReport, float]":
-    config = ExplorerConfig(max_attempts=max_attempts, jobs=jobs)
+    config = ExplorerConfig(max_attempts=max_attempts)
     started = time.perf_counter()
-    report = reproduce(recorded, config, match_output=True, cache=cache,
-                       obs=obs)
+    report = reproduce(recorded, config, match_output=True, jobs=jobs,
+                       cache=cache, obs=obs)
     return report, time.perf_counter() - started
 
 

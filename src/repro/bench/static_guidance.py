@@ -37,7 +37,7 @@ from repro.apps import all_bugs, get_bug
 from repro.bench.prediction import jobs_invariant
 from repro.bench.results import BenchResult
 from repro.core.plan import STATIC
-from repro.core.request import ReproduceRequest, run_request
+from repro.core.request import ReproduceRequest, record_request, run_request
 from repro.core.sketches import SketchKind
 
 #: Bugs used for the static-seeded jobs-invariance check (both carry
@@ -94,9 +94,11 @@ def static_row(
         spec.bug_id, sketch=SketchKind.NONE, ncpus=ncpus,
         max_attempts=max_attempts,
     ).resolved()
-    baseline = run_request(request, obs=obs).report
+    recorded = record_request(request, obs=obs)
+    baseline = run_request(request, recorded=recorded, obs=obs).report
     guided = run_request(
-        dataclasses.replace(request, plans=(STATIC,)), obs=obs
+        dataclasses.replace(request, plans=(STATIC,)), recorded=recorded,
+        obs=obs,
     )
     plan = guided.plans[0]
     return StaticRow(

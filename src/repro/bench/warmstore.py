@@ -19,13 +19,14 @@ here over real suite bugs rather than unit fixtures.
 
 from __future__ import annotations
 
+import functools
 import os
 import tempfile
 from typing import List
 
 from repro.bench.results import BenchResult
 from repro.core.reproducer import report_signature
-from repro.core.request import ReproduceRequest, run_request
+from repro.core.request import ReproduceRequest, record_request, run_request
 
 #: Suite bugs exercised by E14 — a spread of bug types, kept small
 #: enough for CI (the store contract is per-recording, not per-suite).
@@ -57,15 +58,19 @@ def build_e14(obs=None) -> BenchResult:
         request = ReproduceRequest(
             bug_id, max_attempts=E14_MAX_ATTEMPTS
         ).resolved()
-        baseline = run_request(request, obs=obs).report
+        run = functools.partial(
+            run_request, request, recorded=record_request(request, obs=obs),
+            obs=obs,
+        )
+        baseline = run().report
         with tempfile.TemporaryDirectory() as root:
             store_dir = os.path.join(root, "store")
-            cold = run_request(request, store=store_dir, obs=obs).report
-            warm = run_request(request, store=store_dir, obs=obs).report
+            cold = run(store=store_dir).report
+            warm = run(store=store_dir).report
             stats = AttemptStore(store_dir).stats()
             gc_store = AttemptStore(store_dir)
             gc_report = gc_store.gc(max(1, stats.records // 2))
-            partial = run_request(request, store=store_dir, obs=obs).report
+            partial = run(store=store_dir).report
 
         identical = (
             report_signature(baseline)

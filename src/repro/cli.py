@@ -378,8 +378,7 @@ def cmd_reproduce(args) -> int:
     if recorded.epochs is not None:
         print(f"epochs: {recorded.epochs.describe()}")
 
-    salvaged_entries = None
-    dropped_records = 0
+    salvage_report = None
     if fault is not None and fault.kind != "kill":
         _inject_file_fault(args.journal, fault)
     if args.salvage:
@@ -390,10 +389,6 @@ def cmd_reproduce(args) -> int:
         log, salvage_report = load_sketch_journal(args.journal, allow_salvage=True)
         print(salvage_report.describe())
         recorded = dataclasses.replace(recorded, log=log)
-        # The salvage accounting belongs to the degradation report.
-        if args.degrade and not salvage_report.intact:
-            salvaged_entries = len(log)
-            dropped_records = salvage_report.dropped_lines
 
     result = run_request(
         request,
@@ -403,12 +398,14 @@ def cmd_reproduce(args) -> int:
         obs=obs,
         supervise=supervise,
         chaos=chaos,
-        salvaged_entries=salvaged_entries,
-        dropped_records=dropped_records,
     )
     for plan in result.plans:
         _print_plan_summary(plan, request.sketch)
     report = result.report
+    # The salvage accounting belongs to the degradation report.
+    if args.degrade and salvage_report is not None and not salvage_report.intact:
+        report.salvaged_entries = len(recorded.log)
+        report.dropped_records = salvage_report.dropped_lines
     if args.degrade or recorded.epochs is not None:
         for rung in report.degradation_path + report.epoch_path:
             print(f"  rung {rung.describe()}")

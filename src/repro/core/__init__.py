@@ -25,7 +25,7 @@ from repro.core.diagnose import Diagnosis, diagnose
 from repro.core.explorer import ExplorerConfig
 from repro.core.full_replay import CompleteLog, replay_complete
 from repro.core.recorder import RecordedRun, record
-from repro.core.reproducer import ReproductionReport, Reproducer, reproduce
+from repro.core.reproducer import ReproductionReport, reproduce
 from repro.core.sketches import SKETCH_ORDER, SketchKind
 from repro.core.systematic import SystematicResult, systematic_search
 
@@ -35,7 +35,6 @@ __all__ = [
     "Diagnosis",
     "ExplorerConfig",
     "RecordedRun",
-    "Reproducer",
     "ReproductionReport",
     "SKETCH_ORDER",
     "SketchKind",

@@ -256,9 +256,6 @@ class OccurrenceCounter:
     def lock_count(self, tid: int, mutex: str) -> int:
         return self._lock.get((tid, mutex), 0)
 
-    def region_count(self, tid: int, region: Address) -> int:
-        return self._region.get((tid, region), 0)
-
     def capture(self) -> Tuple[Dict, Dict, Dict]:
         """Snapshot the executed-action counts (for prefix resume)."""
         return (dict(self._mem), dict(self._lock), dict(self._region))

@@ -129,7 +129,7 @@ class EpochResumeBase:
     restore the boundary state instead of re-simulating the prefix.
     """
 
-    #: serialized machine snapshot (``capture_state(serialize=True)``).
+    #: machine snapshot (:meth:`~repro.sim.machine.Machine.capture_state`).
     state: Dict[str, Any]
     #: scheduler steps already executed inside the snapshot.
     step: int
@@ -229,7 +229,7 @@ class EpochTracker(Observer):
             epoch=len(self.boundaries) + 1,
             step=step,
             entry_index=len(self.log),
-            snapshot=machine.capture_state(serialize=True),
+            snapshot=machine.capture_state(),
             explicit=explicit,
         )
         self.boundaries.append(boundary)

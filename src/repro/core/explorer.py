@@ -3,11 +3,13 @@
 PRES's diagnosis phase is one loop: replay under the sketch, mine the
 failed attempt for race flips, steer the next attempt with them.  This
 module holds that loop's vocabulary — the budget and shape
-(:class:`ExplorerConfig`), what an attempt and a search produced
-(:class:`AttemptRecord`, :class:`ExplorationResult`), and the best-first
-:class:`Frontier` the mined, plan-seeded and static candidates wait in.
-The loop itself is :class:`~repro.core.parallel.ParallelExplorer`, in
-process at ``jobs=1`` and over a worker pool above.  The paper's
+(:class:`ExplorerConfig`; worker count is no part of it), what an
+attempt and a search produced (:class:`AttemptRecord`,
+:class:`ExplorationResult`), and the best-first :class:`Frontier` the
+mined, plan-seeded and static candidates wait in.  The loop itself is
+:class:`~repro.core.parallel.ParallelExplorer`, which
+:func:`~repro.core.reproducer.reproduce` runs once per rung, in process
+at ``jobs=1`` and over a worker pool above.  The paper's
 no-feedback ablation is the same loop with mining off: the sketch is
 still enforced, but every attempt just re-rolls the unrecorded choices
 with the next seed.  With no sketch at all, that is plain stress testing.
@@ -58,8 +60,6 @@ class ExplorationResult:
     winning_constraints: ConstraintSet = _EMPTY
     winning_seed: int = 0
     duplicate_traces: int = 0
-    #: attempts answered from the attempt cache instead of a replay.
-    cache_hits: int = 0
     #: attempts dispatched with a schedule-prefix resume plan (see
     #: :mod:`repro.core.prefix`) — counted at batch assembly, so the
     #: figure is jobs-invariant: the in-process engine at ``jobs=1``
@@ -88,15 +88,11 @@ class ExplorerConfig:
     max_attempts: int = 200
     base_seed: int = 0
     seed_restarts: int = 16
-    #: replay workers.  1 = serial: the engine evaluates every batch
-    #: in-process; N > 1 dispatches attempt batches to a process pool
-    #: (see :mod:`repro.core.parallel`).  Exploration results are
-    #: identical for every value of ``jobs``.
-    jobs: int = 1
     #: frontier candidates speculatively dispatched per batch; 0 picks
     #: 1 at ``jobs=1`` and ``2 * jobs`` (doubled for cheap attempts) for
-    #: a pool.  Any fixed value gives the same schedule at every ``jobs``,
-    #: and ``batch_size=1`` is the serial (``jobs=1``) schedule.
+    #: a pool.  Any fixed value gives the same schedule at every ``jobs``
+    #: (the engine's argument), and ``batch_size=1`` is the serial
+    #: (``jobs=1``) schedule.
     batch_size: int = 0
     #: ``(provenance, constraints)`` pairs pre-seeded by the predictive
     #: passes (:meth:`repro.core.plan.Plan.seeds_for`), each plan's in

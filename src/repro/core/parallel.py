@@ -4,10 +4,12 @@ The paper's pitch is that PRES trades a cheap sketch for *more replay
 attempts* — which makes attempt throughput, not single-replay latency,
 the number that matters at diagnosis time.  Every attempt is a pure
 function of ``(sketch log, constraint set, base seed)``, so attempts are
-embarrassingly parallel: :class:`ParallelExplorer` — the one search loop
-every reproduction runs — evaluates *batches* of frontier candidates,
-in-process at ``jobs=1`` and on a ``ProcessPoolExecutor`` of replay
-workers above, each of which reconstructs the machine + PIR scheduler
+embarrassingly parallel: :class:`ParallelExplorer` — the one search loop,
+which :func:`~repro.core.reproducer.reproduce` runs for each rung of its
+walk — evaluates *batches* of frontier candidates, in-process at
+``jobs=1`` and on a ``ProcessPoolExecutor`` of ``jobs`` replay workers
+above (``jobs`` is an argument of the engine, never a config field),
+each of which reconstructs the machine + PIR scheduler
 from a pickled :class:`~repro.core.recorder.RecordedRun` and sends back a
 compact :class:`AttemptOutcome` (never the full trace).
 
@@ -558,11 +560,15 @@ class _LeasedPool:
 class ParallelExplorer:
     """Batch-deterministic exploration, in-process or over a worker pool.
 
-    The one search loop: ``jobs=1`` evaluates every batch in this
-    process (with the same prefix memoization a pool gets), ``jobs > 1``
-    ships batches to pool workers.  It holds the :class:`AttemptContext`
-    itself, since pooled attempts must be able to rebuild it elsewhere.
+    The one search loop, run once per rung by
+    :func:`~repro.core.reproducer.reproduce`.  It holds the
+    :class:`AttemptContext` itself, since pooled attempts must be able
+    to rebuild it elsewhere.
 
+    :param jobs: replay workers.  1 evaluates every batch in this
+        process (with the same prefix memoization a pool gets); N > 1
+        ships batches to a pool of N workers.  The exploration is
+        identical for every value.
     :param use_feedback: with False, mining is off and the search
         explores the seed sequence ``base_seed, base_seed + 1, ...`` with
         no constraints (the E5 ablation arm), still batched and cached;
@@ -595,8 +601,10 @@ class ParallelExplorer:
         chaos=None,
         pool: Optional[PoolLease] = None,
         epoch_base: Optional[EpochResumeBase] = None,
+        jobs: int = 1,
     ) -> None:
         self.config = config or ExplorerConfig()
+        self.jobs = jobs
         self.obs = obs or NULL_SESSION
         self.context = AttemptContext(
             recorded=recorded,
@@ -684,9 +692,9 @@ class ParallelExplorer:
         # tuning signal is virtual steps folded so far (never wall
         # clock), so the batch sequence is a deterministic function of
         # the exploration itself.
-        if self.config.jobs <= 1:
+        if self.jobs <= 1:
             return 1
-        base = 2 * self.config.jobs
+        base = 2 * self.jobs
         if (
             self._folded_attempts >= 8
             and self._folded_steps <= 200 * self._folded_attempts
@@ -703,12 +711,12 @@ class ParallelExplorer:
         ``interrupted``, instead of propagating.
         """
         metrics = self.obs.metrics
-        metrics.gauge("jobs").set(self.config.jobs)
+        metrics.gauge("jobs").set(self.jobs)
         metrics.gauge("batch_size").set(self.batch_size)
         result = ExplorationResult(success=False)
         with self.obs.tracer.span(
             "explore", category="engine",
-            jobs=self.config.jobs, batch_size=self.batch_size,
+            jobs=self.jobs, batch_size=self.batch_size,
             feedback=self.use_feedback,
         ):
             supervisor = self._make_supervisor()
@@ -722,8 +730,6 @@ class ParallelExplorer:
             finally:
                 supervisor.shutdown(wait=False)
         result.duplicate_traces = self.db.duplicate_traces
-        if self.cache is not None:
-            result.cache_hits = self.cache.hits
         result.prefix_hits = self._prefix_hits
         result.realized_resumes = self._prefix_tree.hits
         metrics.counter("duplicate_traces").inc(result.duplicate_traces)
@@ -771,7 +777,7 @@ class ParallelExplorer:
     # -- pool management ------------------------------------------------
 
     def _make_pool(self):
-        if self.config.jobs <= 1 and self.lease is None:
+        if self.jobs <= 1 and self.lease is None:
             return None
         started = time.perf_counter()
         try:
@@ -811,7 +817,7 @@ class ParallelExplorer:
                 # and skips re-importing the world per worker.
                 mp_context = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(
-                max_workers=self.config.jobs,
+                max_workers=self.jobs,
                 mp_context=mp_context,
                 initializer=_worker_init,
                 initargs=(token,),

@@ -24,7 +24,6 @@ those are legitimate reproductions when the recorded bug *is* a deadlock.
 
 from __future__ import annotations
 
-import copy
 import enum
 import pickle
 import random
@@ -287,7 +286,7 @@ class PIRScheduler(Scheduler):
 
     # -- prefix resume -----------------------------------------------------
 
-    def capture_resume_state(self, *, serialize: bool = False) -> Tuple[Any, ...]:
+    def capture_resume_state(self) -> Tuple[Any, ...]:
         """Scheduler state to pair with a :meth:`Machine.capture_state`
         snapshot taken at the same step.
 
@@ -295,21 +294,14 @@ class PIRScheduler(Scheduler):
         executed-occurrence counts, RNG/chooser state, events consumed):
         within a child's safe prefix the child makes the very same picks
         as its parent, so a parent-built snapshot fast-forwards a child
-        scheduler whose gate holds a *larger* constraint set.
-
-        With ``serialize=True`` the chooser travels as a pickle blob
-        (cheaper to capture; every restore unpickles a fresh copy).
+        scheduler whose gate holds a *larger* constraint set.  The
+        chooser travels as a pickle blob; every restore unpickles a
+        fresh copy.
         """
-        if serialize:
-            chooser: Any = pickle.dumps(
-                self._chooser, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        else:
-            chooser = copy.deepcopy(self._chooser)
         return (
             self.cursor.position,
             self.gate.counter.capture(),
-            chooser,
+            pickle.dumps(self._chooser, protocol=pickle.HIGHEST_PROTOCOL),
             self._seen_events,
         )
 
@@ -325,10 +317,7 @@ class PIRScheduler(Scheduler):
         self.cursor.position = position
         self.gate = ConstraintGate(self.constraints)
         self.gate.counter.restore(counter_state)
-        if isinstance(chooser, bytes):
-            self._chooser = pickle.loads(chooser)
-        else:
-            self._chooser = copy.deepcopy(chooser)
+        self._chooser = pickle.loads(chooser)
         self._seen_events = seen
 
     def describe(self) -> str:

@@ -449,8 +449,8 @@ def capture_hooks(
     def on_snapshot(machine: Machine) -> None:
         try:
             into[len(machine.schedule)] = (
-                machine.capture_state(serialize=True),
-                scheduler.capture_resume_state(serialize=True),
+                machine.capture_state(),
+                scheduler.capture_resume_state(),
                 None,
             )
         except Exception:

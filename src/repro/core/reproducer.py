@@ -13,11 +13,13 @@ The usual flow::
     assert report.success and report.attempts <= 10
     trace = replay_complete(program, report.complete_log)   # every time
 
-:func:`reproduce` explores a recording (``run_request`` makes one from
-a request).  It walks a list of *rungs*, each a recorded run plus a
-share of the attempt budget: one full-history rung by default, the epoch
-ladder for an epoch-windowed recording, and the sketch degradation
-ladder with ``degrade=True``.
+:func:`reproduce` is the engine's only entry for a recording
+(``run_request`` makes one from a request).  It walks a list of *rungs*,
+each a recorded run plus a share of the attempt budget: one full-history
+rung by default, the epoch ladder for an epoch-windowed recording, and
+the sketch degradation ladder with ``degrade=True``.  Each rung is one
+:class:`~repro.core.parallel.ParallelExplorer` search, and the walk folds
+the rungs' results into one :class:`ReproductionReport`.
 """
 
 from __future__ import annotations
@@ -105,12 +107,13 @@ class EpochRung:
 class ReproductionReport:
     """Outcome of one reproduction session.
 
-    The salvage and rung fields are filled by the ladder walks of
-    :func:`reproduce` (``degrade=True``, or an epoch-windowed recording);
-    a plain session leaves them at their defaults.  They exist so a run
-    against a damaged or windowed log ends in a *structured* answer —
-    what was salvaged, which rung succeeded, why it stopped — instead of
-    an unhandled traceback.
+    The rung fields are filled by the ladder walks of :func:`reproduce`
+    (``degrade=True``, or an epoch-windowed recording), and the salvage
+    fields by ``pres reproduce --salvage --degrade``; a plain session
+    leaves them at their defaults.  They exist so a run against a
+    damaged or windowed log ends in a *structured* answer — what was
+    salvaged, which rung succeeded, why it stopped — instead of an
+    unhandled traceback.
     """
 
     program_name: str
@@ -223,110 +226,6 @@ def report_signature(report: ReproductionReport) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-class Reproducer:
-    """Explores one recorded run (one rung of a :func:`reproduce` walk).
-
-    Narrows each plan to the candidates applicable at the recording's
-    sketch, runs the exploration engine
-    (:class:`~repro.core.parallel.ParallelExplorer`) and packages its
-    result as a :class:`ReproductionReport`.
-    """
-
-    def __init__(
-        self,
-        recorded: RecordedRun,
-        config: Optional[ExplorerConfig] = None,
-        use_feedback: bool = True,
-        base_policy: str = "random",
-        match_output: bool = False,
-        cache: Optional[AttemptCache] = None,
-        obs: Optional[ObsSession] = None,
-        plans: Sequence[Plan] = (),
-        supervise: Optional["SuperviseConfig"] = None,
-        chaos: object = None,
-        pool: Optional[PoolLease] = None,
-        epoch_base: Optional[EpochResumeBase] = None,
-    ) -> None:
-        if recorded.failure is None:
-            raise SimUsageError(
-                "the recorded run did not fail; there is nothing to reproduce"
-            )
-        self.recorded = recorded
-        self.config = config or ExplorerConfig()
-        #: each plan with its seeds applicable at this recording's sketch.
-        self.plans = [(plan, plan.seeds_for(recorded.sketch)) for plan in plans]
-        if self.plans:
-            self.config = dataclasses.replace(self.config, plan_seeds=tuple(
-                (plan.provenance, seed)
-                for plan, seeds in self.plans for seed in seeds
-            ))
-        self.obs = obs or NULL_SESSION
-        #: ``match_output`` is ODR-style strictness: besides re-triggering
-        #: the failure, an attempt must reproduce the production run's
-        #: observable output.
-        self.explorer = ParallelExplorer(
-            recorded,
-            self.config,
-            base_policy=base_policy,
-            match_output=match_output,
-            use_feedback=use_feedback,
-            cache=cache,
-            obs=self.obs,
-            supervise=supervise,
-            chaos=chaos,
-            pool=pool,
-            epoch_base=epoch_base,
-        )
-
-    def run(self) -> ReproductionReport:
-        """Run the exploration loop and package the outcome."""
-        metrics = self.obs.metrics
-        for plan, seeds in self.plans:
-            family = f"sanitize.{plan.provenance}"
-            metrics.counter(f"{family}.races").inc(len(plan.races))
-            metrics.counter(f"{family}.atomicity").inc(len(plan.violations))
-            metrics.counter(f"{family}.deadlocks").inc(len(plan.deadlocks))
-            metrics.counter(f"{family}.candidates").inc(len(plan.candidates))
-            metrics.counter(f"{family}.applicable").inc(len(seeds))
-        with self.obs.tracer.span(
-            "reproduce", category="session",
-            program=self.recorded.program.name,
-            sketch=self.recorded.sketch.value,
-        ):
-            result = self.explorer.explore()
-        report = self._package(result)
-        metrics.counter("reproductions").inc()
-        if report.success:
-            metrics.counter("reproductions_succeeded").inc()
-            metrics.histogram("attempts_to_match").observe(report.attempts)
-        return report
-
-    def _package(self, result: ExplorationResult) -> ReproductionReport:
-        complete_log = None
-        if result.success and result.winning_trace is not None:
-            complete_log = CompleteLog(
-                program_name=self.recorded.program.name,
-                schedule=list(result.winning_trace.schedule),
-                config=self.recorded.config,
-                failure_signature=self.recorded.failure.signature(),
-            )
-        return ReproductionReport(
-            program_name=self.recorded.program.name,
-            sketch=self.recorded.sketch,
-            success=result.success,
-            attempts=result.attempt_count,
-            records=result.attempts,
-            complete_log=complete_log,
-            winning_constraints=result.winning_constraints,
-            total_replay_steps=result.total_steps,
-            duplicate_traces=result.duplicate_traces,
-            cache_hits=result.cache_hits,
-            prefix_hits=result.prefix_hits,
-            realized_resumes=result.realized_resumes,
-            interrupted=result.interrupted,
-        )
-
-
 def _store_cache(store: object) -> AttemptCache:
     """A write-through persistent cache over ``store`` (a store directory
     path or an open :class:`~repro.store.attempt_store.AttemptStore`).
@@ -365,7 +264,7 @@ def reproduce(
     use_feedback: bool = True,
     base_policy: str = "random",
     match_output: bool = False,
-    jobs: Optional[int] = None,
+    jobs: int = 1,
     cache: Optional[AttemptCache] = None,
     store: object = None,
     obs: Optional[ObsSession] = None,
@@ -374,13 +273,12 @@ def reproduce(
     chaos: object = None,
     pool: Optional[PoolLease] = None,
     degrade: bool = False,
-    salvaged_entries: Optional[int] = None,
-    dropped_records: int = 0,
 ) -> ReproductionReport:
-    """Reproduce a recorded failure: the engine's entry point.
+    """Reproduce a recorded failure: the engine's only entry point.
 
-    The session walks a list of rungs, each a recorded run explored by
-    :class:`Reproducer` under a share of ``config.max_attempts``:
+    The session walks a list of rungs, each a recorded run searched by
+    one :class:`~repro.core.parallel.ParallelExplorer` under a share of
+    ``config.max_attempts``:
 
     * a full-history recording is one rung — a plain session;
     * an epoch-windowed recording (``recorded.epochs`` set) walks its
@@ -407,9 +305,8 @@ def reproduce(
     :param match_output: ODR-style strictness — the attempt must also
         reproduce the production run's captured output exactly, not just
         its failure.  Typically needs more attempts.
-    :param jobs: replay workers (overrides ``config.jobs``).  Results are
-        identical for every value; >1 dispatches attempt batches to a
-        process pool (:class:`~repro.core.parallel.ParallelExplorer`).
+    :param jobs: replay workers.  Results are identical for every
+        value; >1 dispatches attempt batches to a process pool.
     :param cache: optional shared :class:`AttemptCache`; memoized attempt
         outcomes are folded in without re-running the replay.  A ladder
         walk creates one for its rungs when none is given.
@@ -454,19 +351,16 @@ def reproduce(
         concurrent job).  Identical results either way.
     :param degrade: walk the sketch degradation ladder instead of the
         recorded sketch alone.
-    :param salvaged_entries: entry count recovered by salvage, recorded
-        on the report for the bug ticket (``None`` = log was pristine).
-    :param dropped_records: journal lines salvage had to discard.
-    :raises SimUsageError: for walks that do not compose with an
-        epoch-windowed recording (see :func:`refuse_uncomposable`).
+    :raises SimUsageError: for a recording that did not fail, and for
+        walks that do not compose with an epoch-windowed recording (see
+        :func:`refuse_uncomposable`).
     """
     windowed = recorded.epochs is not None
-    refuse_uncomposable(windowed, bool(
-        degrade or plans or dropped_records or salvaged_entries is not None
-    ))
-    config = config or ExplorerConfig()
-    if jobs is not None:
-        config = dataclasses.replace(config, jobs=jobs)
+    refuse_uncomposable(windowed, bool(degrade or plans))
+    if recorded.failure is None:
+        raise SimUsageError(
+            "the recorded run did not fail; there is nothing to reproduce"
+        )
     session = obs or NULL_SESSION
     cache, close_after = _resolve_store(store, cache)
     try:
@@ -475,15 +369,16 @@ def reproduce(
             _expire_dropped_epochs(cache, recorded, rungs, session)
         if cache is None and (degrade or windowed):
             cache = AttemptCache()
-        explorer = functools.partial(
-            Reproducer, use_feedback=use_feedback, base_policy=base_policy,
-            match_output=match_output, cache=cache, obs=session, plans=plans,
-            supervise=supervise, chaos=chaos, pool=pool,
+        engine = functools.partial(
+            ParallelExplorer, base_policy=base_policy,
+            match_output=match_output, use_feedback=use_feedback,
+            cache=cache, obs=session, supervise=supervise, chaos=chaos,
+            pool=pool, jobs=jobs,
         )
-        report = _walk(recorded, rungs, config, session, cache, degrade, explorer)
-        report.salvaged_entries = salvaged_entries
-        report.dropped_records = dropped_records
-        return report
+        return _walk(
+            recorded, rungs, config or ExplorerConfig(), session, cache,
+            degrade, plans, engine,
+        )
     finally:
         if close_after is not None:
             close_after.close()
@@ -574,29 +469,31 @@ def _walk(
     session: ObsSession,
     cache: Optional[AttemptCache],
     degrade: bool,
-    explorer: Callable[..., Reproducer],
+    plans: Sequence[Plan],
+    engine: Callable[..., ParallelExplorer],
 ) -> ReproductionReport:
     """Explore ``rungs`` in order under one budget; one aggregate report.
 
-    ``explorer(recorded, config=..., epoch_base=...)`` builds the
-    :class:`Reproducer` for one rung with the session-wide settings.
+    ``engine(recorded, config, epoch_base=...)`` builds the
+    :class:`~repro.core.parallel.ParallelExplorer` for one rung with the
+    session-wide settings; its config carries the seeds of ``plans``
+    applicable at the rung's sketch.
     """
     metrics = session.metrics
     timeline = recorded.epochs
     budgets = split_rung_budgets(config.max_attempts, len(rungs))
     if timeline is not None:
         metrics.counter("epoch.replay_bases").inc(len(rungs))
-    records: List[AttemptRecord] = []
+    results: List[ExplorationResult] = []
     degradation_path: List[DegradationRung] = []
     epoch_path: List[EpochRung] = []
-    steps = duplicates = prefix_hits = realized = 0
-    last: Optional[ReproductionReport] = None
     rung = rungs[0]
     for index, rung in enumerate(rungs):
         budget = budgets[index]
         if budget <= 0:
             continue
         entries = len(rung.recorded.log)
+        sketch = rung.recorded.sketch
         if degrade:
             metrics.counter("ladder_rungs").inc()
             metrics.histogram("rung_budget").observe(budget)
@@ -607,43 +504,62 @@ def _walk(
             max_attempts=budget,
             base_seed=config.base_seed + index * SEED_BACKOFF,
         )
+        applicable = [(plan, plan.seeds_for(sketch)) for plan in plans]
+        if applicable:
+            rung_config = dataclasses.replace(rung_config, plan_seeds=tuple(
+                (plan.provenance, seed)
+                for plan, seeds in applicable for seed in seeds
+            ))
+        for plan, seeds in applicable:
+            family = f"sanitize.{plan.provenance}"
+            metrics.counter(f"{family}.races").inc(len(plan.races))
+            metrics.counter(f"{family}.atomicity").inc(len(plan.violations))
+            metrics.counter(f"{family}.deadlocks").inc(len(plan.deadlocks))
+            metrics.counter(f"{family}.candidates").inc(len(plan.candidates))
+            metrics.counter(f"{family}.applicable").inc(len(seeds))
+        explorer = engine(
+            rung.recorded, rung_config, epoch_base=rung.epoch_base
+        )
         with (
             session.tracer.span(
                 rung.span, category="ladder", budget=budget, entries=entries
             ) if rung.span else contextlib.nullcontext()
+        ), session.tracer.span(
+            "reproduce", category="session",
+            program=recorded.program.name, sketch=sketch.value,
         ):
-            last = explorer(
-                rung.recorded, config=rung_config, epoch_base=rung.epoch_base
-            ).run()
-        records.extend(last.records)
-        steps += last.total_replay_steps
-        duplicates += last.duplicate_traces
-        prefix_hits += last.prefix_hits
-        realized += last.realized_resumes
-        why = "" if last.success else _rung_failure_reason(last)
+            result = explorer.explore()
+        results.append(result)
+        metrics.counter("reproductions").inc()
+        if result.success:
+            metrics.counter("reproductions_succeeded").inc()
+            metrics.histogram("attempts_to_match").observe(
+                result.attempt_count
+            )
+        why = "" if result.success else _rung_failure_reason(result.attempts)
         if degrade:
             degradation_path.append(DegradationRung(
-                rung.recorded.sketch, last.attempts, last.success, entries, why
+                sketch, result.attempt_count, result.success, entries, why
             ))
         elif timeline is not None:
             boundary = rung.boundary
             epoch_path.append(EpochRung(
                 0 if boundary is None else boundary.epoch,
                 0 if boundary is None else boundary.step,
-                last.attempts, last.success, entries, why,
+                result.attempt_count, result.success, entries, why,
             ))
-        if last.success or last.interrupted:
+        if result.success or result.interrupted:
             break
 
-    success = last is not None and last.success
-    interrupted = last is not None and last.interrupted
+    last = results[-1] if results else ExplorationResult(success=False)
+    records = [record for result in results for record in result.attempts]
     reason = ""
-    if interrupted:
+    if last.interrupted:
         reason = (
             f"interrupted after {len(records)} attempt(s); "
             "partial results only"
         )
-    elif success:
+    elif last.success:
         reason = rung.won
         if timeline is not None:
             metrics.counter("epoch.reproduced").inc()
@@ -664,24 +580,32 @@ def _walk(
                 f"({timeline.truncated_epochs} truncated epoch(s) are "
                 "unreachable)"
             )
+    complete_log = None
+    if last.success:
+        complete_log = CompleteLog(
+            program_name=recorded.program.name,
+            schedule=list(last.winning_trace.schedule),
+            config=recorded.config,
+            failure_signature=recorded.failure.signature(),
+        )
     return ReproductionReport(
         program_name=recorded.program.name,
         sketch=recorded.sketch,
-        success=success,
+        success=last.success,
         attempts=len(records),
         records=records,
-        complete_log=last.complete_log if success else None,
-        winning_constraints=last.winning_constraints if success else frozenset(),
-        total_replay_steps=steps,
-        duplicate_traces=duplicates,
+        complete_log=complete_log,
+        winning_constraints=last.winning_constraints,
+        total_replay_steps=sum(result.total_steps for result in results),
+        duplicate_traces=sum(result.duplicate_traces for result in results),
         cache_hits=cache.hits if cache is not None else 0,
-        prefix_hits=prefix_hits,
-        realized_resumes=realized,
+        prefix_hits=sum(result.prefix_hits for result in results),
+        realized_resumes=sum(result.realized_resumes for result in results),
         degradation_path=degradation_path,
         epoch_path=epoch_path,
-        winning_sketch=rung.recorded.sketch if success else None,
+        winning_sketch=rung.recorded.sketch if last.success else None,
         outcome_reason=reason,
-        interrupted=interrupted,
+        interrupted=last.interrupted,
     )
 
 
@@ -769,10 +693,10 @@ def split_rung_budgets(total: int, rungs: int) -> List[int]:
     return [base + (1 if index < remainder else 0) for index in range(rungs)]
 
 
-def _rung_failure_reason(report: ReproductionReport) -> str:
+def _rung_failure_reason(records: List[AttemptRecord]) -> str:
     """Summarize why one rung failed, from its attempt outcomes."""
     outcomes: dict = {}
-    for record in report.records:
+    for record in records:
         outcomes[record.outcome] = outcomes.get(record.outcome, 0) + 1
     summary = ", ".join(f"{count}x {name}" for name, count in sorted(outcomes.items()))
     return summary or "no attempts ran"

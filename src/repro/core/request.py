@@ -7,8 +7,8 @@ builds the plans and reproduces it.  The CLI, the service's jobs and the
 ``bench/`` harnesses all build a request.  Host resources (``jobs``, a
 store or cache, a pool, an obs session, supervision, chaos) are
 arguments, never fields: none of them changes a report.
-:func:`~repro.core.reproducer.reproduce` stays the entry for callers
-that reuse a recording they already hold.
+:func:`~repro.core.reproducer.reproduce`, the engine's only entry, takes
+a recording: callers that reuse one they already hold call it directly.
 """
 
 from __future__ import annotations
@@ -175,8 +175,6 @@ def run_request(
     obs=None,
     supervise=None,
     chaos: object = None,
-    salvaged_entries: Optional[int] = None,
-    dropped_records: int = 0,
     record: Callable[..., RecordedRun] = record,
     reproduce: Callable[..., ReproductionReport] = reproduce,
 ) -> RequestResult:
@@ -199,7 +197,6 @@ def run_request(
                        batch_size=request.batch_size),
         use_feedback=request.feedback, jobs=jobs, cache=cache, store=store,
         obs=obs, plans=plans, supervise=supervise, chaos=chaos, pool=pool,
-        degrade=request.degrade, salvaged_entries=salvaged_entries,
-        dropped_records=dropped_records,
+        degrade=request.degrade,
     )
     return RequestResult(recorded, plans, report)

@@ -142,10 +142,6 @@ class JournalWriter:
             self._closed = True
             self._handle.close()
 
-    @property
-    def records_written(self) -> int:
-        return self._seq
-
     def __enter__(self) -> "JournalWriter":
         return self
 

@@ -32,7 +32,6 @@ HANG (e.g. a lost wakeup) and ends the run with that failure.
 
 from __future__ import annotations
 
-import copy
 import enum
 import pickle
 import traceback
@@ -253,24 +252,20 @@ class Machine:
 
     # -- mid-run snapshots -------------------------------------------------
 
-    def capture_state(self, *, serialize: bool = False) -> Dict[str, Any]:
-        """A deep, reusable snapshot of a healthy mid-run machine.
+    def capture_state(self) -> Dict[str, Any]:
+        """A reusable snapshot of a healthy mid-run machine.
 
         Valid only between steps with no failure recorded — callers
         capture through :meth:`run`'s ``on_snapshot`` hook, which fires
-        exactly there.  The snapshot is independent of this machine (its
-        mutable pieces are deep-copied) and can seed any number of fresh
-        machines via :meth:`restore_state`.  Generators are represented
-        by their (body, args, kwargs, feeds) recipe, not the generator
-        object — see :class:`ThreadState` — plus the op each thread is
-        waiting on, which the rebuild must reproduce.
-
-        With ``serialize=True`` the mutable pieces are stored as one
-        pickle blob instead of a deep copy — considerably cheaper to
-        capture (pickling runs in C), and every restore unpickles its
-        own fresh copy.  Raises when the state does not pickle (e.g. a
-        thread body that is a closure); callers fall back to the deep
-        variant.
+        exactly there.  The mutable pieces are stored as one pickle blob
+        (pickling runs in C), so the snapshot is independent of this
+        machine and can seed any number of fresh machines via
+        :meth:`restore_state`, each unpickling its own copy.  Generators
+        are represented by their (body, args, kwargs, feeds) recipe, not
+        the generator object — see :class:`ThreadState` — plus the op
+        each thread is waiting on, which the rebuild must reproduce.
+        Raises when the state does not pickle (e.g. a thread body that
+        is a closure).
         """
         if self.failure is not None or self.divergence is not None:
             raise SimUsageError("cannot snapshot a failed or diverged run")
@@ -298,18 +293,14 @@ class Machine:
             "clock": self.clock,
             "threads": thread_meta,
         }
-        if serialize:
-            mutable: Dict[str, Any] = {
-                "blob": pickle.dumps(live, protocol=pickle.HIGHEST_PROTOCOL)
-            }
-        else:
-            mutable = copy.deepcopy(live)
-        # Events are immutable once emitted; sharing them across restores
-        # keeps snapshots cheap.
-        mutable["events"] = tuple(self.events)
-        mutable["schedule"] = tuple(self.schedule)
-        mutable["next_tid"] = self._next_tid
-        return mutable
+        return {
+            "blob": pickle.dumps(live, protocol=pickle.HIGHEST_PROTOCOL),
+            # Events are immutable once emitted; sharing them across
+            # restores keeps snapshots cheap.
+            "events": tuple(self.events),
+            "schedule": tuple(self.schedule),
+            "next_tid": self._next_tid,
+        }
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Load a :meth:`capture_state` snapshot into this *fresh* machine.
@@ -317,30 +308,22 @@ class Machine:
         The next :meth:`run` then continues from the snapshot point:
         the main-thread spawn and ``scheduler.on_run_start`` are skipped
         (the caller is responsible for fast-forwarding its scheduler with
-        matching state).  The snapshot itself is not consumed — mutable
-        pieces are deep-copied again here, so one snapshot can seed many
-        sibling attempts.  Raises :class:`SimUsageError` when a rebuilt
-        thread waits on another op than it did when captured: its body
-        read something besides its feeds, so the snapshot is unusable.
+        matching state).  The snapshot itself is not consumed — each
+        restore unpickles a fresh copy of the mutable pieces, so one
+        snapshot can seed many sibling attempts.  Raises
+        :class:`SimUsageError` when a rebuilt thread waits on another op
+        than it did when captured: its body read something besides its
+        feeds, so the snapshot is unusable.
         """
         if self._ran:
             raise SimUsageError("restore_state requires an unused Machine")
-        events = state["events"]
-        schedule = state["schedule"]
-        blob = state.get("blob")
-        if blob is not None:
-            # serialized snapshot: unpickling *is* the private fresh copy
-            mutable = pickle.loads(blob)
-        else:
-            mutable = copy.deepcopy(
-                {key: state[key] for key in ("memory", "sync", "kernel", "clock", "threads")}
-            )
+        mutable = pickle.loads(state["blob"])
         self.memory = mutable["memory"]
         self.sync = mutable["sync"]
         self.kernel = mutable["kernel"]
         self.clock = mutable["clock"]
-        self.events = list(events)
-        self.schedule = list(schedule)
+        self.events = list(state["events"])
+        self.schedule = list(state["schedule"])
         self._next_tid = state["next_tid"]
         self.threads = {}
         for meta in mutable["threads"]:

@@ -9,7 +9,7 @@ from repro.bench import (
     format_table,
     overhead_row,
 )
-from repro.bench.attempts import attempts_row, reproduce_once
+from repro.bench.attempts import attempts_row
 from repro.bench.overhead import max_reduction
 from repro.bench.scaling import scaling_curves
 from repro.core.sketches import SketchKind
@@ -75,13 +75,6 @@ class TestAttemptsRow:
         assert row.cells[SketchKind.RW].attempts == 1
         assert row.cells[SketchKind.SYNC].success
         assert row.cells[SketchKind.SYNC].render().isdigit()
-
-    def test_reproduce_once_returns_report(self):
-        report = reproduce_once(
-            get_bug("openldap-deadlock"), SketchKind.SYNC, max_attempts=100
-        )
-        assert report.success
-        assert report.complete_log is not None
 
 
 class TestScaling:

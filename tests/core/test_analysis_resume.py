@@ -101,7 +101,7 @@ def compared(monkeypatch):
 class TestResumedEqualsFresh:
     def test_every_e12_attempt(self, compared):
         report = reproduce(
-            e12_workload(), ExplorerConfig(max_attempts=300, jobs=1),
+            e12_workload(), ExplorerConfig(max_attempts=300),
             match_output=True,
         )
         assert report.attempts == 300
@@ -287,7 +287,7 @@ def analysis_counts(monkeypatch):
 
 def test_serial_e12_analyzes_only_executed_events(analysis_counts, monkeypatch):
     session = reproduce(
-        e12_workload(), ExplorerConfig(max_attempts=300, jobs=1),
+        e12_workload(), ExplorerConfig(max_attempts=300),
         match_output=True,
     )
     fingerprinted, swept, _ = analysis_counts[:]
@@ -300,7 +300,7 @@ def test_serial_e12_analyzes_only_executed_events(analysis_counts, monkeypatch):
         lambda self, candidate, seed: None,
     )
     reference = reproduce(
-        e12_workload(), ExplorerConfig(max_attempts=300, jobs=1),
+        e12_workload(), ExplorerConfig(max_attempts=300),
         match_output=True,
     )
     assert render_report(session) == render_report(reference)
@@ -320,8 +320,8 @@ def test_pool_workers_analyze_from_event_zero(analysis_counts, monkeypatch):
 
     monkeypatch.setattr(parallel.ParallelExplorer, "_fold", inspected)
     reproduce(
-        e12_workload(), ExplorerConfig(max_attempts=300, jobs=2),
-        match_output=True,
+        e12_workload(), ExplorerConfig(max_attempts=300),
+        match_output=True, jobs=2,
     )
     assert analysis_counts[:] == [73_436, 42_231, 0]
     assert len(folded) == 300 and sum(folded) > 0

@@ -17,9 +17,9 @@ from repro.core.epochs import (
     suffix_log,
 )
 from repro.core.explorer import ExplorerConfig
+from repro.core.parallel import ParallelExplorer
 from repro.core.recorder import record
 from repro.core.reproducer import (
-    Reproducer,
     epoch_replay_ladder,
     render_report,
     reproduce,
@@ -256,9 +256,13 @@ class TestWindowedReproduce:
         )
         assert recorded.epochs is None
         walked = reproduce(recorded, self.CONFIG)
-        plain = Reproducer(recorded, self.CONFIG).run()
-        assert render_report(walked) == render_report(plain)
-        assert walked.complete_log == plain.complete_log
+        plain = ParallelExplorer(recorded, self.CONFIG).explore()
+        assert walked.success and plain.success
+        assert walked.records == plain.attempts
+        assert walked.winning_constraints == plain.winning_constraints
+        assert walked.complete_log.schedule == list(
+            plain.winning_trace.schedule
+        )
         assert walked.epoch_path == [] and walked.degradation_path == []
         assert walked.outcome_reason == ""
 
@@ -266,8 +270,6 @@ class TestWindowedReproduce:
         recorded = failing_epoch_record(10, 2)
         with pytest.raises(SimUsageError, match="degrade"):
             reproduce(recorded, self.CONFIG, degrade=True)
-        with pytest.raises(SimUsageError, match="full-history"):
-            reproduce(recorded, self.CONFIG, salvaged_entries=3)
 
     def test_outcome_reason_names_the_rung(self):
         recorded = failing_epoch_record(10, 2)

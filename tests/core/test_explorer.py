@@ -87,8 +87,8 @@ class TestRandomExplorer:
 
 class TestFeedbackExplorer:
     def test_reproduces_real_bug_and_uses_constraints(self):
+        from repro.core.parallel import ParallelExplorer
         from repro.core.recorder import record
-        from repro.core.reproducer import Reproducer
 
         program = order_violation_program()
         failing = None
@@ -98,8 +98,9 @@ class TestFeedbackExplorer:
                 failing = recorded
                 break
         assert failing is not None
-        reproducer = Reproducer(failing, ExplorerConfig(max_attempts=50))
-        result = reproducer.explorer.explore()
+        result = ParallelExplorer(
+            failing, ExplorerConfig(max_attempts=50)
+        ).explore()
         assert result.success
         assert result.winning_trace is not None
 

@@ -74,7 +74,7 @@ def _recorded(bug_id: str):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_e12_mines_once_per_new_execution(e12, mining_calls, jobs):
     report = reproduce(
-        e12, ExplorerConfig(max_attempts=300, jobs=jobs), match_output=True
+        e12, ExplorerConfig(max_attempts=300), match_output=True, jobs=jobs
     )
     assert report.attempts == 300 and report.duplicate_traces == 158
     assert mining_calls.value == report.attempts - report.duplicate_traces

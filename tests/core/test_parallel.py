@@ -15,8 +15,9 @@ from repro.apps import all_bugs, get_bug
 from repro.bench.seeds import find_failing_seed
 from repro.core.explorer import ExplorerConfig
 from repro.core.feedback import AttemptCache
+from repro.core.parallel import ParallelExplorer
 from repro.core.recorder import record
-from repro.core.reproducer import Reproducer, render_report, reproduce
+from repro.core.reproducer import render_report, reproduce
 from repro.core.sketches import SketchKind
 from repro.sim import MachineConfig, Program
 
@@ -172,10 +173,12 @@ class TestPoolFallback:
             program, sketch=SketchKind.SYNC, seed=seed,
             config=MachineConfig(ncpus=4),
         )
-        reproducer = Reproducer(recorded, ExplorerConfig(max_attempts=40, jobs=4))
-        report = reproducer.run()
-        assert reproducer.explorer.pool_disabled_reason is not None
-        assert report.success
+        explorer = ParallelExplorer(
+            recorded, ExplorerConfig(max_attempts=40), jobs=4
+        )
+        result = explorer.explore()
+        assert explorer.pool_disabled_reason is not None
+        assert result.success
 
     def test_fallback_matches_picklable_run(self):
         # The inline fallback must still honor the batch-merge semantics:

@@ -99,24 +99,24 @@ def _seeds_text(plan) -> str:
     return "\n".join(lines)
 
 
-def _planned(recorded, config, dynamic=None, static=None):
+def _planned(recorded, config, jobs, dynamic=None, static=None):
     plans = [plan for plan in (dynamic, static) if plan is not None]
-    return reproduce(recorded, config, plans=plans)
+    return reproduce(recorded, config, jobs=jobs, plans=plans)
 
 
 def _session(bug_id: str, name: str, jobs: int = 1, batch_size: int = 0) -> str:
     rich, none, dynamic, _, hinted = _inputs(bug_id)
-    config = ExplorerConfig(max_attempts=CAP, jobs=jobs, batch_size=batch_size)
+    config = ExplorerConfig(max_attempts=CAP, batch_size=batch_size)
     if name == "sync+dynamic":
         sync = dataclasses.replace(
             rich, sketch=SketchKind.SYNC,
             log=derive_coarser(rich.log, SketchKind.SYNC),
         )
-        report = _planned(sync, config, dynamic=dynamic)
+        report = _planned(sync, config, jobs, dynamic=dynamic)
     elif name == "none+static":
-        report = _planned(none, config, static=hinted)
+        report = _planned(none, config, jobs, static=hinted)
     else:
-        report = _planned(none, config, dynamic=dynamic, static=hinted)
+        report = _planned(none, config, jobs, dynamic=dynamic, static=hinted)
     return _sha(render_report(report))
 
 

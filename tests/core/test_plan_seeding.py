@@ -6,7 +6,7 @@ from repro.core.explorer import ExplorerConfig, plan_candidates
 from repro.core.feedback import TIER_PLAN
 from repro.core.plan import DYNAMIC
 from repro.core.recorder import record
-from repro.core.reproducer import Reproducer, reproduce
+from repro.core.reproducer import reproduce
 from repro.core.sketches import SketchKind
 from repro.obs.session import ObsSession
 from repro.sanitize import build_plan
@@ -143,9 +143,12 @@ class TestReproducerIntegration:
         seed = find_seed(program)
         recorded = record(program, sketch=SketchKind.RW, seed=seed)
         plan = build_plan(recorded.log)
-        reproducer = Reproducer(recorded, ExplorerConfig(), plans=[plan])
+        obs = ObsSession.create(trace=False)
+        reproduce(recorded, ExplorerConfig(), plans=[plan], obs=obs)
         # RW replay already pins everything: no seeds ship
-        assert reproducer.config.plan_seeds == ()
+        assert obs.metrics.counter("sanitize.dynamic.candidates").value > 0
+        assert obs.metrics.counter("sanitize.dynamic.applicable").value == 0
+        assert obs.metrics.counter("sanitize.dynamic.seeded").value == 0
 
     def test_plan_never_costs_attempts_on_a_one_shot_bug(self):
         program = order_violation_program()
@@ -171,9 +174,8 @@ class TestReproducerIntegration:
         def outcome(jobs):
             recorded = record(program, sketch=SketchKind.SYNC, seed=seed)
             report = reproduce(
-                recorded,
-                ExplorerConfig(max_attempts=30, batch_size=4, jobs=jobs),
-                plans=[plan],
+                recorded, ExplorerConfig(max_attempts=30, batch_size=4),
+                jobs=jobs, plans=[plan],
             )
             return (report.success, report.attempts)
 

@@ -81,14 +81,12 @@ class TestSharedExploration:
     def test_sessions_share_one_executor_and_reports_match_serial(
         self, recorded
     ):
-        config = ExplorerConfig(max_attempts=200, jobs=2)
-        serial = render_report(
-            reproduce(recorded, ExplorerConfig(max_attempts=200))
-        )
+        config = ExplorerConfig(max_attempts=200)
+        serial = render_report(reproduce(recorded, config))
         lease = PoolLease(2)
         try:
             for _ in range(3):  # three sessions, one warm pool
-                report = reproduce(recorded, config, pool=lease)
+                report = reproduce(recorded, config, jobs=2, pool=lease)
                 assert render_report(report) == serial
             assert lease.builds == 1
         finally:

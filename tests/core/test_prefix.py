@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from unittest import mock
 
 import pytest
 
@@ -413,20 +414,26 @@ class TestResumedTraceIdentity:
 
 
 def _e12_session(jobs: int, max_attempts: int = 300, batch_size: int = 0):
-    """An E12 session at ``jobs``: its report and the engine's tree."""
+    """An E12 session at ``jobs``: its report and the tree of the engine
+    ``reproduce`` built for it."""
     from repro.bench.speedup import e12_workload
+    from repro.core import reproducer
     from repro.core.explorer import ExplorerConfig
-    from repro.core.reproducer import Reproducer
 
-    reproducer = Reproducer(
-        e12_workload(),
-        ExplorerConfig(
-            max_attempts=max_attempts, jobs=jobs, batch_size=batch_size
-        ),
-        match_output=True,
-    )
-    report = reproducer.run()
-    return report, reproducer.explorer._prefix_tree
+    engines = []
+
+    def engine(*args, **kwargs):
+        engines.append(parallel.ParallelExplorer(*args, **kwargs))
+        return engines[-1]
+
+    with mock.patch.object(reproducer, "ParallelExplorer", engine):
+        report = reproducer.reproduce(
+            e12_workload(),
+            ExplorerConfig(max_attempts=max_attempts, batch_size=batch_size),
+            match_output=True, jobs=jobs,
+        )
+    (explorer,) = engines
+    return report, explorer._prefix_tree
 
 
 def _count_steps(monkeypatch):

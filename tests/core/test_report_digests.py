@@ -67,8 +67,8 @@ def _digest(
         config=MachineConfig(ncpus=NCPUS),
         oracle=spec.oracle,
     )
-    config = ExplorerConfig(max_attempts=CAP, jobs=jobs, batch_size=batch_size)
-    report = reproduce(recorded, config, use_feedback=feedback)
+    config = ExplorerConfig(max_attempts=CAP, batch_size=batch_size)
+    report = reproduce(recorded, config, use_feedback=feedback, jobs=jobs)
     return hashlib.sha256(render_report(report).encode("utf-8")).hexdigest()
 
 

@@ -210,9 +210,8 @@ class TestReproducerIntegration:
         def outcome(jobs):
             recorded = record(program, sketch=SketchKind.NONE, seed=seed)
             report = reproduce(
-                recorded,
-                ExplorerConfig(max_attempts=40, batch_size=4, jobs=jobs),
-                plans=[plan],
+                recorded, ExplorerConfig(max_attempts=40, batch_size=4),
+                jobs=jobs, plans=[plan],
             )
             return (report.success, report.attempts)
 
@@ -223,7 +222,8 @@ class TestReproducerIntegration:
         seed = find_seed(program)
         recorded = record(program, sketch=SketchKind.RW, seed=seed)
         plan = analyze_program(program)
-        from repro.core.reproducer import Reproducer
-
-        reproducer = Reproducer(recorded, ExplorerConfig(), plans=[plan])
-        assert reproducer.config.plan_seeds == ()
+        obs = ObsSession.create(trace=False)
+        reproduce(recorded, ExplorerConfig(), plans=[plan], obs=obs)
+        assert obs.metrics.counter("sanitize.static.candidates").value > 0
+        assert obs.metrics.counter("sanitize.static.applicable").value == 0
+        assert obs.metrics.counter("sanitize.static.seeded").value == 0

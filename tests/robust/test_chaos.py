@@ -128,11 +128,11 @@ class TestReportEquivalence:
         counters = []
         for jobs in (1, 2):
             obs = ObsSession.create(trace=False, metrics=True)
-            config = ExplorerConfig(max_attempts=60, jobs=jobs, batch_size=4)
+            config = ExplorerConfig(max_attempts=60, batch_size=4)
             # crash=1.0 makes injection certain even for bugs that
             # reproduce in a couple of attempts.
             report = reproduce(
-                recorded, config, obs=obs,
+                recorded, config, jobs=jobs, obs=obs,
                 supervise=SUPERVISE, chaos="crash=1.0,seed=11",
             )
             signatures.append(report_signature(report))

@@ -18,6 +18,21 @@ FIXTURE = os.path.join(
     os.path.dirname(__file__), "..", "fixtures", "corrupt_sketch.journal"
 )
 
+#: ``pres reproduce`` over a journal of the pbzip2 seed-3 RW recording
+#: truncated to 900 bytes, which salvage cuts back to 19 entries.
+TRUNCATED_RUN = [
+    "reproduce", "pbzip2-order-free", "--seed", "3", "--sketch", "rw",
+    "--inject-fault", "truncate@900", "--salvage", "--max-attempts", "100",
+]
+
+
+def _summary(out):
+    """The report's summary line in ``pres reproduce`` output."""
+    return next(
+        line for line in out.splitlines()
+        if line.startswith("pbzip2-order-free [")
+    )
+
 
 @pytest.fixture
 def sketch_journal(tmp_path):
@@ -155,9 +170,7 @@ class TestFaultToleranceCli:
     def test_reproduce_salvage_degrade_pipeline(self, capsys, tmp_path):
         journal = tmp_path / "sketch.journal"
         code = main(
-            ["reproduce", "pbzip2-order-free", "--seed", "3", "--sketch", "rw",
-             "--journal", str(journal), "--inject-fault", "truncate@900",
-             "--salvage", "--degrade", "--max-attempts", "100"]
+            TRUNCATED_RUN + ["--journal", str(journal), "--degrade"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -165,6 +178,18 @@ class TestFaultToleranceCli:
         assert "salvaged" in out
         assert "rung" in out
         assert "outcome:" in out
+        # the CLI stamps the salvage accounting on the degradation report
+        assert _summary(out).endswith("[salvaged 19 entries]")
+
+    def test_reproduce_salvage_without_degrade_stamps_nothing(
+        self, capsys, tmp_path
+    ):
+        journal = tmp_path / "sketch.journal"
+        code = main(TRUNCATED_RUN + ["--journal", str(journal)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "salvaged 19 record(s)" in out
+        assert "salvaged" not in _summary(out)
 
     def test_reproduce_salvage_requires_journal(self, capsys):
         code = main(

@@ -80,16 +80,6 @@ def test_maintained_set_matches_full_scan(bug_id, ncpus):
                 replay(recorded, candidate.constraints, seed=seed)
 
 
-def _capture(machine, scheduler):
-    try:
-        return (
-            machine.capture_state(serialize=True),
-            scheduler.capture_resume_state(serialize=True),
-        )
-    except Exception:
-        return machine.capture_state(), scheduler.capture_resume_state()
-
-
 @pytest.mark.parametrize("bug_id", ALL_BUG_IDS)
 def test_set_rebuilt_after_prefix_resume(bug_id):
     spec = get_bug(bug_id)
@@ -100,7 +90,9 @@ def test_set_rebuilt_after_prefix_resume(bug_id):
     snapshots = {}
 
     def on_snapshot(machine):
-        snapshots[len(machine.schedule)] = _capture(machine, parent)
+        snapshots[len(machine.schedule)] = (
+            machine.capture_state(), parent.capture_resume_state()
+        )
 
     parent = ShadowPIR(recorded.log, base_seed=3)
     Machine(recorded.program, parent, recorded.config).run(

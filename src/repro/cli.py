@@ -34,8 +34,8 @@ totals), ``verify`` (per-shard integrity; exit 1 on damage), and ``gc
 
 Predictive analysis (see docs/predictive-analysis.md): both passes
 print a ranked :class:`~repro.core.plan.Plan` and ``--out`` saves it as
-``pres-plan-v2`` JSON.  ``analyze`` runs the sanitizer over a saved
-sketch log (binary, compressed, or JSON — sniffed by magic);
+``pres-plan-v2`` JSON.  ``analyze`` runs the sanitizer over a sketch
+log that ``pres record`` wrote (its ``--journal`` or its ``--out`` JSON);
 ``reproduce --plan`` records a rich RW sketch of the same run, builds
 the dynamic plan from it, and seeds the plan's candidates into the first
 replay attempts at the requested (coarser) ``--sketch`` level.
@@ -60,9 +60,7 @@ used to write now lives under ``--exec-out``.
 Fault tolerance flags (see docs/internals.md, "Fault tolerance"):
 ``record``/``reproduce`` accept ``--journal`` (crash-consistent sketch
 journaling) and ``--inject-fault kill@K|truncate@N|garble@S|drop@S``;
-``reproduce`` accepts ``--salvage`` and ``--degrade``; ``replay`` accepts
-``--salvage`` to replay the recovered prefix of a torn trace journal.
-Parse errors in on-disk artifacts exit 2 with a message — never a
+``reproduce`` accepts ``--salvage`` and ``--degrade``.  Parse errors in on-disk artifacts exit 2 with a message — never a
 traceback.
 
 Resilience flags (see docs/resilience.md): ``reproduce`` accepts
@@ -242,21 +240,28 @@ def cmd_record(args) -> int:
 
 
 def _load_sketch_log(path: str):
-    """Load a sketch log from disk, sniffing the format by magic.
+    """Load a sketch log that ``pres record`` wrote: its ``--journal``
+    (sniffed by the journal magic) or its ``--out`` JSON.
 
-    Accepts all three on-disk encodings (binary ``PRES``, compressed
-    ``PREZ``, JSON); damage surfaces as :class:`SketchFormatError`, which
-    :func:`main` turns into exit code 2 plus the ``pres doctor`` hint.
+    Damage, a torn journal included, surfaces as
+    :class:`SketchFormatError`, which :func:`main` turns into exit code 2
+    plus the ``pres doctor`` hint.
     """
     from repro.core.sketchlog import SketchLog
+    from repro.robust.journal import MAGIC, load_sketch_journal
 
     with open(path, "rb") as handle:
         data = handle.read()
-    if data[:4] == b"PRES":
-        return SketchLog.from_bytes(data)
-    if data[:4] == b"PREZ":
-        return SketchLog.from_bytes_compressed(data)
-    return SketchLog.from_json(data.decode("utf-8"))
+    if data.startswith(MAGIC.encode("ascii")):
+        return load_sketch_journal(path)[0]
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SketchFormatError(
+            f"{path}: neither a sketch journal nor sketch JSON "
+            f"(byte {exc.start} is not UTF-8)"
+        ) from None
+    return SketchLog.from_json(text)
 
 
 def cmd_analyze(args) -> int:
@@ -535,46 +540,8 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-def _replay_salvaged_journal(spec, path: str) -> int:
-    """Replay the salvaged schedule prefix of a (possibly torn) trace
-    journal; deterministic up to the salvage horizon."""
-    from repro.sim import Machine
-    from repro.sim.persist import salvage_trace
-    from repro.sim.scheduler import FixedOrderScheduler
-
-    salvaged, report = salvage_trace(path)
-    print(report.describe())
-    machine = Machine(
-        spec.make_program(),
-        FixedOrderScheduler(salvaged.schedule),
-        MachineConfig(ncpus=salvaged.ncpus),
-    )
-    trace = machine.run()
-    replayed = min(len(trace.events), len(salvaged.events))
-    matched = sum(
-        1
-        for mine, theirs in zip(trace.events, salvaged.events)
-        if mine.signature() == theirs.signature()
-    )
-    print(f"replayed {replayed} salvaged step(s), {matched} matching")
-    if trace.failure is not None:
-        print(f"reproduced: {trace.failure.describe()}")
-        return 0
-    if matched == len(salvaged.events):
-        print("salvaged prefix replayed deterministically (no failure "
-              "inside the prefix)")
-        return 0
-    print("replay drifted from the salvaged prefix", file=sys.stderr)
-    return 1
-
-
 def cmd_replay(args) -> int:
     spec = get_bug(args.bug)
-    if args.salvage:
-        with open(args.log, "r", encoding="utf-8") as handle:
-            magic = handle.read(5)
-        if magic == "PRESJ":
-            return _replay_salvaged_journal(spec, args.log)
     with open(args.log, "r", encoding="utf-8") as handle:
         log = CompleteLog.from_json(handle.read())
     trace = replay_complete(spec.make_program(), log, oracle=spec.oracle)
@@ -754,8 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser(
         "analyze", help="predict races/deadlocks from a saved sketch log"
     )
-    p_analyze.add_argument("log", help="sketch log (binary, compressed, "
-                                       "or JSON from `pres record --out`)")
+    p_analyze.add_argument("log", help="sketch log from `pres record`: its "
+                                       "--journal file or its --out JSON")
     p_analyze.add_argument("--json", action="store_true",
                            help="print the replay plan as JSON instead of "
                                 "the human report")
@@ -858,9 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay = sub.add_parser("replay", help="replay a saved complete log")
     p_replay.add_argument("bug")
     p_replay.add_argument("--log", required=True)
-    p_replay.add_argument("--salvage", action="store_true",
-                          help="accept a (torn) trace journal: salvage and "
-                               "replay its valid schedule prefix")
 
     p_doctor = sub.add_parser(
         "doctor", help="validate an on-disk log; salvage what it can"

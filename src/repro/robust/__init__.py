@@ -6,9 +6,9 @@ the artifacts it leaves behind may be torn or damaged.  This package is
 that assumption made executable:
 
 * :mod:`repro.robust.journal` — an append-only, incrementally-flushed,
-  per-record-checksummed journal for sketch logs and traces, with a
-  ``salvage()`` reader that recovers the longest valid prefix of a
-  damaged file instead of raising;
+  per-record-checksummed journal for sketch logs and attempt-store
+  shards, with a ``salvage()`` reader that recovers the longest valid
+  prefix of a damaged file instead of raising;
 * :mod:`repro.robust.inject` — seeded, deterministic fault injectors
   (truncate / garble / drop / kill-recorder-at-event) used by the test
   suite and the ``--inject-fault`` CLI flag, plus the chaos harness
@@ -60,9 +60,7 @@ from repro.robust.journal import (
     SalvageReport,
     load_sketch_journal,
     read_journal,
-    read_journal_text,
     salvage,
-    salvage_text,
     sketch_journal_writer,
     sketch_log_from_salvage,
     write_sketch_journal,
@@ -99,9 +97,7 @@ __all__ = [
     "parse_chaos",
     "parse_fault",
     "read_journal",
-    "read_journal_text",
     "salvage",
-    "salvage_text",
     "seeded_truncate_offset",
     "sketch_journal_writer",
     "sketch_log_from_salvage",

@@ -1,8 +1,9 @@
 """Log triage: validate and salvage on-disk recording artifacts.
 
 ``pres doctor <log>`` is the operator-facing entry point: point it at any
-file the toolchain writes — a sketch or trace journal, a classic
-JSON-lines trace, a sketch-log JSON blob, a complete log — and it tells
+file the toolchain writes — a sketch journal (``--journal``), a
+JSON-lines trace (``--exec-out``), a sketch-log JSON blob (``record
+--out``), a complete log (``reproduce --out``) — and it tells
 you whether the file is **ok** (usable as-is), **salvageable** (a valid
 prefix can be recovered and written out), or **unrecoverable** (nothing
 trustworthy inside).  The verdicts map to exit codes 0/1/2 so scripts
@@ -39,8 +40,8 @@ class LogDiagnosis:
     """The doctor's verdict on one file."""
 
     path: str
-    format: str  # "sketch-journal" | "trace-journal" | "trace-jsonl" |
-    #              "sketch-json" | "complete-log" | "unknown"
+    format: str  # "<kind>-journal" (e.g. "sketch-journal") | "trace-jsonl"
+    #              | "sketch-json" | "complete-log" | "unknown"
     status: str  # OK | SALVAGEABLE | UNRECOVERABLE
     detail: str = ""
     valid_records: int = 0

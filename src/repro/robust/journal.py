@@ -1,4 +1,4 @@
-"""Crash-consistent journaling for sketch logs and traces.
+"""Crash-consistent journaling for sketch logs and attempt-store shards.
 
 The rest of the package serializes whole artifacts at once — useless when
 the defining PRES scenario is a production process that *dies while
@@ -16,7 +16,8 @@ Format (text, line-oriented)::
     <crc32> <footer json>
 
 * The header json is ``{"kind": ..., "meta": {...}}``; ``kind`` names the
-  payload schema (``"sketch"`` or ``"trace"``).
+  payload schema (``"sketch"`` for ``pres record --journal``,
+  ``"attempts"`` for a store shard).
 * Each subsequent line carries one record as ``[seq, payload]`` — the
   sequence number detects silently *dropped* lines, which per-line CRCs
   alone cannot.
@@ -221,16 +222,7 @@ def salvage(path: str) -> SalvageReport:
     longer be trusted to be *the next* records.
     """
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        return salvage_text(handle.read(), path)
-
-
-def salvage_text(text: str, path: str = "<memory>") -> SalvageReport:
-    """:func:`salvage`, but over journal content already in memory.
-
-    Lets callers that hold one open handle (:func:`repro.sim.persist.
-    read_trace` sniffing formats, the attempt store healing a shard)
-    validate without a second racy ``open`` of the same path.
-    """
+        text = handle.read()
     report = SalvageReport(path=path)
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -279,22 +271,13 @@ def salvage_text(text: str, path: str = "<memory>") -> SalvageReport:
 def read_journal(path: str) -> SalvageReport:
     """Strict read: raises :class:`SketchFormatError` on any corruption,
     naming the 1-based line of the first bad record."""
-    return _strict(salvage(path), path)
-
-
-def read_journal_text(text: str, path: str = "<memory>") -> SalvageReport:
-    """Strict :func:`read_journal` over content already in memory."""
-    return _strict(salvage_text(text, path), path)
-
-
-def _strict(report: SalvageReport, path: str) -> SalvageReport:
+    report = salvage(path)
     if report.unrecoverable:
         raise SketchFormatError(f"{path}: {report.reason}")
     if not report.intact:
         raise SketchFormatError(
             f"{path}: journal is damaged ({report.reason}); "
-            f"run `pres doctor` or pass --salvage to recover "
-            f"{len(report.records)} valid record(s)"
+            f"{len(report.records)} valid record(s) precede the damage"
         )
     return report
 
@@ -341,7 +324,6 @@ def _resume_handle(
 # -- sketch journals -------------------------------------------------------
 
 SKETCH_KIND = "sketch"
-TRACE_KIND = "trace"
 #: journal kind of one attempt-store shard (see :mod:`repro.store`).
 ATTEMPTS_KIND = "attempts"
 

@@ -48,7 +48,6 @@ from repro.sim.events import Event
 from repro.sim.failures import Failure, FailureKind
 from repro.sim.memory import SharedMemory
 from repro.sim.ops import Op, OpKind
-from repro.sim.persist import event_row, trace_meta
 from repro.sim.program import Program, ThreadContext
 from repro.sim.scheduler import Scheduler, validate_pick
 from repro.sim.sync import SyncTable
@@ -125,17 +124,11 @@ class Machine:
         scheduler: Scheduler,
         config: Optional[MachineConfig] = None,
         observers: Sequence[Observer] = (),
-        event_journal: Optional[Any] = None,
     ) -> None:
         self.program = program
         self.scheduler = scheduler
         self.config = config or MachineConfig()
         self.observers = list(observers)
-        #: crash-consistent event sink (anything with ``append``/``commit``,
-        #: e.g. :func:`repro.sim.persist.trace_journal_writer`).  Events are
-        #: journaled the moment they execute — *before* observers run — so a
-        #: process dying at event k leaves a salvageable prefix of length k.
-        self.event_journal = event_journal
 
         self.memory = SharedMemory(program.initial_memory)
         self.sync = SyncTable(program.semaphores, program.barriers)
@@ -226,11 +219,6 @@ class Machine:
             self._step(tid)
 
         trace = self._build_trace()
-        if self.event_journal is not None:
-            # Reaching here means the run *completed* (with or without a
-            # failure); a killed recorder never writes this footer, which
-            # is how salvage tells a finished journal from a torn one.
-            self.event_journal.commit(trace_meta(trace))
         for observer in self.observers:
             observer.on_finish(self, trace)
         return trace
@@ -543,8 +531,6 @@ class Machine:
 
         event = Event.from_op(len(self.events), tid, cpu, op, result)
         self.events.append(event)
-        if self.event_journal is not None:
-            self.event_journal.append(event_row(event))
         for observer in self.observers:
             observer.on_event(self, event)
         if self.failure is not None and self.failure.gidx is None:

@@ -2,15 +2,9 @@
 
 A reproduced bug is most useful when the whole execution can be attached
 to the bug report.  This module round-trips a :class:`~repro.sim.trace.
-Trace` through two formats:
-
-* the classic JSON-lines format (one header object, then one line per
-  event) written by :func:`dump_trace`;
-* a crash-consistent *journal* format (:func:`save_trace_journaled`)
-  built on :mod:`repro.robust.journal`, where every event is a
-  checksummed record flushed as it is written and the run metadata
-  becomes a completion footer — so a run that dies mid-recording leaves
-  a salvageable prefix instead of nothing.
+Trace` through one JSON-lines format: one header object, then one line
+per event, written by :func:`dump_trace` (atomically to a path by
+:func:`save_trace`, which ``pres reproduce --exec-out`` uses).
 
 Values survive when they are JSON-representable (the simulator's
 conventions — ints, strings, tuples, lists, None — all are; tuples are
@@ -24,9 +18,8 @@ detection, lockset, timelines, diffing, and `schedule`-based re-execution.
 
 from __future__ import annotations
 
-import io
 import json
-from typing import Any, Dict, IO, List, Optional, Tuple
+from typing import Any, Dict, IO, List
 
 from repro.errors import SketchFormatError
 from repro.sim.events import Event
@@ -67,7 +60,7 @@ def _unpack(value: Any) -> Any:
 
 
 def event_row(event: Event) -> list:
-    """One event as a flat JSON-ready row (shared by both formats)."""
+    """One event as a flat JSON-ready row."""
     return [
         event.gidx,
         event.tid,
@@ -103,7 +96,7 @@ def event_from_row(row: Any) -> Event:
 
 
 def trace_meta(trace: Trace) -> Dict[str, Any]:
-    """Everything about a trace except the events (header or footer)."""
+    """Everything about a trace except the events (the header)."""
     return {
         "program": trace.program_name,
         "ncpus": trace.ncpus,
@@ -181,7 +174,7 @@ def _trace_from_meta(meta: Dict[str, Any], events: List[Event]) -> Trace:
     )
 
 
-# -- classic JSON-lines format -----------------------------------------------
+# -- JSON-lines format ------------------------------------------------------
 
 
 def dump_trace(trace: Trace, handle: IO[str]) -> None:
@@ -241,107 +234,10 @@ def save_trace(trace: Trace, path: str) -> None:
 
 
 def read_trace(path: str) -> Trace:
-    """Load a trace from ``path`` (either format, sniffed by magic).
+    """Load a trace written by :func:`save_trace` from ``path``.
 
-    Sniffing and parsing share one handle — one open, one read — so a
-    concurrent :func:`save_trace` replacement cannot swap the file
-    between the sniff and the reload, and hot paths pay a single open.
-    Undecodable bytes are replaced rather than raised on (both formats
-    turn the resulting damage into :class:`SketchFormatError`).
+    Undecodable bytes are replaced rather than raised on, so the
+    resulting damage surfaces as :class:`SketchFormatError`.
     """
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
-        text = handle.read()
-    if text.startswith("PRESJ"):
-        from repro.robust.journal import read_journal_text
-
-        return trace_from_salvage(read_journal_text(text, path))
-    return load_trace(io.StringIO(text))
-
-
-# -- crash-consistent journal format -----------------------------------------
-
-
-def trace_journal_writer(program_name: str, ncpus: int, path: str):
-    """Open an event journal for a run that is *about to happen*.
-
-    Hand the writer to :class:`~repro.sim.machine.Machine` as its
-    ``event_journal``; the machine appends every event as it executes and
-    commits the metadata footer only if the run completes.  The caller
-    owns closing it.
-    """
-    from repro.robust.journal import TRACE_KIND, JournalWriter
-
-    return JournalWriter(
-        path, TRACE_KIND, {"program": program_name, "ncpus": ncpus}
-    )
-
-
-def save_trace_journaled(trace: Trace, path: str) -> None:
-    """Write a finished trace in the journal format (conversion utility)."""
-    writer = trace_journal_writer(trace.program_name, trace.ncpus, path)
-    try:
-        for event in trace.events:
-            writer.append(event_row(event))
-        writer.commit(trace_meta(trace))
-    finally:
-        writer.close()
-
-
-def _partial_trace(meta: Dict[str, Any], events: List[Event], note: str) -> Trace:
-    """A prefix-only trace: the run's tail (and end state) are unknown."""
-    return Trace(
-        program_name=meta.get("program", "<unknown>"),
-        events=events,
-        schedule=[event.tid for event in events],
-        final_memory={},
-        stdout=[],
-        files={},
-        thread_returns={},
-        thread_names={},
-        failure=None,
-        clock=None,
-        steps=len(events),
-        ncpus=int(meta.get("ncpus", 1)),
-        divergence=note,
-    )
-
-
-def trace_from_salvage(report) -> Trace:
-    """Rebuild a trace from a salvaged journal.
-
-    With an intact footer this is a full, exact trace; without one it is
-    the event prefix the dying process managed to flush, with the
-    schedule re-derived from the events (every machine step that emitted
-    an event was one scheduler pick of that event's thread).
-    """
-    from repro.robust.journal import TRACE_KIND
-
-    if report.kind != TRACE_KIND:
-        raise SketchFormatError(
-            f"{report.path}: expected a trace journal, found {report.kind!r}"
-        )
-    events: List[Event] = []
-    for number, row in enumerate(report.records, start=1):
-        try:
-            events.append(event_from_row(row))
-        except (ValueError, TypeError) as exc:
-            raise SketchFormatError(
-                f"{report.path}: record {number}: {exc}"
-            ) from None
-    if report.footer is not None and "schedule" in report.footer:
-        return _trace_from_meta(report.footer, events)
-    return _partial_trace(
-        report.meta,
-        events,
-        f"salvaged prefix: {report.reason or 'journal has no footer'}",
-    )
-
-
-def salvage_trace(path: str) -> Tuple[Trace, Any]:
-    """Tolerant journal load: best-effort trace plus the salvage report."""
-    from repro.robust.journal import salvage
-
-    report = salvage(path)
-    if report.unrecoverable:
-        raise SketchFormatError(f"{path}: {report.reason}")
-    return trace_from_salvage(report), report
+        return load_trace(handle)

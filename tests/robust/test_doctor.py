@@ -12,7 +12,7 @@ from repro.core.recorder import record, record_with_trace
 from repro.core.sketches import SketchKind
 from repro.robust.doctor import OK, SALVAGEABLE, UNRECOVERABLE, examine, write_salvaged
 from repro.robust.journal import write_sketch_journal
-from repro.sim.persist import dump_trace, load_trace, save_trace_journaled
+from repro.sim.persist import dump_trace, load_trace
 
 FIXTURE = os.path.join(
     os.path.dirname(__file__), "..", "fixtures", "corrupt_sketch.journal"
@@ -207,31 +207,6 @@ class TestFaultToleranceCli:
         err = capsys.readouterr().err
         assert code == 1
         assert "nothing to reproduce" in err
-
-    def test_replay_salvage_on_torn_trace_journal(self, capsys, tmp_path, trace):
-        path = tmp_path / "trace.journal"
-        save_trace_journaled(trace, str(path))
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        code = main(
-            ["replay", "pbzip2-order-free", "--log", str(path), "--salvage"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "salvaged" in out
-        assert "matching" in out
-
-    def test_replay_salvage_on_intact_trace_journal_reproduces(
-        self, capsys, tmp_path, trace
-    ):
-        path = tmp_path / "trace.journal"
-        save_trace_journaled(trace, str(path))
-        code = main(
-            ["replay", "pbzip2-order-free", "--log", str(path), "--salvage"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "reproduced:" in out
 
     def test_corrupt_complete_log_exits_2_with_hint(self, capsys, tmp_path):
         path = tmp_path / "complete.json"

@@ -51,6 +51,58 @@ class TestRecord:
         assert json.loads(out_file.read_text())["sketch"] == "rw"
 
 
+class TestAnalyze:
+    """`pres analyze` reads both sketch-log files `pres record` writes."""
+
+    def _record(self, tmp_path, bug, seed):
+        journal, log_file = tmp_path / "rw.journal", tmp_path / "rw.json"
+        assert main(
+            ["record", bug, "--seed", str(seed), "--sketch", "rw",
+             "--ncpus", "4", "--journal", str(journal), "--out", str(log_file)]
+        ) == 0
+        return journal, log_file
+
+    @pytest.mark.parametrize(
+        "bug,seed",
+        [("pbzip2-order-free", 3), ("mysql-atom-log", 4),
+         ("openldap-deadlock", 0)],
+    )
+    def test_journal_and_json_give_the_same_plan(
+        self, capsys, tmp_path, bug, seed
+    ):
+        journal, log_file = self._record(tmp_path, bug, seed)
+        capsys.readouterr()
+        assert main(["analyze", str(journal), "--json"]) == 0
+        from_journal = capsys.readouterr().out
+        assert main(["analyze", str(log_file), "--json"]) == 0
+        assert from_journal == capsys.readouterr().out
+
+    def test_torn_journal_exits_2_with_the_doctor_hint(self, capsys, tmp_path):
+        journal, _ = self._record(tmp_path, "pbzip2-order-free", 3)
+        journal.write_bytes(journal.read_bytes()[:900])
+        capsys.readouterr()
+        assert main(["analyze", str(journal)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "journal is damaged" in err
+        assert "pres doctor" in err
+        assert "Traceback" not in err
+
+    def test_binary_sketch_file_exits_2_with_an_error_line(
+        self, capsys, tmp_path
+    ):
+        from repro.core.sketchlog import SketchLog
+
+        _, log_file = self._record(tmp_path, "pbzip2-order-free", 3)
+        binary = tmp_path / "rw.prez"
+        binary.write_bytes(
+            SketchLog.from_json(log_file.read_text()).to_bytes_compressed()
+        )
+        capsys.readouterr()
+        assert main(["analyze", str(binary)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestReproduce:
     def test_full_pipeline_and_replay(self, capsys, tmp_path):
         log_file = tmp_path / "complete.json"

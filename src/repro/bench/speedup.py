@@ -150,7 +150,7 @@ def sort_microbench(repeats: int = 400, n_sets: int = 16, n_constraints: int = 8
     its constraint set with ``key=str`` (dataclass ``__repr__`` per
     element per comparison) — against the current one, which sorts each
     distinct set once via :func:`canonical_order` and serves repeats from
-    a memo, exactly as :class:`~repro.core.parallel.AttemptContext` does.
+    a memo, as :func:`~repro.core.constraints.ordered_constraints` does.
     """
     sets = []
     for i in range(n_sets):

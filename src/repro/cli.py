@@ -410,7 +410,6 @@ def cmd_reproduce(args) -> int:
     # The salvage accounting belongs to the degradation report.
     if args.degrade and salvage_report is not None and not salvage_report.intact:
         report.salvaged_entries = len(recorded.log)
-        report.dropped_records = salvage_report.dropped_lines
     if args.degrade or recorded.epochs is not None:
         for rung in report.degradation_path + report.epoch_path:
             print(f"  rung {rung.describe()}")

@@ -114,9 +114,10 @@ _ORDERED_MEMO_LIMIT = 4096
 def ordered_constraints(constraints: ConstraintSet) -> Tuple[OrderConstraint, ...]:
     """Memoized :func:`canonical_order` over hashable constraint sets.
 
-    For call sites outside the engine (which hoists through
-    ``AttemptContext.ordered``): sanitize plan ranking, cache keys, and
-    anything else that canonicalizes the same set repeatedly.
+    The one canonical-order memo: replay attempts and prefix restores
+    (the PIR gate's constraint order), chaos keys, sanitize plan
+    ranking, the static analyzer, and anything else that canonicalizes
+    the same set repeatedly.
     """
     cached = _ORDERED_MEMO.get(constraints)
     if cached is None:

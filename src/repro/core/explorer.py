@@ -60,6 +60,9 @@ class ExplorationResult:
     winning_constraints: ConstraintSet = _EMPTY
     winning_seed: int = 0
     duplicate_traces: int = 0
+    #: reported attempts answered from the attempt cache — this
+    #: exploration's own, not the (possibly shared) cache's lifetime count.
+    cache_hits: int = 0
     #: attempts dispatched with a schedule-prefix resume plan (see
     #: :mod:`repro.core.prefix`) — counted at batch assembly, so the
     #: figure is jobs-invariant: the in-process engine at ``jobs=1``

@@ -84,7 +84,7 @@ from dataclasses import dataclass, field, replace
 from typing import AbstractSet, Any, Dict, List, Optional, Tuple
 
 from repro.core import shm
-from repro.core.constraints import ConstraintSet, canonical_order
+from repro.core.constraints import ConstraintSet, ordered_constraints
 from repro.core.epochs import EpochResumeBase
 from repro.core.explorer import (
     AttemptRecord,
@@ -171,15 +171,6 @@ class AttemptContext:
     recorded: RecordedRun
     base_policy: str = "random"
     match_output: bool = False
-    #: canonical-order memo so each distinct constraint set is sorted
-    #: once per session, not once per replay.
-    sorted_cache: Dict[ConstraintSet, Tuple] = field(default_factory=dict)
-    #: bound on the memo above — a long ladder walk over a large
-    #: frontier sees an unbounded stream of distinct constraint sets, so
-    #: without a cap the memo is a slow leak.  Eviction is oldest-first
-    #: (dict insertion order, schedule-deterministic) and can only cost
-    #: a re-sort, never change its result.  ``0`` disables the bound.
-    sorted_cache_limit: int = 4096
     #: record per-attempt spans inside :func:`evaluate_attempt` (in the
     #: worker process, when pooled) and ship them on the outcome.
     trace_attempts: bool = False
@@ -191,19 +182,6 @@ class AttemptContext:
     #: epoch-local suffix).  Serialized snapshots pickle with the rest
     #: of the context, so pool workers restore it like the parent does.
     epoch_base: Optional[EpochResumeBase] = None
-
-    def ordered(self, constraints: ConstraintSet) -> Tuple:
-        """The canonical ordering of ``constraints``, memoized per session."""
-        cached = self.sorted_cache.get(constraints)
-        if cached is None:
-            cached = canonical_order(constraints)
-            if (
-                self.sorted_cache_limit > 0
-                and len(self.sorted_cache) >= self.sorted_cache_limit
-            ):
-                del self.sorted_cache[next(iter(self.sorted_cache))]
-            self.sorted_cache[constraints] = cached
-        return cached
 
     def attempt_tracer(self) -> Tracer:
         """A tracer for one attempt evaluation (null when tracing is off)."""
@@ -296,7 +274,7 @@ def run_attempt(
     if machine is None:
         scheduler = PIRScheduler(
             recorded.log,
-            ctx.ordered(constraints),
+            ordered_constraints(constraints),
             base_seed=seed,
             base_policy=ctx.base_policy,
         )
@@ -767,7 +745,7 @@ class ParallelExplorer:
             # constraint order — never dispatch order or pids — so
             # injection is jobs-invariant.
             chaos_material=lambda constraints, seed: (
-                f"{seed}|{self.context.ordered(constraints)!r}"
+                f"{seed}|{ordered_constraints(constraints)!r}"
             ),
             # The attempt-store root behind a persistent cache, if
             # any: the target of chaos shard corruption.
@@ -1041,7 +1019,11 @@ class ParallelExplorer:
                 outcomes = supervisor.evaluate_batch(batch, self.use_feedback)
             # Known once the first batch ran; no plan precedes it.
             self._in_process = supervisor.serial
-            for (_, _, _, resume, _), outcome in zip(batch, outcomes):
+            for (_, _, cached, resume, _), outcome in zip(batch, outcomes):
+                # Counted at fold, so a hit past the batch's match (never
+                # reported) is not counted either.
+                if cached is not None:
+                    result.cache_hits += 1
                 if self._fold(result, outcome, push, resume):
                     return
             metrics.gauge("frontier_peak").max(len(frontier))

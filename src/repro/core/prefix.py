@@ -82,7 +82,11 @@ import pickle
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
-from repro.core.constraints import ConstraintSet, OrderConstraint
+from repro.core.constraints import (
+    ConstraintSet,
+    OrderConstraint,
+    ordered_constraints,
+)
 from repro.core.feedback import AnalysisCheckpoint
 from repro.core.pir import PIRScheduler
 from repro.sim.machine import Machine
@@ -483,7 +487,7 @@ def restore_machine(
         recorded = ctx.recorded
         scheduler = PIRScheduler(
             recorded.log,
-            ctx.ordered(constraints),
+            ordered_constraints(constraints),
             base_seed=seed,
             base_policy=ctx.base_policy,
         )

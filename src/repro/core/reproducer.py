@@ -125,7 +125,8 @@ class ReproductionReport:
     winning_constraints: ConstraintSet = frozenset()
     total_replay_steps: int = 0
     duplicate_traces: int = 0
-    #: attempts answered from the attempt cache instead of a fresh replay.
+    #: attempts this session answered from the attempt cache instead of
+    #: a fresh replay.
     cache_hits: int = 0
     #: attempts dispatched with a schedule-prefix resume plan (see
     #: :mod:`repro.core.prefix`).  Jobs-invariant.
@@ -136,8 +137,6 @@ class ReproductionReport:
     #: entries available after salvage, when the log came from salvage
     #: (``None`` when the log was pristine).
     salvaged_entries: Optional[int] = None
-    #: journal lines discarded by salvage.
-    dropped_records: int = 0
     #: every rung the degradation ladder tried, in order.
     degradation_path: List[DegradationRung] = field(default_factory=list)
     #: every replay base the epoch walk tried, newest first (empty for
@@ -376,8 +375,8 @@ def reproduce(
             pool=pool, jobs=jobs,
         )
         return _walk(
-            recorded, rungs, config or ExplorerConfig(), session, cache,
-            degrade, plans, engine,
+            recorded, rungs, config or ExplorerConfig(), session, degrade,
+            plans, engine,
         )
     finally:
         if close_after is not None:
@@ -467,7 +466,6 @@ def _walk(
     rungs: List[_Rung],
     config: ExplorerConfig,
     session: ObsSession,
-    cache: Optional[AttemptCache],
     degrade: bool,
     plans: Sequence[Plan],
     engine: Callable[..., ParallelExplorer],
@@ -598,7 +596,7 @@ def _walk(
         winning_constraints=last.winning_constraints,
         total_replay_steps=sum(result.total_steps for result in results),
         duplicate_traces=sum(result.duplicate_traces for result in results),
-        cache_hits=cache.hits if cache is not None else 0,
+        cache_hits=sum(result.cache_hits for result in results),
         prefix_hits=sum(result.prefix_hits for result in results),
         realized_resumes=sum(result.realized_resumes for result in results),
         degradation_path=degradation_path,

@@ -154,7 +154,6 @@ class Machine:
         snapshot_depths: Iterable[int] = (),
         on_snapshot: Optional[Callable[["Machine"], None]] = None,
         snapshot_when: Optional[Callable[["Machine"], bool]] = None,
-        stop_after: Optional[int] = None,
     ) -> Trace:
         """Execute the program to completion; returns the trace.
 
@@ -165,9 +164,7 @@ class Machine:
         ``snapshot_when`` is the dynamic variant: a predicate consulted at
         the same point, for producers (the epoch-windowed recorder) whose
         boundaries depend on run state rather than a precomputed depth
-        set.  ``stop_after`` ends the run once that many steps have
-        executed (used when a snapshot producer has no use for the
-        suffix).
+        set.
         """
         if self._ran:
             raise SimUsageError("a Machine is single-use; build a fresh one")
@@ -192,8 +189,6 @@ class Machine:
                 or (snapshot_when is not None and snapshot_when(self))
             ):
                 on_snapshot(self)
-            if stop_after is not None and len(schedule) >= stop_after:
-                break
             runnable = self.runnable_tids()
             if not runnable:
                 if all(ts.finished for ts in self.threads.values()):

@@ -110,6 +110,19 @@ class TestAttemptCache:
         assert second.attempts == first.attempts
         assert second.winning_constraints == first.winning_constraints
 
+    def test_each_session_counts_only_its_own_hits(self):
+        # A cache shared across sessions (as a service tenant's store
+        # is): each report counts the hits among its own attempts, not
+        # the cache's lifetime total.
+        recorded = _recorded("mysql-atom-log")
+        cache = AttemptCache()
+        reports = [
+            reproduce(recorded, ExplorerConfig(max_attempts=400), cache=cache)
+            for _ in range(3)
+        ]
+        assert [report.attempts for report in reports] == [19, 19, 19]
+        assert [report.cache_hits for report in reports] == [0, 19, 19]
+
     def test_cache_keys_separate_policies(self):
         recorded = _recorded("pbzip2-order-free")
         cache = AttemptCache()

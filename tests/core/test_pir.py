@@ -89,6 +89,14 @@ def _two_lockers_log(first_lock="m"):
     return log
 
 
+class _StopRun(Exception):
+    """Raised by a snapshot hook to end a run at the hook's depth."""
+
+
+def _stop_run(machine):
+    raise _StopRun
+
+
 class TestDivergenceTexts:
     """Divergence reasons reach reports and run journals verbatim; the
     scheduler builds them off its hot path, so pin the exact text."""
@@ -122,7 +130,9 @@ class TestDivergenceTexts:
         program = Program("two-lockers", _two_lockers)
         scheduler = PIRScheduler(_two_lockers_log())
         machine = Machine(program, scheduler)
-        machine.run(stop_after=2)
+        # The hook fires at the top of the step loop, after 2 steps.
+        with pytest.raises(_StopRun):
+            machine.run(snapshot_depths=(2,), on_snapshot=_stop_run)
         # T2 takes the mutex although the sketch gives T1 the turn.
         machine.events.append(Event(2, 2, OpKind.LOCK, obj="m"))
         with pytest.raises(ReplayDivergence) as diverged:

@@ -146,10 +146,8 @@ class TestByteIdentity:
             assert final["state"] == "done"
             assert client.result_text(job_id) == serial_report
         result = client.result(job_id)
-        # The tenant's store answered the repeat's attempts from disk
-        # (batch assembly may probe — and hit — beyond the winning
-        # attempt, so hits can exceed the report's attempt count).
-        assert result["cache_hits"] >= result["attempts"] > 0
+        # The tenant's store answered every attempt of the repeat.
+        assert result["cache_hits"] == result["attempts"] > 0
 
     def test_result_json_carries_the_same_report(self, client, serial_report):
         job_id, _ = _submit_and_wait(client, tenant="bytes")
@@ -161,6 +159,20 @@ class TestTenancy:
         job_id, _ = _submit_and_wait(client, tenant="cold-tenant")
         result = client.result(job_id)
         assert result["cache_hits"] == 0  # nothing warmed this namespace
+
+    def test_each_job_counts_only_its_own_store_hits(self, client):
+        # A tenant's jobs share one store; each job's result counts the
+        # hits among its own attempts, never an earlier job's.
+        results = []
+        for _ in range(3):
+            job_id, final = _submit_and_wait(client, tenant="own-hits")
+            assert final["state"] == "done"
+            results.append(client.result(job_id))
+        assert all(r["cache_hits"] <= r["attempts"] for r in results)
+        cold, warm, again = results
+        assert cold["cache_hits"] == 0
+        assert warm["cache_hits"] == warm["attempts"] > 0
+        assert again["cache_hits"] == again["attempts"]
 
     def test_jobs_listing_filters_by_tenant(self, client):
         _submit_and_wait(client, tenant="list-a")

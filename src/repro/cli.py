@@ -60,8 +60,8 @@ used to write now lives under ``--exec-out``.
 Fault tolerance flags (see docs/internals.md, "Fault tolerance"):
 ``record``/``reproduce`` accept ``--journal`` (crash-consistent sketch
 journaling) and ``--inject-fault kill@K|truncate@N|garble@S|drop@S``;
-``reproduce`` accepts ``--salvage`` and ``--degrade``.  Parse errors in on-disk artifacts exit 2 with a message — never a
-traceback.
+``reproduce`` accepts ``--salvage`` and ``--degrade``.  Parse errors in
+on-disk artifacts exit 2 with a message — never a traceback.
 
 Resilience flags (see docs/resilience.md): ``reproduce`` accepts
 ``--attempt-timeout`` / ``--max-retries`` (worker supervision: deadlines,

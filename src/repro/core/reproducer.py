@@ -108,12 +108,12 @@ class ReproductionReport:
     """Outcome of one reproduction session.
 
     The rung fields are filled by the ladder walks of :func:`reproduce`
-    (``degrade=True``, or an epoch-windowed recording), and the salvage
-    fields by ``pres reproduce --salvage --degrade``; a plain session
-    leaves them at their defaults.  They exist so a run against a
-    damaged or windowed log ends in a *structured* answer — what was
-    salvaged, which rung succeeded, why it stopped — instead of an
-    unhandled traceback.
+    (``degrade=True``, or an epoch-windowed recording), and
+    ``salvaged_entries`` by ``pres reproduce --salvage --degrade``; a
+    plain session leaves them at their defaults.  They exist so a run
+    against a damaged or windowed log ends in a *structured* answer —
+    what was salvaged, which rung succeeded, why it stopped — instead of
+    an unhandled traceback.
     """
 
     program_name: str

@@ -25,7 +25,6 @@ those are legitimate reproductions when the recorded bug *is* a deadlock.
 from __future__ import annotations
 
 import enum
-import pickle
 import random
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -36,6 +35,7 @@ from repro.errors import ReplayDivergence
 from repro.sim.machine import Machine
 from repro.sim.ops import Op
 from repro.sim.scheduler import Scheduler
+from repro.sim.syscalls import frozen_rng
 
 
 class Gate(enum.Enum):
@@ -102,6 +102,15 @@ class BaseChooser:
     def choose(self, allowed: List[int]) -> int:
         raise NotImplementedError
 
+    def capture(self) -> Any:
+        """This chooser's progress, for a snapshot; :meth:`restore`
+        loads it into a chooser built with the same arguments, and never
+        changes it, so one capture serves any number of restores."""
+        raise NotImplementedError
+
+    def restore(self, state: Any) -> None:
+        raise NotImplementedError
+
 
 class RandomChooser(BaseChooser):
     """Uniform random over the allowed set (the default)."""
@@ -115,6 +124,12 @@ class RandomChooser(BaseChooser):
 
     def choose(self, allowed: List[int]) -> int:
         return allowed[self._rng.randrange(len(allowed))]
+
+    def capture(self) -> random.Random:
+        return frozen_rng(self._rng)
+
+    def restore(self, state: random.Random) -> None:
+        self._rng.setstate(state.getstate())
 
 
 class PCTChooser(BaseChooser):
@@ -155,6 +170,21 @@ class PCTChooser(BaseChooser):
             self._priorities[winner] = self._rng.random()
             winner = max(allowed, key=self._priority_of)
         return winner
+
+    def capture(self) -> Tuple[Any, ...]:
+        return (
+            frozen_rng(self._rng),
+            dict(self._priorities),
+            frozenset(self._change_points),
+            self._steps,
+        )
+
+    def restore(self, state: Tuple[Any, ...]) -> None:
+        rng, priorities, change_points, steps = state
+        self._rng.setstate(rng.getstate())
+        self._priorities = dict(priorities)
+        self._change_points = set(change_points)
+        self._steps = steps
 
 
 def make_chooser(policy: str, seed: int) -> BaseChooser:
@@ -295,13 +325,15 @@ class PIRScheduler(Scheduler):
         within a child's safe prefix the child makes the very same picks
         as its parent, so a parent-built snapshot fast-forwards a child
         scheduler whose gate holds a *larger* constraint set.  The
-        chooser travels as a pickle blob; every restore unpickles a
-        fresh copy.
+        chooser travels as its :meth:`BaseChooser.capture`, which holds
+        its RNG as a :func:`~repro.sim.syscalls.frozen_rng` copy; every
+        restore loads that state into the fresh scheduler's own chooser
+        and leaves the copy unchanged.
         """
         return (
             self.cursor.position,
             self.gate.counter.capture(),
-            pickle.dumps(self._chooser, protocol=pickle.HIGHEST_PROTOCOL),
+            self._chooser.capture(),
             self._seen_events,
         )
 
@@ -317,7 +349,7 @@ class PIRScheduler(Scheduler):
         self.cursor.position = position
         self.gate = ConstraintGate(self.constraints)
         self.gate.counter.restore(counter_state)
-        self._chooser = pickle.loads(chooser)
+        self._chooser.restore(chooser)
         self._seen_events = seen
 
     def describe(self) -> str:

@@ -44,11 +44,12 @@ skips that shared prefix:
 Design constraints, in order:
 
 * **Exactness.**  A resumed attempt must produce the byte-identical
-  trace of a cold run.  Snapshots carry all mutable machine state as a
-  pickle blob and rebuild generators by feed replay
-  (:meth:`Machine.capture_state`), checking that every rebuilt thread
-  waits on the op it waited on when captured; the scheduler
-  fast-forward carries the RNG, cursor, and occurrence counts
+  trace of a cold run.  Snapshots carry the mutable machine state as a
+  pickle blob, with the kernel RNG beside it as a frozen copy, and
+  rebuild generators by feed replay (:meth:`Machine.capture_state`),
+  checking that every rebuilt thread waits on the op it waited on when
+  captured; the scheduler fast-forward carries the chooser's frozen RNG
+  copy, the cursor, and occurrence counts
   (:meth:`PIRScheduler.capture_resume_state`), all
   constraint-independent, so one child's capture serves its siblings
   too.  Any surprise in the resume machinery falls back to a cold run —

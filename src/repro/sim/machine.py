@@ -36,6 +36,7 @@ import enum
 import pickle
 import traceback
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -48,10 +49,10 @@ from repro.sim.events import Event
 from repro.sim.failures import Failure, FailureKind
 from repro.sim.memory import SharedMemory
 from repro.sim.ops import Op, OpKind
-from repro.sim.program import Program, ThreadContext
+from repro.sim.program import FastForwardContext, Program, ThreadContext
 from repro.sim.scheduler import Scheduler, validate_pick
 from repro.sim.sync import SyncTable
-from repro.sim.syscalls import Kernel
+from repro.sim.syscalls import Kernel, frozen_rng
 from repro.sim.trace import Trace
 from repro.sim.vtime import VirtualClock
 
@@ -243,7 +244,11 @@ class Machine:
         exactly there.  The mutable pieces are stored as one pickle blob
         (pickling runs in C), so the snapshot is independent of this
         machine and can seed any number of fresh machines via
-        :meth:`restore_state`, each unpickling its own copy.  Generators
+        :meth:`restore_state`, each unpickling its own copy.  The kernel
+        RNG, most of that pickle and the slowest part of it to load,
+        stays out of the blob: the snapshot keeps a
+        :func:`~repro.sim.syscalls.frozen_rng` copy beside it, which
+        restores load with ``setstate`` and never draw from.  Generators
         are represented by their (body, args, kwargs, feeds) recipe, not
         the generator object — see :class:`ThreadState` — plus the op
         each thread is waiting on, which the rebuild must reproduce.
@@ -278,6 +283,7 @@ class Machine:
         }
         return {
             "blob": pickle.dumps(live, protocol=pickle.HIGHEST_PROTOCOL),
+            "kernel_rng": frozen_rng(self.kernel.rng),
             # Events are immutable once emitted; sharing them across
             # restores keeps snapshots cheap.
             "events": tuple(self.events),
@@ -292,18 +298,24 @@ class Machine:
         the main-thread spawn and ``scheduler.on_run_start`` are skipped
         (the caller is responsible for fast-forwarding its scheduler with
         matching state).  The snapshot itself is not consumed — each
-        restore unpickles a fresh copy of the mutable pieces, so one
-        snapshot can seed many sibling attempts.  Raises
-        :class:`SimUsageError` when a rebuilt thread waits on another op
-        than it did when captured: its body read something besides its
-        feeds, so the snapshot is unusable.
+        restore unpickles a fresh copy of the mutable pieces and loads
+        the kernel RNG's state into this machine's own RNG, so one
+        snapshot can seed many sibling attempts.  Threads are rebuilt by
+        feed replay (:meth:`_rebuild_thread`), which builds only the op
+        each live thread waits on.  Raises :class:`SimUsageError` when a
+        rebuilt thread waits on another op than it did when captured:
+        its body read something besides its feeds, so the snapshot is
+        unusable.
         """
         if self._ran:
             raise SimUsageError("restore_state requires an unused Machine")
         mutable = pickle.loads(state["blob"])
+        rng = self.kernel.rng
+        rng.setstate(state["kernel_rng"].getstate())
         self.memory = mutable["memory"]
         self.sync = mutable["sync"]
         self.kernel = mutable["kernel"]
+        self.kernel.rng = rng
         self.clock = mutable["clock"]
         self.events = list(state["events"])
         self.schedule = list(state["schedule"])
@@ -320,8 +332,15 @@ class Machine:
 
     def _rebuild_thread(self, meta: Dict[str, Any]) -> ThreadState:
         """Reconstruct one thread by replaying its recorded feeds into a
-        fresh generator (bodies are pure functions of their feeds)."""
-        ctx = ThreadContext(meta["tid"])
+        fresh generator (bodies are pure functions of their feeds).
+
+        The body runs on a :class:`FastForwardContext` until the last
+        feed, so the ops it yields on the way, which nothing reads, are
+        never built; the context then becomes a :class:`ThreadContext`,
+        so the op the thread waits on is real and checked against the
+        captured one.
+        """
+        ctx = FastForwardContext(meta["tid"])
         gen = meta["body"](ctx, *meta["args"], **(meta["kwargs"] or {}))
         ts = ThreadState(
             tid=meta["tid"],
@@ -331,11 +350,14 @@ class Machine:
             args=meta["args"],
             kwargs=meta["kwargs"],
         )
+        feeds = meta["feeds"]  # feeds[0] is the priming None
         op: Optional[Op] = None
         done = False
         try:
-            for value in meta["feeds"]:  # feeds[0] is the priming None
-                op = gen.send(value)
+            for value in islice(feeds, len(feeds) - 1):
+                gen.send(value)
+            ctx.__class__ = ThreadContext
+            op = gen.send(feeds[-1])
         except StopIteration as stop:
             done = True
             ts.status = ThreadStatus.DONE
@@ -356,7 +378,7 @@ class Machine:
                 f"thread {ts.name!r} does not rebuild from its feeds: it "
                 f"waits on {ts.pending_op!r}, not {meta['pending']!r}"
             )
-        ts.feeds = list(meta["feeds"])
+        ts.feeds = list(feeds)
         return ts
 
     # -- thread management ---------------------------------------------------

@@ -19,11 +19,15 @@ function of the values it has received so far plus the program params.  In
 particular, bodies must not consult ``random``, wall-clock time or any
 other ambient state — use ``ctx.rand`` / ``ctx.now`` (simulated syscalls)
 instead.  This is what makes "same scheduler decisions => same execution"
-hold, which all of record/replay rests on.
+hold, which all of record/replay rests on.  A body may only yield the op a
+context method returns; it must not inspect or keep it (a snapshot restore
+replays a thread's feeds on a :class:`FastForwardContext`, whose methods
+return a placeholder).
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Iterable, Optional, Tuple
 
@@ -36,9 +40,11 @@ class ThreadContext:
     """Per-thread handle used by thread bodies to construct operations.
 
     The context is cheap and stateless apart from its thread id; every
-    method simply returns an :class:`Op` for the body to yield.  The two
-    exceptions are :meth:`call` and :meth:`free_region`, which are generator
-    helpers meant to be used with ``yield from``.
+    method simply returns an :class:`Op` for the body to yield.  The
+    exceptions are :meth:`call`, :meth:`work` and :meth:`free_region`,
+    generator helpers meant to be used with ``yield from``; they build
+    each op through a method looked up on ``self`` (see
+    :class:`FastForwardContext`).
     """
 
     __slots__ = ("tid",)
@@ -200,10 +206,14 @@ class ThreadContext:
         ``helper`` is ``def helper(ctx, arg): yield ...; return value``.
         """
         fname = name if name is not None else body.__name__
-        yield Op(OpKind.FUNC_ENTER, name=fname, cost=0)
+        yield self._marker(OpKind.FUNC_ENTER, fname)
         result = yield from body(self, *args)
-        yield Op(OpKind.FUNC_EXIT, name=fname, cost=0)
+        yield self._marker(OpKind.FUNC_EXIT, fname)
         return result
+
+    def _marker(self, kind: OpKind, name: str) -> Op:
+        """The FUNC_ENTER or FUNC_EXIT marker :meth:`call` yields."""
+        return Op(kind, name=name, cost=0)
 
     # -- local work and checks -------------------------------------------
 
@@ -225,7 +235,7 @@ class ThreadContext:
         Use with ``yield from``.
         """
         for _ in range(units):
-            yield Op(OpKind.LOCAL, cost=cost)
+            yield self.local(cost)
 
     def cpu_yield(self) -> Op:
         """A pure scheduling point with no effect."""
@@ -240,8 +250,43 @@ class ThreadContext:
     ) -> Generator[Op, Any, None]:
         """Free ``(prefix, i)`` for each index, then ``prefix`` itself."""
         for i in indices:
-            yield Op(OpKind.FREE, addr=(prefix, i))
-        yield Op(OpKind.FREE, addr=prefix)
+            yield self.free((prefix, i))
+        yield self.free(prefix)
+
+
+#: The op every :class:`FastForwardContext` method returns.
+_PLACEHOLDER = Op(OpKind.YIELD, cost=0)
+
+
+class FastForwardContext(ThreadContext):
+    """A context that builds no op: every op method returns one shared
+    placeholder.
+
+    A snapshot restore replays a thread's recorded feeds into a fresh
+    body on this context, where every op before the last feed is
+    discarded unseen, then switches the context to
+    :class:`ThreadContext` with ``ctx.__class__ = ThreadContext`` (the
+    two share one slot layout) before the last feed, so the op the
+    thread waits on is real.  The generator helpers are inherited: they
+    build their ops through the methods on ``self``, so they follow the
+    switch.
+    """
+
+    __slots__ = ()
+
+
+def _placeholder(self: ThreadContext, *args: Any, **kwargs: Any) -> Op:
+    return _PLACEHOLDER
+
+
+for _name, _method in list(vars(ThreadContext).items()):
+    if (
+        inspect.isfunction(_method)
+        and not _name.startswith("__")
+        and not inspect.isgeneratorfunction(_method)
+    ):
+        setattr(FastForwardContext, _name, _placeholder)
+del _name, _method
 
 
 @dataclass

@@ -31,6 +31,19 @@ from typing import Any, Dict, List, Tuple
 from repro.errors import SimSyscallError
 
 
+def frozen_rng(rng: random.Random) -> random.Random:
+    """A copy of ``rng``'s state for a snapshot to keep.
+
+    Nothing draws from the copy: a restore loads its state into a live
+    generator with ``setstate(copy.getstate())``, so one snapshot can
+    seed any number of restores.  The copy pickles as ``rng`` would, for
+    a snapshot that crosses a process boundary.
+    """
+    copy = random.Random(0)
+    copy.setstate(rng.getstate())
+    return copy
+
+
 class Kernel:
     """State and semantics of the simulated operating system."""
 
@@ -38,11 +51,20 @@ class Kernel:
     BLOCKING = frozenset({"recv"})
 
     def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
+        #: the PRNG behind ``rand``; a pickled kernel leaves it out.
+        self.rng = random.Random(seed)
         self._files: Dict[str, List[Any]] = {}
         self._channels: Dict[str, List[Any]] = {}
         self.stdout: List[Any] = []
         self.syscall_count = 0
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The RNG is most of a pickled kernel and the slowest part to
+        # unpickle.  Machine.capture_state keeps a frozen_rng copy of it
+        # beside its blob instead, and restore_state sets it back.
+        state = dict(self.__dict__)
+        del state["rng"]
+        return state
 
     # -- dispatch ---------------------------------------------------------
 
@@ -127,7 +149,7 @@ class Kernel:
     def _sys_rand(self, n: int) -> int:
         if n <= 0:
             raise SimSyscallError(f"rand({n}) requires n > 0")
-        return self._rng.randrange(n)
+        return self.rng.randrange(n)
 
     def _sys_now(self, now: int) -> int:
         return now

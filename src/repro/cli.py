@@ -250,18 +250,30 @@ def _load_sketch_log(path: str):
     from repro.core.sketchlog import SketchLog
     from repro.robust.journal import MAGIC, load_sketch_journal
 
+    magic = MAGIC.encode("ascii")
+    with open(path, "rb") as handle:
+        if handle.read(len(magic)) == magic:
+            return load_sketch_journal(path)[0]
+    return SketchLog.from_json(_read_utf8(
+        path, SketchFormatError, "neither a sketch journal nor sketch JSON"
+    ))
+
+
+def _read_utf8(path: str, error: type, what: str) -> str:
+    """The text of ``path``, a file a command reads as JSON.
+
+    A file that is not UTF-8 raises ``error``, naming the file, what it
+    is not, and the first bad byte, so the command prints a named error
+    instead of a bare codec message.
+    """
     with open(path, "rb") as handle:
         data = handle.read()
-    if data.startswith(MAGIC.encode("ascii")):
-        return load_sketch_journal(path)[0]
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise SketchFormatError(
-            f"{path}: neither a sketch journal nor sketch JSON "
-            f"(byte {exc.start} is not UTF-8)"
+        raise error(
+            f"{path}: {what} (byte {exc.start} is not UTF-8)"
         ) from None
-    return SketchLog.from_json(text)
 
 
 def cmd_analyze(args) -> int:
@@ -332,8 +344,8 @@ def _plans(args) -> tuple:
     """The plans ``--plan``, ``--static-plan`` and ``--static`` ask for."""
     plans = (DYNAMIC,) if args.plan else ()
     if args.static_plan:
-        with open(args.static_plan, "r", encoding="utf-8") as handle:
-            return plans + (Plan.from_json(handle.read()),)
+        text = _read_utf8(args.static_plan, PlanFormatError, "not a plan file")
+        return plans + (Plan.from_json(text),)
     return plans + ((STATIC,) if args.static else ())
 
 
@@ -541,8 +553,9 @@ def cmd_inspect(args) -> int:
 
 def cmd_replay(args) -> int:
     spec = get_bug(args.bug)
-    with open(args.log, "r", encoding="utf-8") as handle:
-        log = CompleteLog.from_json(handle.read())
+    log = CompleteLog.from_json(
+        _read_utf8(args.log, SketchFormatError, "not a complete log")
+    )
     trace = replay_complete(spec.make_program(), log, oracle=spec.oracle)
     if trace.failure is None:
         print("replay completed without the failure (wrong log?)",

@@ -122,7 +122,7 @@ def load_chrome_trace(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8
             raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if isinstance(payload, list):
         payload = {"traceEvents": payload}

@@ -1,6 +1,7 @@
 """Tests for the `pres` command-line interface."""
 
 import json
+import random
 
 import pytest
 
@@ -101,6 +102,43 @@ class TestAnalyze:
         assert main(["analyze", str(binary)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestNonUtf8Files:
+    """A file that is not UTF-8 is a named error naming the file, exit 2."""
+
+    @pytest.fixture
+    def garbage(self, tmp_path):
+        path = tmp_path / "garbage.bin"
+        path.write_bytes(b"\x9c" + random.Random(0).randbytes(199))
+        return path
+
+    def _refused(self, capsys, argv, garbage):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(garbage) in err and "Traceback" not in err
+        assert not err.startswith("'utf-8' codec")
+        return err
+
+    def test_replay_log(self, capsys, garbage):
+        err = self._refused(
+            capsys, ["replay", "pbzip2-order-free", "--log", str(garbage)],
+            garbage,
+        )
+        assert err.startswith(f"error: {garbage}: not a complete log (byte 0")
+
+    def test_reproduce_static_plan(self, capsys, garbage):
+        err = self._refused(
+            capsys,
+            ["reproduce", "pbzip2-order-free", "--seed", "3",
+             "--static-plan", str(garbage)],
+            garbage,
+        )
+        assert err.startswith(f"error: {garbage}: not a plan file (byte 0")
+
+    def test_inspect(self, capsys, garbage):
+        err = self._refused(capsys, ["inspect", str(garbage)], garbage)
+        assert err.startswith(f"{garbage} is not valid JSON: ")
 
 
 class TestReproduce:

@@ -40,6 +40,26 @@ class TestChoosers:
         picks = [chooser.choose([1, 2]) for _ in range(20)]
         assert len(set(picks)) == 2  # demotions force a switch
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: RandomChooser(7),
+         lambda: PCTChooser(seed=7, depth=4, max_steps_hint=20)],
+        ids=["random", "pct"],
+    )
+    def test_one_capture_restores_any_number_of_times(self, build):
+        chooser = build()
+        chooser.restart()
+        for _ in range(5):
+            chooser.choose([1, 2])
+        state = chooser.capture()
+        # thread 3 first competes after the capture, and PCT's change
+        # points fall on both sides of it
+        expected = [chooser.choose([1, 2, 3]) for _ in range(20)]
+        for _ in range(2):
+            restored = build()
+            restored.restore(state)
+            assert [restored.choose([1, 2, 3]) for _ in range(20)] == expected
+
 
 class TestPolicyEndToEnd:
     def test_both_policies_replay_the_sketch_faithfully(self):

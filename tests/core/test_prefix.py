@@ -28,9 +28,19 @@ from repro.core.recorder import record
 from repro.core.sketches import SketchKind
 from repro.sim import MachineConfig, Program
 from repro.sim.machine import Machine
+from repro.sim.ops import Op, OpKind
 
-#: flips from these bugs span both constraint families (mem and lock).
-BUGS = ("mysql-atom-log", "apache-order-ref", "pbzip2-order-free")
+#: flips from these bugs span both constraint families (mem and lock);
+#: radix-order-rank's threads draw ``ctx.rand`` past the first rung.
+BUGS = ("mysql-atom-log", "apache-order-ref", "pbzip2-order-free",
+        "radix-order-rank")
+#: (bug, base policy) pairs whose mined flips must resume exactly: every
+#: bug under the default policy, and two that mine resumable flips
+#: under PCT, whose chooser carries priorities besides its RNG.
+RESUME_CASES = tuple((bug, "random") for bug in BUGS) + (
+    ("radix-order-rank", "pct"),
+    ("mozilla-atom-js", "pct"),
+)
 
 #: Module state the impure guest below reads outside its feeds.
 _OUTSIDE = {"cell": 0}
@@ -49,6 +59,40 @@ def _impure_main(ctx):
         workers.append((yield ctx.spawn(_impure_worker, 40)))
     for tid in workers:
         yield ctx.join(tid)
+
+
+def _racy_rounds(ctx, rounds):
+    for _ in range(rounds):
+        value = yield ctx.read("shared")
+        bump = yield ctx.rand(3)
+        yield ctx.write("shared", value + bump)
+    return rounds
+
+
+def _call_worker(ctx, rounds):
+    yield from ctx.call(_racy_rounds, rounds)
+
+
+def _work_worker(ctx, units):
+    yield from ctx.work(units)
+
+
+def _free_worker(ctx, cells):
+    yield from ctx.free_region("buf", range(cells))
+
+
+def _helpers_main(ctx):
+    # Each worker spends its life inside one generator helper of the
+    # context, so every snapshot catches them paused inside one.
+    workers = []
+    for body, arg in ((_call_worker, 40), (_call_worker, 40),
+                      (_work_worker, 120), (_free_worker, 120)):
+        workers.append((yield ctx.spawn(body, arg)))
+    for tid in workers:
+        yield ctx.join(tid)
+
+
+_HELPERS_MEMORY = {"shared": 0, "buf": 0, **{("buf", i): 0 for i in range(120)}}
 
 
 class TestPlannedDepths:
@@ -213,7 +257,7 @@ class TestPrefixTree:
         assert family_depth(100, 99) == 99
 
 
-def _context(bug_id: str) -> AttemptContext:
+def _context(bug_id: str, base_policy: str = "random") -> AttemptContext:
     spec = get_bug(bug_id)
     seed = find_failing_seed(spec, ncpus=2)
     assert seed is not None, f"{bug_id}: no failing seed"
@@ -226,7 +270,7 @@ def _context(bug_id: str) -> AttemptContext:
     )
     return AttemptContext(
         recorded=recorded,
-        base_policy="random",
+        base_policy=base_policy,
         match_output=False,
     )
 
@@ -287,24 +331,27 @@ def _count_runs(monkeypatch):
 class TestResumedTraceIdentity:
     """A resumed attempt is byte-identical to running the same attempt cold."""
 
-    @pytest.mark.parametrize("bug_id", BUGS)
-    def test_resume_matches_cold_for_mined_flips(self, bug_id):
-        ctx = _context(bug_id)
+    @pytest.mark.parametrize("bug_id,policy", RESUME_CASES)
+    def test_resume_matches_cold_for_mined_flips(self, bug_id, policy):
+        ctx = _context(bug_id, policy)
         # the live root run ships back the rungs its candidates resume from
         root, tree = _root_with_tree(ctx)
         assert root.snapshots, "root run shipped no snapshots"
         assert {d for d, _ in root.snapshots} == resume_depths(root.candidates)
         resumed = 0
         for candidate in _resumable(root.candidates):
+            local = _plan(tree, candidate)
             # the plan crosses a process boundary on its way to a worker
-            plan = pickle.loads(pickle.dumps(_plan(tree, candidate)))
+            plan = pickle.loads(pickle.dumps(local))
             assert plan.snapshot is not None
             assert restore_machine(ctx, candidate.constraints, 0, plan) is not None
             # a pool worker ships its rungs packed; the engine forwards them
             packed = ResumePlan(plan.flip, plan.depth, pack(plan.snapshot))
             assert restore_machine(ctx, candidate.constraints, 0, packed)
             cold, cold_matched = run_attempt(ctx, candidate.constraints, 0)
-            for resume in (plan, packed):
+            # each plan resumes twice: no restore advances the RNG copies
+            # a snapshot holds, so one snapshot seeds any number of runs
+            for resume in (local, local, plan, plan, packed, packed):
                 warm, warm_matched = run_attempt(
                     ctx, candidate.constraints, 0, resume=resume
                 )
@@ -388,6 +435,44 @@ class TestResumedTraceIdentity:
         cold, _ = run_attempt(ctx, candidate.constraints, 0)
         warm, _ = run_attempt(ctx, candidate.constraints, 0, resume=plan)
         assert _trace_identity(cold) == _trace_identity(warm)
+
+    def test_threads_paused_inside_generator_helpers_resume(self):
+        # ctx.call, ctx.work and ctx.free_region build their ops through
+        # methods on the context, so a thread rebuilt inside one waits on
+        # a real op once the context switches back, not a placeholder.
+        # The guest draws the kernel RNG on both sides of every snapshot,
+        # so a resume must also continue its draws where they stopped.
+        program = Program(
+            name="helpers", main=_helpers_main, initial_memory=_HELPERS_MEMORY
+        )
+        recorded = record(
+            program, sketch=SketchKind.SYNC, seed=0,
+            config=MachineConfig(ncpus=2),
+        )
+        ctx = AttemptContext(recorded=recorded)
+        root, tree = _root_with_tree(ctx)
+        candidates = _resumable(root.candidates)[:6]
+        assert candidates, "the guest mined no resumable flip"
+        paused_in = set()
+        for candidate in candidates:
+            plan = _plan(tree, candidate)
+            restored = restore_machine(ctx, candidate.constraints, 0, plan)
+            assert restored is not None, "the snapshot did not restore"
+            machine, _ = restored
+            paused_in |= {
+                ts.gen.gi_yieldfrom.gi_code.co_name
+                for ts in machine.threads.values()
+                if ts.gen.gi_yieldfrom is not None
+            }
+            cold, _ = run_attempt(ctx, candidate.constraints, 0)
+            warm, _ = run_attempt(ctx, candidate.constraints, 0, resume=plan)
+            assert _trace_identity(cold) == _trace_identity(warm)
+            draws = [
+                e.gidx for e in cold.events
+                if e.kind is OpKind.SYSCALL and e.name == "rand"
+            ]
+            assert min(draws) < len(machine.events) <= max(draws)
+        assert {"call", "work", "free_region"} <= paused_in
 
     def test_family_resumes_match_cold(self, monkeypatch):
         # Every attempt an E12 session resumes from a family snapshot —
@@ -474,6 +559,40 @@ class TestInProcessEngine:
         assert report.prefix_hits == tree.hits + tree.misses
         assert report.realized_resumes == tree.hits
         assert report.realized_resumes >= 0.9 * report.prefix_hits
+
+
+class TestRestoreCost:
+    def test_restores_build_only_the_ops_live_threads_wait_on(
+        self, monkeypatch
+    ):
+        # A rebuilt thread replays its feeds on a FastForwardContext, so
+        # a restore builds the op each live thread waits on and no other:
+        # one per thread, where building one per recorded feed made
+        # 58,062 ops over a serial E12 session's 299 restores.
+        restoring = []
+        counts = {"ops": 0, "live": 0, "feeds": 0}
+        build = Op.__init__
+        restore = Machine.restore_state
+
+        def counted_build(op, *args, **kwargs):
+            counts["ops"] += bool(restoring)
+            build(op, *args, **kwargs)
+
+        def counted_restore(machine, state):
+            restoring.append(state)
+            try:
+                restore(machine, state)
+            finally:
+                restoring.pop()
+            live = [ts for ts in machine.threads.values() if not ts.finished]
+            counts["live"] += len(live)
+            counts["feeds"] += sum(len(ts.feeds) for ts in live)
+
+        monkeypatch.setattr(Op, "__init__", counted_build)
+        monkeypatch.setattr(Machine, "restore_state", counted_restore)
+        report, _ = _e12_session(jobs=1)
+        assert report.realized_resumes == 299
+        assert counts == {"ops": 1794, "live": 1794, "feeds": 58062}
 
 
 class TestFamilySnapshots:

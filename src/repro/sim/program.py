@@ -279,7 +279,7 @@ def _placeholder(self: ThreadContext, *args: Any, **kwargs: Any) -> Op:
     return _PLACEHOLDER
 
 
-for _name, _method in list(vars(ThreadContext).items()):
+for _name, _method in vars(ThreadContext).items():
     if (
         inspect.isfunction(_method)
         and not _name.startswith("__")

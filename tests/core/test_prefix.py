@@ -37,10 +37,10 @@ BUGS = ("mysql-atom-log", "apache-order-ref", "pbzip2-order-free",
 #: (bug, base policy) pairs whose mined flips must resume exactly: every
 #: bug under the default policy, and two that mine resumable flips
 #: under PCT, whose chooser carries priorities besides its RNG.
-RESUME_CASES = tuple((bug, "random") for bug in BUGS) + (
-    ("radix-order-rank", "pct"),
-    ("mozilla-atom-js", "pct"),
-)
+RESUME_CASES = [pytest.param(bug, "random", id=bug) for bug in BUGS] + [
+    pytest.param(bug, "pct", id=f"{bug}-pct")
+    for bug in ("radix-order-rank", "mozilla-atom-js")
+]
 
 #: Module state the impure guest below reads outside its feeds.
 _OUTSIDE = {"cell": 0}

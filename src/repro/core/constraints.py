@@ -197,12 +197,19 @@ def constraints_from_json(data: List[Dict[str, Any]]) -> ConstraintSet:
 
 
 class OccurrenceCounter:
-    """Counts executed actions so EventRefs can be resolved online."""
+    """Counts executed actions so EventRefs can be resolved online.
 
-    def __init__(self) -> None:
+    The per-(thread, region) table exists only with ``regions=True``:
+    only ``region``-family refs read it, so a gate without one keeps
+    one counter dict per memory access, not two.
+    """
+
+    def __init__(self, regions: bool = True) -> None:
         self._mem: Dict[Tuple[int, Address], int] = {}
         self._lock: Dict[Tuple[int, str], int] = {}
-        self._region: Dict[Tuple[int, Address], int] = {}
+        self._region: Optional[Dict[Tuple[int, Address], int]] = (
+            {} if regions else None
+        )
 
     def observe(self, event: Event) -> None:
         """Account one executed event.  Counts only ever grow in a run."""
@@ -212,8 +219,9 @@ class OccurrenceCounter:
             key = (event.tid, event.addr)
             mem[key] = mem.get(key, 0) + 1
             region = self._region
-            rkey = (event.tid, region_key(event.addr))
-            region[rkey] = region.get(rkey, 0) + 1
+            if region is not None:
+                rkey = (event.tid, region_key(event.addr))
+                region[rkey] = region.get(rkey, 0) + 1
         elif kind.is_lock and (kind is not OpKind.TRYLOCK or event.value):
             lock = self._lock
             key = (event.tid, event.obj)
@@ -257,21 +265,29 @@ class OccurrenceCounter:
     def lock_count(self, tid: int, mutex: str) -> int:
         return self._lock.get((tid, mutex), 0)
 
-    def capture(self) -> Tuple[Dict, Dict, Dict]:
+    def capture(self) -> Tuple[Dict, Dict]:
         """Snapshot the executed-action counts (for prefix resume)."""
-        return (dict(self._mem), dict(self._lock), dict(self._region))
+        return (dict(self._mem), dict(self._lock))
 
-    def restore(self, state: Tuple[Dict, ...]) -> None:
+    def restore(self, state: Tuple[Dict, Dict]) -> None:
         """Load counts captured by :meth:`capture`.
 
         Counts are constraint-independent — they track what *executed*,
         which is identical for a parent attempt and a child resuming
         inside the parent's safe prefix — so a snapshot taken under one
-        gate is valid under another whose constraints extend it.
+        gate is valid under another whose constraints extend it.  The
+        region table is not captured: a counter that keeps one derives
+        it here, since a region's count is the sum of the counts of its
+        addresses.
         """
-        self._mem = dict(state[0])
-        self._lock = dict(state[1])
-        self._region = dict(state[2]) if len(state) > 2 else {}
+        mem, lock = state
+        self._mem = dict(mem)
+        self._lock = dict(lock)
+        if self._region is not None:
+            region = self._region = {}
+            for (tid, addr), count in mem.items():
+                rkey = (tid, region_key(addr))
+                region[rkey] = region.get(rkey, 0) + count
 
 
 class ConstraintGate:
@@ -279,7 +295,10 @@ class ConstraintGate:
 
     def __init__(self, constraints: Iterable[OrderConstraint]) -> None:
         self.constraints: List[OrderConstraint] = list(constraints)
-        self.counter = OccurrenceCounter()
+        self.counter = OccurrenceCounter(regions=any(
+            "region" in (c.before.family, c.after.family)
+            for c in self.constraints
+        ))
         #: after-tid -> the constraints that may still block that thread.
         #: blocks() runs once per runnable thread per step — the hottest
         #: loop in an attempt.  A constraint can only block the thread its

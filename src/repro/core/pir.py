@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import enum
 import random
+from itertools import islice
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import ConstraintGate, OrderConstraint
 from repro.core.sketches import SketchEntry, SketchKind, entry_for_op, visible_mask
 from repro.core.sketchlog import SketchLog
 from repro.errors import ReplayDivergence
+from repro.sim.events import Event
 from repro.sim.machine import Machine
 from repro.sim.ops import Op
 from repro.sim.scheduler import Scheduler
@@ -123,7 +125,15 @@ class RandomChooser(BaseChooser):
         self._rng = random.Random(self.seed)
 
     def choose(self, allowed: List[int]) -> int:
-        return allowed[self._rng.randrange(len(allowed))]
+        # randrange(n) for n > 0, without its Python-level argument
+        # checks: draw n.bit_length() bits until they fall below n.
+        n = len(allowed)
+        bits = n.bit_length()
+        getrandbits = self._rng.getrandbits
+        index = getrandbits(bits)
+        while index >= n:
+            index = getrandbits(bits)
+        return allowed[index]
 
     def capture(self) -> random.Random:
         return frozen_rng(self._rng)
@@ -223,18 +233,19 @@ class PIRScheduler(Scheduler):
         self._seen_events = 0
 
     def pick(self, machine: Machine, runnable: Sequence[int]) -> int:
-        self._catch_up(machine)
+        events = machine.events
+        if self._seen_events != len(events):
+            self._catch_up(events)
         threads = machine.threads
         cursor = self.cursor
         entries = cursor.entries
+        position = cursor.position
         # The cursor check (SketchCursor.gate), inlined: only the next
         # entry's thread may run a visible op, and only that entry's op.
-        expected = (
-            entries[cursor.position] if cursor.position < len(entries) else None
-        )
+        expected = entries[position] if position < len(entries) else None
         visible = cursor.visible_mask
-        constrained = self.gate.live_by_after_tid
-        blocks = self.gate.blocks
+        gate = self.gate
+        constrained = gate.live_by_after_tid
         allowed: List[int] = []
         for tid in runnable:
             op = threads[tid].pending_op
@@ -243,13 +254,13 @@ class PIRScheduler(Scheduler):
                     continue  # awaits its sketch turn
                 if not expected.matches_op(tid, op):
                     raise cursor.off_sketch(tid, op, expected)
-            if tid in constrained and blocks(tid, op):
+            if tid in constrained and gate.blocks(tid, op):
                 continue  # awaits an order constraint
             allowed.append(tid)
         if not allowed:
             raise ReplayDivergence(
                 "no schedulable thread: " + self._blocked_reasons(machine, runnable),
-                step=len(machine.events),
+                step=len(events),
             )
         if len(allowed) == 1:
             return allowed[0]
@@ -267,30 +278,29 @@ class PIRScheduler(Scheduler):
                 reasons.append(f"T{tid} awaits an order constraint")
         return "; ".join(reasons) or "all gated"
 
-    def _catch_up(self, machine: Machine) -> None:
-        """Feed events executed since the last pick to cursor and gate."""
-        events = machine.events
-        if self._seen_events >= len(events):
-            return
+    def _catch_up(self, events: Sequence[Event]) -> None:
+        """Feed the events executed since the last pick to the gate's
+        counter and the cursor, each event once."""
         observe = self.gate.counter.observe
         cursor = self.cursor
         entries = cursor.entries
         visible = cursor.visible_mask
-        while self._seen_events < len(events):
-            event = events[self._seen_events]
-            self._seen_events += 1
+        position = cursor.position
+        for event in islice(events, self._seen_events, None):
             observe(event)
-            if cursor.position >= len(entries):
-                continue
-            if event.kind.bit & visible:
-                expected = entries[cursor.position]
+            if position < len(entries) and event.kind.bit & visible:
+                expected = entries[position]
                 if event.tid != expected.tid:
+                    cursor.position = position
+                    self._seen_events = event.gidx + 1
                     raise ReplayDivergence(
                         f"executed visible event {event.describe()} out of "
                         f"sketch order (expected {expected.describe()})",
                         step=event.gidx,
                     )
-                cursor.position += 1
+                position += 1
+        cursor.position = position
+        self._seen_events = len(events)
 
     # -- epoch resume ------------------------------------------------------
 
@@ -310,8 +320,9 @@ class PIRScheduler(Scheduler):
         self.gate = ConstraintGate(self.constraints)
         self._chooser = make_chooser(self.base_policy, self.base_seed)
         self._chooser.restart()
+        observe = self.gate.counter.observe
         for event in machine.events:
-            self.gate.observe(event)
+            observe(event)
         self._seen_events = len(machine.events)
 
     # -- prefix resume -----------------------------------------------------

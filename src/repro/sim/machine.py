@@ -181,8 +181,16 @@ class Machine:
 
         depths = frozenset(snapshot_depths)
         schedule = self.schedule
+        threads = self.threads
         pick = self.scheduler.pick
+        step = self._step
+        refresh = self._refresh_runnable
+        touched = self._touched
+        touched_guards = self._touched_guards
+        runnable_set = self._runnable_set
+        guard_of = self._guard_of
         max_steps = self.config.max_steps
+        ready = ThreadStatus.READY
 
         while self.failure is None:
             if on_snapshot is not None and (
@@ -190,9 +198,29 @@ class Machine:
                 or (snapshot_when is not None and snapshot_when(self))
             ):
                 on_snapshot(self)
-            runnable = self.runnable_tids()
+            # runnable_tids(), inline.  Most steps touch only the thread
+            # they ran and no guard; when that thread is still a READY
+            # member of the set with an unguarded op and no guard entry
+            # left over, the set is unchanged.
+            if touched_guards or len(touched) != 1:
+                refresh()
+            else:
+                tid = touched[0]
+                ts = threads[tid]
+                op = ts.pending_op
+                if (
+                    ts.status is ready
+                    and op is not None
+                    and not op.kind.is_guarded
+                    and tid in runnable_set
+                    and tid not in guard_of
+                ):
+                    touched.clear()
+                else:
+                    refresh()
+            runnable = self._runnable
             if not runnable:
-                if all(ts.finished for ts in self.threads.values()):
+                if all(ts.finished for ts in threads.values()):
                     break
                 self.failure = self._diagnose_stuck()
                 break
@@ -212,7 +240,7 @@ class Machine:
                 break
             validate_pick(tid, runnable)
             schedule.append(tid)
-            self._step(tid)
+            step(tid)
 
         trace = self._build_trace()
         for observer in self.observers:
@@ -226,9 +254,11 @@ class Machine:
         :meth:`_can_execute`, but maintained incrementally: a step
         re-evaluates only the threads whose status or pending op it
         changed, plus the waiters of the guards (mutex, rwlock,
-        semaphore, join target, kernel) whose state it changed.  The
-        returned list is replaced, never mutated, when the set changes;
-        treat it as read-only.
+        semaphore, join target, kernel) whose state it changed.
+        :meth:`run` does the same update inline before every pick and
+        hands :meth:`Scheduler.pick` this very list.  The returned list is
+        replaced, never mutated, when the set changes; treat it as
+        read-only.
         """
         if self._touched or self._touched_guards:
             self._refresh_runnable()
@@ -532,24 +562,48 @@ class Machine:
     # -- stepping ----------------------------------------------------------------
 
     def _step(self, tid: int) -> None:
+        """Perform ``tid``'s pending op, emit its event, resume the thread.
+
+        READ, WRITE, RMW, LOCAL and BASIC_BLOCK, nearly every step, are
+        performed here; every other kind is performed in
+        :meth:`_perform`, so each kind's effect is written in one place.
+        """
         ts = self.threads[tid]
         op = ts.pending_op
         if op is None:
             raise SimUsageError(f"stepping thread {tid} with no pending op")
-        cpu = self.clock.cpu_of(tid)
-        self.clock.charge_op(cpu, op.cost)
+        kind = op.kind
+        clock = self.clock
+        cpu = clock.cpu_of(tid)
+        clock.charge_op(cpu, op.cost)
 
+        advance = True
         try:
-            result, advance = self._perform(ts, op)
+            if kind is OpKind.READ:
+                result = self.memory.load(op.addr)
+            elif kind is OpKind.LOCAL or kind is OpKind.BASIC_BLOCK:
+                result = None
+            elif kind is OpKind.WRITE:
+                result = op.value
+                self.memory.store(op.addr, result)
+            elif kind is OpKind.RMW:
+                result = self.memory.rmw(op.addr, op.value)
+            else:
+                result, advance = self._perform(ts, op)
         except SimProgramError as exc:
             self._touched.append(tid)
             self._fail_thread(ts, exc)
             return
 
-        event = Event.from_op(len(self.events), tid, cpu, op, result)
-        self.events.append(event)
-        for observer in self.observers:
-            observer.on_event(self, event)
+        events = self.events
+        event = Event(
+            len(events), tid, kind, op.addr, op.obj, op.name, op.label,
+            op.args if kind is OpKind.SYSCALL else (), result, cpu,
+        )
+        events.append(event)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_event(self, event)
         if self.failure is not None and self.failure.gidx is None:
             # an ASSERT failure points at its own event
             self.failure = Failure(
@@ -565,7 +619,7 @@ class Machine:
             self._touched.append(tid)
 
     def _perform(self, ts: ThreadState, op: Op):
-        """Apply the op's effect.
+        """Apply the effect of an op kind :meth:`_step` does not perform.
 
         Returns ``(result, advance_generator)``.  An effect that changes
         the state a guard reads (see :data:`~repro.sim.ops.GUARDED_KINDS`)
@@ -574,14 +628,7 @@ class Machine:
         kind = op.kind
         tid = ts.tid
 
-        # Memory -----------------------------------------------------------
-        if kind is OpKind.READ:
-            return self.memory.load(op.addr), True
-        if kind is OpKind.WRITE:
-            self.memory.store(op.addr, op.value)
-            return op.value, True
-        if kind is OpKind.RMW:
-            return self.memory.rmw(op.addr, op.value), True
+        # Memory (READ, WRITE and RMW are performed in _step) --------------
         if kind is OpKind.CAS:
             expected, new = op.value
             return self.memory.cas(op.addr, expected, new), True
@@ -690,10 +737,8 @@ class Machine:
             result = self.kernel.execute(op.name, op.args, now=len(self.events))
             return result, True
 
-        # Markers, local work, checks ---------------------------------------------------
-        if kind in (OpKind.FUNC_ENTER, OpKind.FUNC_EXIT, OpKind.BASIC_BLOCK):
-            return None, True
-        if kind in (OpKind.LOCAL, OpKind.YIELD):
+        # Markers, yields, checks (LOCAL and BASIC_BLOCK are performed in _step)
+        if kind in (OpKind.FUNC_ENTER, OpKind.FUNC_EXIT, OpKind.YIELD):
             return None, True
         if kind is OpKind.ASSERT:
             if not op.value:

@@ -1,6 +1,10 @@
 """Tests for PIR base policies (random vs PCT choosers)."""
 
+import random
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.pir import PCTChooser, PIRScheduler, RandomChooser, make_chooser
 from repro.core.recorder import record
@@ -25,6 +29,20 @@ class TestChoosers:
         b.restart()
         assert [a.choose([1, 2, 3]) for _ in range(20)] == [
             b.choose([1, 2, 3]) for _ in range(20)
+        ]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64),
+        lengths=st.lists(st.integers(min_value=1, max_value=64), max_size=50),
+    )
+    def test_random_chooser_draws_what_randrange_draws(self, seed, lengths):
+        # RandomChooser draws with getrandbits the way randrange(n) does;
+        # any other draw would change every schedule and report.
+        chooser = RandomChooser(seed)
+        chooser.restart()
+        reference = random.Random(seed)
+        assert [chooser.choose(list(range(n))) for n in lengths] == [
+            reference.randrange(n) for n in lengths
         ]
 
     def test_pct_chooser_prefers_high_priority(self):

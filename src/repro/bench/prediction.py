@@ -22,13 +22,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.apps import all_bugs
 from repro.bench.results import BenchResult
 from repro.core.plan import DYNAMIC
 from repro.core.reproducer import render_report
-from repro.core.request import ReproduceRequest, record_request, run_request
+from repro.core.request import (
+    ReproduceRequest,
+    RequestResult,
+    record_request,
+    run_request,
+)
 from repro.core.sketches import SketchKind
 
 #: Bugs used for the plan-enabled jobs-invariance spot check (both have
@@ -72,13 +77,11 @@ class PredictionRow:
         )
 
 
-def prediction_row(
-    spec,
-    max_attempts: int = 400,
-    ncpus: int = 4,
-    obs=None,
-) -> PredictionRow:
-    """Run one bug through both arms of the ablation."""
+def _prediction(
+    spec, max_attempts: int, ncpus: int, obs
+) -> Tuple[PredictionRow, RequestResult]:
+    """One bug through both arms: its row, and the planned arm's result
+    (its recording and the dynamic plan built for it)."""
     request = ReproduceRequest(
         spec.bug_id, ncpus=ncpus, max_attempts=max_attempts
     ).resolved()
@@ -89,7 +92,7 @@ def prediction_row(
         obs=obs,
     )
     plan = planned.plans[0]
-    return PredictionRow(
+    row = PredictionRow(
         bug_id=spec.bug_id,
         seed=request.seed,
         races=len(plan.races),
@@ -101,6 +104,17 @@ def prediction_row(
         planned_attempts=planned.report.attempts,
         planned_success=planned.report.success,
     )
+    return row, planned
+
+
+def prediction_row(
+    spec,
+    max_attempts: int = 400,
+    ncpus: int = 4,
+    obs=None,
+) -> PredictionRow:
+    """Run one bug through both arms of the ablation."""
+    return _prediction(spec, max_attempts, ncpus, obs)[0]
 
 
 def prediction_ablation(
@@ -117,17 +131,27 @@ def prediction_ablation(
 
 
 def jobs_invariant(
-    request: ReproduceRequest, jobs_values: Sequence[int]
+    request: ReproduceRequest,
+    jobs_values: Sequence[int],
+    built: Optional[RequestResult] = None,
 ) -> bool:
-    """Whether ``request`` renders one report at every ``jobs`` value
-    (one recording serves every value)."""
-    recorded = record_request(request)
-    return len({
-        render_report(
-            run_request(request, recorded=recorded, jobs=jobs).report
+    """Whether ``request`` renders one report at every ``jobs`` value.
+
+    One recording and one build of the request's plans serve every
+    value: ``built``'s, when the caller already ran the request's run
+    with its plans, else those of the first value's run.
+    """
+    recorded = plans = None
+    if built is not None:
+        recorded, plans = built.recorded, built.plans
+    reports = set()
+    for jobs in jobs_values:
+        result = run_request(
+            request, recorded=recorded, plans=plans, jobs=jobs
         )
-        for jobs in jobs_values
-    }) == 1
+        recorded, plans = result.recorded, result.plans
+        reports.add(render_report(result.report))
+    return len(reports) == 1
 
 
 def plan_jobs_invariant(
@@ -136,27 +160,38 @@ def plan_jobs_invariant(
     batch_size: int = 4,
     max_attempts: int = 400,
     ncpus: int = 4,
+    built: Optional[Mapping[str, RequestResult]] = None,
 ) -> bool:
     """Whether plan-seeded parallel exploration is ``--jobs``-independent.
 
     At a fixed ``batch_size`` the exploration schedule is defined to
     depend only on the batch size, never on worker count; seeding plan
     candidates must preserve that (an identical rendered report across
-    ``jobs_values``).
+    ``jobs_values``).  ``built`` maps a bug to a planned result of the
+    same run (E13's matrix), whose recording and plan are reused.
     """
+    built = built or {}
     return all(
         jobs_invariant(ReproduceRequest(
             bug_id, ncpus=ncpus, max_attempts=max_attempts,
             batch_size=batch_size, plans=(DYNAMIC,),
-        ), jobs_values)
+        ), jobs_values, built.get(bug_id))
         for bug_id in bug_ids
     )
 
 
 def build_e13(obs=None) -> BenchResult:
     """E13 as a :class:`BenchResult` (table + JSON payload)."""
-    matrix = prediction_ablation(obs=obs)
-    invariant = plan_jobs_invariant()
+    runs = [
+        _prediction(spec, max_attempts=400, ncpus=4, obs=obs)
+        for spec in all_bugs()
+    ]
+    matrix = [row for row, _ in runs]
+    # The invariance check reuses the matrix's recordings and plans:
+    # its requests differ from the matrix's only in batch size.
+    invariant = plan_jobs_invariant(
+        built={row.bug_id: planned for row, planned in runs}
+    )
     rows = []
     records = []
     for row in matrix:

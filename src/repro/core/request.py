@@ -168,6 +168,7 @@ def run_request(
     request: ReproduceRequest,
     *,
     recorded: Optional[RecordedRun] = None,
+    plans: Optional[List[Plan]] = None,
     jobs: int = 1,
     store: object = None,
     cache=None,
@@ -181,16 +182,20 @@ def run_request(
     """Run ``request``'s pipeline: seed, record, plan, reproduce.
 
     ``recorded`` is a recording of the request the caller already made
-    (``pres reproduce`` journals and salvages its own).  The other
-    arguments go to :func:`~repro.core.reproducer.reproduce` unchanged;
+    (``pres reproduce`` journals and salvages its own), and ``plans``
+    the plans it already built from ``request.plans`` for that
+    recording (an earlier result's :attr:`RequestResult.plans`).  The
+    other arguments go to :func:`~repro.core.reproducer.reproduce`
+    unchanged;
     ``record`` and ``reproduce`` are the two stages, so a host can wrap
     them.  Raises :class:`NoFailingRunError` when no run fails.
     """
     if recorded is None:
         recorded = record_request(request, obs=obs, record=record)
     require_failure(recorded)
-    plans = [_plan(request, recorded, entry, record)
-             for entry in request.plans]
+    if plans is None:
+        plans = [_plan(request, recorded, entry, record)
+                 for entry in request.plans]
     report = reproduce(
         recorded,
         ExplorerConfig(max_attempts=request.max_attempts,

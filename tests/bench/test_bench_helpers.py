@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.apps import get_bug
+import repro.sanitize
+from repro.apps import ALL_BUG_IDS, get_bug
 from repro.bench import (
     failure_rate,
     find_failing_seed,
@@ -11,6 +12,7 @@ from repro.bench import (
 )
 from repro.bench.attempts import attempts_row
 from repro.bench.overhead import max_reduction
+from repro.bench.prediction import build_e13
 from repro.bench.scaling import scaling_curves
 from repro.core.sketches import SketchKind
 
@@ -193,3 +195,21 @@ class TestSpeedupHarness:
         assert cached["cache_hits"] == cached["attempts"]
         micro = result.meta["sort_microbench"]
         assert micro["sort_once_s"] < micro["per_attempt_sort_s"]
+
+
+class TestPrediction:
+    def test_e13_builds_each_dynamic_plan_once(self, monkeypatch):
+        # one plan per bug: the jobs-invariance check reuses the
+        # matrix's plans instead of building one per jobs value
+        built = []
+        build_plan = repro.sanitize.build_plan
+
+        def counting(log, *args, **kwargs):
+            built.append(log.fingerprint())
+            return build_plan(log, *args, **kwargs)
+
+        monkeypatch.setattr(repro.sanitize, "build_plan", counting)
+        result = build_e13()
+        assert len(built) == len(ALL_BUG_IDS) == 13
+        assert len(set(built)) == 13
+        assert result.meta["jobs_invariant"] is True

@@ -72,6 +72,42 @@ class TestOccurrenceCounter:
         assert not counter.pending_matches(3, ctx.unlock("m"), ref)
 
 
+    def test_region_family_counts_every_address_of_a_region(self):
+        ctx = ThreadContext(1)
+        counter = OccurrenceCounter(regions=True)
+        counter.observe(mem_event(0, 1, OpKind.READ, ("row", 0)))
+        counter.observe(mem_event(1, 1, OpKind.WRITE, ("row", 3)))
+        counter.observe(mem_event(2, 1, OpKind.READ, "row_len"))
+        assert counter.executed(EventRef(1, "region", "row", 2))
+        assert not counter.executed(EventRef(1, "region", "row", 3))
+        assert counter.pending_matches(1, ctx.read(("row", 7)), EventRef(1, "region", "row", 3))
+        assert not counter.pending_matches(1, ctx.read("x"), EventRef(1, "region", "row", 3))
+
+    def test_restore_derives_region_counts_from_address_counts(self):
+        events = [
+            mem_event(0, 1, OpKind.READ, ("row", 0)),
+            mem_event(1, 2, OpKind.WRITE, ("row", 1)),
+            mem_event(2, 1, OpKind.RMW, ("row", 1)),
+            mem_event(3, 1, OpKind.READ, "x"),
+            lock_event(4, 1, "m"),
+        ]
+        plain, counted = OccurrenceCounter(regions=False), OccurrenceCounter()
+        for event in events:
+            plain.observe(event)
+            counted.observe(event)
+        restored = OccurrenceCounter(regions=True)
+        restored.restore(plain.capture())
+        refs = [
+            EventRef(tid, "region", key, n)
+            for tid in (1, 2) for key in ("row", "x") for n in (1, 2, 3)
+        ]
+        assert [restored.executed(r) for r in refs] == [
+            counted.executed(r) for r in refs
+        ]
+        assert restored.executed(EventRef(1, "region", "row", 2))
+        assert restored.lock_count(1, "m") == 1
+
+
 class TestConstraintGate:
     def test_blocks_after_until_before_fires(self):
         ctx = ThreadContext(2)

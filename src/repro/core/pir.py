@@ -244,8 +244,8 @@ class PIRScheduler(Scheduler):
         # entry's thread may run a visible op, and only that entry's op.
         expected = entries[position] if position < len(entries) else None
         visible = cursor.visible_mask
-        gate = self.gate
-        constrained = gate.live_by_after_tid
+        constrained = self.gate.live_by_after_tid
+        blocks = self.gate.blocks
         allowed: List[int] = []
         for tid in runnable:
             op = threads[tid].pending_op
@@ -254,7 +254,7 @@ class PIRScheduler(Scheduler):
                     continue  # awaits its sketch turn
                 if not expected.matches_op(tid, op):
                     raise cursor.off_sketch(tid, op, expected)
-            if tid in constrained and gate.blocks(tid, op):
+            if tid in constrained and blocks(tid, op):
                 continue  # awaits an order constraint
             allowed.append(tid)
         if not allowed:
@@ -291,8 +291,6 @@ class PIRScheduler(Scheduler):
             if position < len(entries) and event.kind.bit & visible:
                 expected = entries[position]
                 if event.tid != expected.tid:
-                    cursor.position = position
-                    self._seen_events = event.gidx + 1
                     raise ReplayDivergence(
                         f"executed visible event {event.describe()} out of "
                         f"sketch order (expected {expected.describe()})",
@@ -320,9 +318,8 @@ class PIRScheduler(Scheduler):
         self.gate = ConstraintGate(self.constraints)
         self._chooser = make_chooser(self.base_policy, self.base_seed)
         self._chooser.restart()
-        observe = self.gate.counter.observe
         for event in machine.events:
-            observe(event)
+            self.gate.observe(event)
         self._seen_events = len(machine.events)
 
     # -- prefix resume -----------------------------------------------------

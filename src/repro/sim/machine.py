@@ -628,7 +628,7 @@ class Machine:
         kind = op.kind
         tid = ts.tid
 
-        # Memory (READ, WRITE and RMW are performed in _step) --------------
+        # Memory (_step performs READ, WRITE and RMW) ------------------------
         if kind is OpKind.CAS:
             expected, new = op.value
             return self.memory.cas(op.addr, expected, new), True
@@ -737,7 +737,7 @@ class Machine:
             result = self.kernel.execute(op.name, op.args, now=len(self.events))
             return result, True
 
-        # Markers, yields, checks (LOCAL and BASIC_BLOCK are performed in _step)
+        # Markers, yields, checks (_step performs LOCAL and BASIC_BLOCK) ------
         if kind in (OpKind.FUNC_ENTER, OpKind.FUNC_EXIT, OpKind.YIELD):
             return None, True
         if kind is OpKind.ASSERT:

@@ -22,7 +22,7 @@ import pytest
 
 from repro.analysis.static_ import analyze_program
 from repro.apps import ALL_BUG_IDS, get_bug
-from repro.core.constraints import OccurrenceCounter, canonical_order
+from repro.core.constraints import OccurrenceCounter, ordered_constraints
 from repro.core.epochs import EpochConfig, suffix_log
 from repro.core.feedback import FeedbackGenerator
 from repro.core.pir import PIRScheduler, SketchCursor
@@ -114,7 +114,8 @@ def static_seeds(spec, sketch):
 
 def build(recorded, cls, constraints, **kwargs):
     scheduler = cls(
-        recorded.log, canonical_order(constraints), base_seed=SEED, **kwargs
+        recorded.log, ordered_constraints(constraints), base_seed=SEED,
+        **kwargs,
     )
     return scheduler, Machine(recorded.program, scheduler, recorded.config)
 
@@ -234,7 +235,7 @@ def test_epoch_restores_match():
                 for cls in (PIRScheduler, FromScratchPIR):
                     kwargs = {"start": boundary.step} if cls is FromScratchPIR else {}
                     scheduler = cls(
-                        log, canonical_order(constraints), base_seed=SEED,
+                        log, ordered_constraints(constraints), base_seed=SEED,
                         **kwargs,
                     )
                     machine = Machine(recorded.program, scheduler, recorded.config)

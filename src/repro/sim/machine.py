@@ -190,7 +190,6 @@ class Machine:
         runnable_set = self._runnable_set
         guard_of = self._guard_of
         max_steps = self.config.max_steps
-        ready = ThreadStatus.READY
 
         while self.failure is None:
             if on_snapshot is not None and (
@@ -209,7 +208,7 @@ class Machine:
                 ts = threads[tid]
                 op = ts.pending_op
                 if (
-                    ts.status is ready
+                    ts.status is _READY
                     and op is not None
                     and not op.kind.is_guarded
                     and tid in runnable_set
@@ -454,7 +453,7 @@ class Machine:
                 "objects built via their ThreadContext"
             )
         ts.pending_op = op
-        ts.status = ThreadStatus.READY
+        ts.status = _READY
 
     def _fail_thread(self, ts: ThreadState, exc: Exception, detail: str = "") -> None:
         ts.status = ThreadStatus.FAILED
@@ -579,14 +578,14 @@ class Machine:
 
         advance = True
         try:
-            if kind is OpKind.READ:
+            if kind is _READ:
                 result = self.memory.load(op.addr)
-            elif kind is OpKind.LOCAL or kind is OpKind.BASIC_BLOCK:
+            elif kind is _LOCAL or kind is _BASIC_BLOCK:
                 result = None
-            elif kind is OpKind.WRITE:
+            elif kind is _WRITE:
                 result = op.value
                 self.memory.store(op.addr, result)
-            elif kind is OpKind.RMW:
+            elif kind is _RMW:
                 result = self.memory.rmw(op.addr, op.value)
             else:
                 result, advance = self._perform(ts, op)
@@ -598,7 +597,7 @@ class Machine:
         events = self.events
         event = Event(
             len(events), tid, kind, op.addr, op.obj, op.name, op.label,
-            op.args if kind is OpKind.SYSCALL else (), result, cpu,
+            op.args if kind is _SYSCALL else (), result, cpu,
         )
         events.append(event)
         if self.observers:
@@ -851,6 +850,16 @@ class Machine:
             divergence=self.divergence,
         )
 
+
+#: The members the step loop tests, bound to module names: on Python
+#: 3.11 reading a member off an Enum class goes through
+#: ``EnumType.__getattr__`` (about 0.1 µs, four times a plain class
+#: attribute), and a step tests a kind up to six times.
+_READ, _WRITE, _RMW, _LOCAL, _BASIC_BLOCK, _SYSCALL = (
+    OpKind.READ, OpKind.WRITE, OpKind.RMW, OpKind.LOCAL, OpKind.BASIC_BLOCK,
+    OpKind.SYSCALL,
+)
+_READY = ThreadStatus.READY
 
 #: Guard key of every syscall: kernel state changes only when a syscall
 #: executes, so any syscall re-evaluates every blocked one.

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import random
-from itertools import islice
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import ConstraintGate, OrderConstraint
@@ -286,7 +285,10 @@ class PIRScheduler(Scheduler):
         entries = cursor.entries
         visible = cursor.visible_mask
         position = cursor.position
-        for event in islice(events, self._seen_events, None):
+        seen = self._seen_events
+        while seen < len(events):
+            event = events[seen]
+            seen += 1
             observe(event)
             if position < len(entries) and event.kind.bit & visible:
                 expected = entries[position]
@@ -298,7 +300,7 @@ class PIRScheduler(Scheduler):
                     )
                 position += 1
         cursor.position = position
-        self._seen_events = len(events)
+        self._seen_events = seen
 
     # -- epoch resume ------------------------------------------------------
 

@@ -186,9 +186,9 @@ def run_request(
     the plans it already built from ``request.plans`` for that
     recording (an earlier result's :attr:`RequestResult.plans`).  The
     other arguments go to :func:`~repro.core.reproducer.reproduce`
-    unchanged;
-    ``record`` and ``reproduce`` are the two stages, so a host can wrap
-    them.  Raises :class:`NoFailingRunError` when no run fails.
+    unchanged; ``record`` and ``reproduce`` are the two stages, so a
+    host can wrap them.  Raises :class:`NoFailingRunError` when no run
+    fails.
     """
     if recorded is None:
         recorded = record_request(request, obs=obs, record=record)

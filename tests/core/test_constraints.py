@@ -80,8 +80,9 @@ class TestOccurrenceCounter:
         counter.observe(mem_event(2, 1, OpKind.READ, "row_len"))
         assert counter.executed(EventRef(1, "region", "row", 2))
         assert not counter.executed(EventRef(1, "region", "row", 3))
-        assert counter.pending_matches(1, ctx.read(("row", 7)), EventRef(1, "region", "row", 3))
-        assert not counter.pending_matches(1, ctx.read("x"), EventRef(1, "region", "row", 3))
+        third = EventRef(1, "region", "row", 3)
+        assert counter.pending_matches(1, ctx.read(("row", 7)), third)
+        assert not counter.pending_matches(1, ctx.read("x"), third)
 
     def test_restore_derives_region_counts_from_address_counts(self):
         events = [

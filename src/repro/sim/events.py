@@ -75,6 +75,8 @@ class Event:
     def from_op(
         cls, gidx: int, tid: int, cpu: int, op: Op, value: Any = None
     ) -> "Event":
+        """The event of ``op`` executed by ``tid``; the machine emits
+        every event through here.  Only a SYSCALL event carries args."""
         kind = op.kind
         return cls(
             gidx,
@@ -84,7 +86,7 @@ class Event:
             op.obj,
             op.name,
             op.label,
-            op.args if kind is OpKind.SYSCALL else (),
+            op.args if kind is _SYSCALL else (),
             value,
             cpu,
         )
@@ -109,3 +111,8 @@ class Event:
         if self.label is not None:
             parts.append(self.label)
         return " ".join(parts)
+
+
+#: Bound once: on Python 3.11 reading a member off an Enum class goes
+#: through ``EnumType.__getattr__``, and every step builds an event.
+_SYSCALL = OpKind.SYSCALL

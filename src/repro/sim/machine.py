@@ -187,8 +187,6 @@ class Machine:
         refresh = self._refresh_runnable
         touched = self._touched
         touched_guards = self._touched_guards
-        runnable_set = self._runnable_set
-        guard_of = self._guard_of
         max_steps = self.config.max_steps
 
         while self.failure is None:
@@ -197,26 +195,8 @@ class Machine:
                 or (snapshot_when is not None and snapshot_when(self))
             ):
                 on_snapshot(self)
-            # runnable_tids(), inline.  Most steps touch only the thread
-            # they ran and no guard; when that thread is still a READY
-            # member of the set with an unguarded op and no guard entry
-            # left over, the set is unchanged.
-            if touched_guards or len(touched) != 1:
+            if touched or touched_guards:  # as runnable_tids() does
                 refresh()
-            else:
-                tid = touched[0]
-                ts = threads[tid]
-                op = ts.pending_op
-                if (
-                    ts.status is _READY
-                    and op is not None
-                    and not op.kind.is_guarded
-                    and tid in runnable_set
-                    and tid not in guard_of
-                ):
-                    touched.clear()
-                else:
-                    refresh()
             runnable = self._runnable
             if not runnable:
                 if all(ts.finished for ts in threads.values()):
@@ -254,8 +234,8 @@ class Machine:
         re-evaluates only the threads whose status or pending op it
         changed, plus the waiters of the guards (mutex, rwlock,
         semaphore, join target, kernel) whose state it changed.
-        :meth:`run` does the same update inline before every pick and
-        hands :meth:`Scheduler.pick` this very list.  The returned list is
+        :meth:`run` makes the same call before every pick and hands
+        :meth:`Scheduler.pick` this very list.  The returned list is
         replaced, never mutated, when the set changes; treat it as
         read-only.
         """
@@ -500,10 +480,27 @@ class Machine:
         threads = self.threads
         runnable = self._runnable_set
         guard_of = self._guard_of
-        guard_waiters = self._guard_waiters
         touched = self._touched
         if len(touched) > 1:
             touched.sort()
+        elif not self._touched_guards and touched:
+            # Most steps touch only the thread they ran and no guard;
+            # when that thread is still a READY member of the set with
+            # an unguarded op and no guard entry left over, the set is
+            # unchanged.
+            tid = touched[0]
+            ts = threads[tid]
+            op = ts.pending_op
+            if (
+                ts.status is _READY
+                and op is not None
+                and not op.kind.is_guarded
+                and tid in runnable
+                and tid not in guard_of
+            ):
+                touched.clear()
+                return
+        guard_waiters = self._guard_waiters
         for key in self._touched_guards:
             touched.extend(guard_waiters.get(key, ()))
         changed = False
@@ -595,10 +592,7 @@ class Machine:
             return
 
         events = self.events
-        event = Event(
-            len(events), tid, kind, op.addr, op.obj, op.name, op.label,
-            op.args if kind is _SYSCALL else (), result, cpu,
-        )
+        event = Event.from_op(len(events), tid, cpu, op, result)
         events.append(event)
         if self.observers:
             for observer in self.observers:
@@ -854,10 +848,9 @@ class Machine:
 #: The members the step loop tests, bound to module names: on Python
 #: 3.11 reading a member off an Enum class goes through
 #: ``EnumType.__getattr__`` (about 0.1 µs, four times a plain class
-#: attribute), and a step tests a kind up to six times.
-_READ, _WRITE, _RMW, _LOCAL, _BASIC_BLOCK, _SYSCALL = (
+#: attribute), and a step tests a kind up to five times.
+_READ, _WRITE, _RMW, _LOCAL, _BASIC_BLOCK = (
     OpKind.READ, OpKind.WRITE, OpKind.RMW, OpKind.LOCAL, OpKind.BASIC_BLOCK,
-    OpKind.SYSCALL,
 )
 _READY = ThreadStatus.READY
 

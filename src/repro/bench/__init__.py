@@ -7,11 +7,7 @@ and from notebooks.
 
 from repro.bench.attempts import attempts_matrix, attempts_row
 from repro.bench.overhead import overhead_matrix, overhead_row
-from repro.bench.prediction import (
-    plan_jobs_invariant,
-    prediction_ablation,
-    prediction_row,
-)
+from repro.bench.prediction import prediction_row
 from repro.bench.results import BenchResult
 from repro.bench.runner import (
     available_experiments,
@@ -33,8 +29,6 @@ __all__ = [
     "format_table",
     "overhead_matrix",
     "overhead_row",
-    "plan_jobs_invariant",
-    "prediction_ablation",
     "prediction_row",
     "run_experiment",
     "run_experiment_result",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.apps import all_bugs
 from repro.bench.results import BenchResult
@@ -77,23 +77,25 @@ class PredictionRow:
         )
 
 
-def _prediction(
-    spec, max_attempts: int, ncpus: int, obs
+def prediction_row(
+    request: ReproduceRequest, obs=None
 ) -> Tuple[PredictionRow, RequestResult]:
-    """One bug through both arms: its row, and the planned arm's result
-    (its recording and the dynamic plan built for it)."""
-    request = ReproduceRequest(
-        spec.bug_id, ncpus=ncpus, max_attempts=max_attempts
-    ).resolved()
+    """Run one bug through both arms of the ablation.
+
+    ``request`` is the planned arm's (``plans=(DYNAMIC,)``); the
+    baseline arm is the same request without plans, on the same
+    recording.  Returns the bug's row and the planned arm's result,
+    whose recording and dynamic plan a rerun of ``request`` can reuse.
+    """
+    request = request.resolved()
     recorded = record_request(request, obs=obs)
-    baseline = run_request(request, recorded=recorded, obs=obs).report
-    planned = run_request(
-        dataclasses.replace(request, plans=(DYNAMIC,)), recorded=recorded,
-        obs=obs,
-    )
+    baseline = run_request(
+        dataclasses.replace(request, plans=()), recorded=recorded, obs=obs
+    ).report
+    planned = run_request(request, recorded=recorded, obs=obs)
     plan = planned.plans[0]
     row = PredictionRow(
-        bug_id=spec.bug_id,
+        bug_id=request.bug,
         seed=request.seed,
         races=len(plan.races),
         violations=len(plan.violations),
@@ -105,29 +107,6 @@ def _prediction(
         planned_success=planned.report.success,
     )
     return row, planned
-
-
-def prediction_row(
-    spec,
-    max_attempts: int = 400,
-    ncpus: int = 4,
-    obs=None,
-) -> PredictionRow:
-    """Run one bug through both arms of the ablation."""
-    return _prediction(spec, max_attempts, ncpus, obs)[0]
-
-
-def prediction_ablation(
-    specs: Optional[Sequence] = None,
-    max_attempts: int = 400,
-    ncpus: int = 4,
-    obs=None,
-) -> List[PredictionRow]:
-    """The full E13 matrix over the bug suite."""
-    return [
-        prediction_row(spec, max_attempts=max_attempts, ncpus=ncpus, obs=obs)
-        for spec in (all_bugs() if specs is None else specs)
-    ]
 
 
 def jobs_invariant(
@@ -154,43 +133,30 @@ def jobs_invariant(
     return len(reports) == 1
 
 
-def plan_jobs_invariant(
-    bug_ids: Sequence[str] = INVARIANCE_BUGS,
-    jobs_values: Sequence[int] = (1, 2),
-    batch_size: int = 4,
-    max_attempts: int = 400,
-    ncpus: int = 4,
-    built: Optional[Mapping[str, RequestResult]] = None,
-) -> bool:
-    """Whether plan-seeded parallel exploration is ``--jobs``-independent.
-
-    At a fixed ``batch_size`` the exploration schedule is defined to
-    depend only on the batch size, never on worker count; seeding plan
-    candidates must preserve that (an identical rendered report across
-    ``jobs_values``).  ``built`` maps a bug to a planned result of the
-    same run (E13's matrix), whose recording and plan are reused.
-    """
-    built = built or {}
-    return all(
-        jobs_invariant(ReproduceRequest(
-            bug_id, ncpus=ncpus, max_attempts=max_attempts,
-            batch_size=batch_size, plans=(DYNAMIC,),
-        ), jobs_values, built.get(bug_id))
-        for bug_id in bug_ids
-    )
-
-
 def build_e13(obs=None) -> BenchResult:
     """E13 as a :class:`BenchResult` (table + JSON payload)."""
-    runs = [
-        _prediction(spec, max_attempts=400, ncpus=4, obs=obs)
+    requests = {
+        spec.bug_id: ReproduceRequest(
+            spec.bug_id, ncpus=4, max_attempts=400, plans=(DYNAMIC,)
+        )
         for spec in all_bugs()
-    ]
-    matrix = [row for row, _ in runs]
-    # The invariance check reuses the matrix's recordings and plans:
-    # its requests differ from the matrix's only in batch size.
-    invariant = plan_jobs_invariant(
-        built={row.bug_id: planned for row, planned in runs}
+    }
+    runs = {
+        bug_id: prediction_row(request, obs=obs)
+        for bug_id, request in requests.items()
+    }
+    matrix = [row for row, _ in runs.values()]
+    # Plan-seeded parallel exploration must be --jobs-independent: at a
+    # fixed batch size the exploration schedule depends only on the
+    # batch size, never on the worker count, and seeding plan
+    # candidates must keep it so.  Each check is a matrix request at
+    # batch size 4 and reuses that request's recording and plan.
+    invariant = all(
+        jobs_invariant(
+            dataclasses.replace(requests[bug_id], batch_size=4), (1, 2),
+            runs[bug_id][1],
+        )
+        for bug_id in INVARIANCE_BUGS
     )
     rows = []
     records = []
@@ -253,7 +219,5 @@ __all__ = [
     "PredictionRow",
     "build_e13",
     "jobs_invariant",
-    "plan_jobs_invariant",
-    "prediction_ablation",
     "prediction_row",
 ]

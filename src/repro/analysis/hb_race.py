@@ -52,6 +52,22 @@ from repro.sim.trace import Trace
 #: an access; feedback uses it to lift flips up to the LOCK operation.
 HeldLock = Tuple[str, int]
 
+#: The kinds the sweep tests, bound at import: on Python 3.11 reading a
+#: member off an Enum class goes through ``EnumType.__getattr__`` (about
+#: 0.1 µs), and the sweep tests kinds for every event.
+_LOCK, _TRYLOCK, _UNLOCK, _RDLOCK, _WRLOCK, _RWUNLOCK = (
+    OpKind.LOCK, OpKind.TRYLOCK, OpKind.UNLOCK, OpKind.RDLOCK,
+    OpKind.WRLOCK, OpKind.RWUNLOCK,
+)
+_COND_WAIT, _COND_SIGNAL, _COND_BROADCAST = (
+    OpKind.COND_WAIT, OpKind.COND_SIGNAL, OpKind.COND_BROADCAST,
+)
+_SEM_ACQUIRE, _SEM_RELEASE, _BARRIER_WAIT, _SPAWN, _JOIN = (
+    OpKind.SEM_ACQUIRE, OpKind.SEM_RELEASE, OpKind.BARRIER_WAIT,
+    OpKind.SPAWN, OpKind.JOIN,
+)
+_SYSCALL, _FREE = OpKind.SYSCALL, OpKind.FREE
+
 
 @dataclass(frozen=True)
 class RacePair:
@@ -274,7 +290,7 @@ class HBAnalysis:
             for event in events[pos:stop]:
                 tid = event.tid
                 kind = event.kind
-                if not (kind.is_sync or kind is OpKind.SYSCALL):
+                if not (kind.is_sync or kind is _SYSCALL):
                     # No outgoing edge, and an incoming one only on the
                     # first event after a spawn or wakeup; otherwise only
                     # the own component advances.
@@ -302,19 +318,19 @@ class HBAnalysis:
                 # Incoming edges ----------------------------------------------
                 if tid in pending_join:
                     vc = vc.join(pending_join.pop(tid))
-                if kind is OpKind.LOCK and use_lock_edges:
+                if kind is _LOCK and use_lock_edges:
                     vc = vc.join(mutex_vc.get(event.obj, zero))
-                elif kind is OpKind.TRYLOCK and event.value and use_lock_edges:
+                elif kind is _TRYLOCK and event.value and use_lock_edges:
                     vc = vc.join(mutex_vc.get(event.obj, zero))
-                elif kind in (OpKind.RDLOCK, OpKind.WRLOCK) and use_lock_edges:
+                elif (kind is _RDLOCK or kind is _WRLOCK) and use_lock_edges:
                     # conservative: any release -> any acquire (masks only
                     # reader-reader pairs, which cannot race through reads)
                     vc = vc.join(rwlock_vc.get(event.obj, zero))
-                elif kind is OpKind.SEM_ACQUIRE:
+                elif kind is _SEM_ACQUIRE:
                     vc = vc.join(sem_vc.get(event.obj, zero))
-                elif kind is OpKind.JOIN:
+                elif kind is _JOIN:
                     vc = vc.join(clock_of(event.obj))
-                elif kind is OpKind.SYSCALL and event.name in ("recv", "try_recv"):
+                elif kind is _SYSCALL and event.name in ("recv", "try_recv"):
                     # The k-th recv on a channel returns the k-th send's
                     # message.
                     chan = self._channel_of(event)
@@ -333,38 +349,38 @@ class HBAnalysis:
 
                 # Lockset maintenance ------------------------------------------
                 tid_held = held.setdefault(tid, {})
-                if kind.is_lock and (kind is not OpKind.TRYLOCK or event.value):
+                if kind.is_lock and (kind is not _TRYLOCK or event.value):
                     key = (tid, event.obj)
                     lock_counts[key] = lock_counts.get(key, 0) + 1
                     tid_held[event.obj] = lock_counts[key]
                     held_now.pop(tid, None)
-                elif kind is OpKind.UNLOCK or kind is OpKind.RWUNLOCK:
+                elif kind is _UNLOCK or kind is _RWUNLOCK:
                     tid_held.pop(event.obj, None)
                     held_now.pop(tid, None)
-                elif kind is OpKind.COND_WAIT:
+                elif kind is _COND_WAIT:
                     _, lock_name = event.obj
                     tid_held.pop(lock_name, None)
                     held_now.pop(tid, None)
 
                 # Outgoing edges ------------------------------------------------
-                if kind is OpKind.UNLOCK:
+                if kind is _UNLOCK:
                     mutex_vc[event.obj] = vc
-                elif kind is OpKind.RWUNLOCK:
+                elif kind is _RWUNLOCK:
                     rwlock_vc[event.obj] = rwlock_vc.get(event.obj, zero).join(vc)
-                elif kind is OpKind.COND_WAIT:
+                elif kind is _COND_WAIT:
                     _, lock_name = event.obj
                     mutex_vc[lock_name] = vc
-                elif kind is OpKind.SEM_RELEASE:
+                elif kind is _SEM_RELEASE:
                     sem_vc[event.obj] = sem_vc.get(event.obj, zero).join(vc)
-                elif kind is OpKind.SPAWN:
+                elif kind is _SPAWN:
                     pending_join[event.value] = vc
-                elif kind is OpKind.COND_SIGNAL and event.value is not None:
+                elif kind is _COND_SIGNAL and event.value is not None:
                     woken = event.value
                     pending_join[woken] = pending_join.get(woken, zero).join(vc)
-                elif kind is OpKind.COND_BROADCAST and event.value:
+                elif kind is _COND_BROADCAST and event.value:
                     for woken in event.value:
                         pending_join[woken] = pending_join.get(woken, zero).join(vc)
-                elif kind is OpKind.BARRIER_WAIT:
+                elif kind is _BARRIER_WAIT:
                     name = event.obj
                     arrived = barrier_arrived.get(name, ()) + (tid,)
                     merged = barrier_vc[name] = barrier_vc.get(name, zero).join(vc)
@@ -376,7 +392,7 @@ class HBAnalysis:
                         arrived = ()
                         barrier_vc[name] = zero
                     barrier_arrived[name] = arrived
-                elif kind is OpKind.SYSCALL and event.name == "send":
+                elif kind is _SYSCALL and event.name == "send":
                     chan = self._channel_of(event)
                     if chan is not None:
                         if channel_skips.get(chan):
@@ -412,7 +428,7 @@ class HBAnalysis:
         tid = event.tid
         kind = event.kind
         is_write = kind.is_write
-        is_free = kind is OpKind.FREE
+        is_free = kind is _FREE
 
         # Addresses this access conflicts with: itself, plus the whole
         # region when freeing a region name, plus the region name when
@@ -450,7 +466,7 @@ class HBAnalysis:
                     if other_tid == tid:
                         continue
                     if target != addr and not (
-                        prev.kind is OpKind.FREE or is_free
+                        prev.kind is _FREE or is_free
                     ):
                         # Cross-address conflicts only involve region frees.
                         continue

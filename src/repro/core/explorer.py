@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.constraints import ConstraintSet
 from repro.core.feedback import (
@@ -146,6 +146,10 @@ class Frontier:
     alternation is a pure function of the pop sequence, so the engine
     (which assembles batches by popping this structure) explores the
     same schedule for a fixed ``batch_size`` at any worker count.
+
+    The frontier also counts the mined pairs still waiting that never
+    popped (:meth:`waiting_mined`), which bounds the attempts left
+    before any deeper mined candidate can pop.
     """
 
     def __init__(self) -> None:
@@ -155,12 +159,21 @@ class Frontier:
         self._static: Deque[Tuple[ConstraintSet, int, Candidate]] = deque()
         self._counter = 0
         self._last_pop_mined = False
+        #: every ``(constraints, seed)`` pair popped so far, from any lane.
+        self._popped: Set[Tuple[ConstraintSet, int]] = set()
+        #: per constraint count, the distinct mined-tier pairs waiting
+        #: that never popped.
+        self._unpopped: Dict[int, Set[Tuple[ConstraintSet, int]]] = {}
 
     def push(self, candidate: Candidate, seed: int) -> None:
         """Add a candidate, routed by tier (statics to the FIFO lane)."""
         if candidate.tier == TIER_STATIC:
             self._static.append((candidate.constraints, seed, candidate))
             return
+        if candidate.tier == TIER_MINED:
+            pair = (candidate.constraints, seed)
+            if pair not in self._popped:
+                self._unpopped.setdefault(len(pair[0]), set()).add(pair)
         self._counter += 1
         heapq.heappush(
             self._heap,
@@ -184,7 +197,24 @@ class Frontier:
         )
         if take_static:
             self._last_pop_mined = False
-            return self._static.popleft()
-        key, _, constraints, seed, candidate = heapq.heappop(self._heap)
-        self._last_pop_mined = key[0] >= TIER_MINED
+            constraints, seed, candidate = self._static.popleft()
+        else:
+            key, _, constraints, seed, candidate = heapq.heappop(self._heap)
+            self._last_pop_mined = key[0] >= TIER_MINED
+        pair = (constraints, seed)
+        self._popped.add(pair)
+        self._unpopped.get(len(constraints), set()).discard(pair)
         return constraints, seed, candidate
+
+    def waiting_mined(self, depth: int) -> int:
+        """The distinct mined-tier ``(constraints, seed)`` pairs waiting
+        with at most ``depth`` constraints that never popped.
+
+        The engine tries a pair the first time it pops, so each of these
+        costs exactly one attempt, and every one of them pops before any
+        mined candidate with more than ``depth`` constraints.
+        """
+        return sum(
+            len(pairs) for size, pairs in self._unpopped.items()
+            if size <= depth
+        )

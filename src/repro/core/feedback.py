@@ -515,9 +515,7 @@ class FeedbackGenerator:
         for flip, anchor, shape, after_gidx in sorted(
             raw, key=lambda t: (t[2], -t[1])
         ):
-            if flip in current or _inverse(flip) in current:
-                continue
-            if flip in current_inverses:
+            if flip in current or flip in current_inverses:
                 continue
             candidate_set: ConstraintSet = frozenset(current | {flip})
             if candidate_set in seen_sets:

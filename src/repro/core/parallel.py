@@ -51,8 +51,12 @@ the cache without burning a worker.
 Two more kinds of work are never thrown away.  Every batch carries the
 fingerprints of the executions folded so far, so an attempt that replays
 one of them skips mining — the fold would drop its candidates — and its
-outcome says it was not mined; an unmined outcome from the cache whose
-execution is new to this session is re-mined at fold time.  And the
+outcome says it was not mined.  Nor is an attempt mined whose children
+could never run: at batch assembly :func:`children_can_run` finds the
+frontier already holding, ahead of them, as many untried candidates as
+the budget has attempts left, and the task says not to mine.  An
+unmined outcome from the cache whose execution is new to this session,
+and whose children it can reach, is re-mined at fold time.  And the
 engine keeps the session's one prefix-snapshot tree
 (:mod:`repro.core.prefix`): outcomes ship back the snapshots their
 candidates resume from, and each resume plan carries its parent's
@@ -209,10 +213,11 @@ class AttemptOutcome:
     fingerprint: str
     candidates: Tuple[Candidate, ...] = ()
     schedule: Optional[Tuple[int, ...]] = None
-    #: False when a failed attempt was not mined: feedback was off, or
-    #: the session that ran it already knew its execution.  Its empty
-    #: ``candidates`` are then no verdict, and a session to which the
-    #: execution is new re-mines it at fold time.
+    #: False when a failed attempt was not mined: feedback was off, the
+    #: session that ran it already knew its execution, or its budget
+    #: could not reach its children.  Its empty ``candidates`` are then
+    #: no verdict, and a session to which the execution is new, and
+    #: whose budget reaches its children, re-mines it at fold time.
     mined: bool = True
     #: spans recorded while evaluating this attempt (tracing only);
     #: stamped with the recording pid so the parent can assign worker
@@ -230,6 +235,21 @@ class AttemptOutcome:
     shared: Tuple[Tuple[int, Snapshot], ...] = field(
         default=(), compare=False, repr=False
     )
+
+
+def children_can_run(frontier: Frontier, depth: int, left: int) -> bool:
+    """Whether an attempt with ``depth`` constraints can ever have a
+    child run, with ``left`` attempts of the budget left after its batch.
+
+    Its children carry ``depth + 1`` constraints, so each pops only
+    after every mined pair waiting with at most ``depth`` constraints,
+    and each of those costs an attempt (the root, plan and static tiers
+    it leaves out would only cost more).  When they fill the budget, no
+    child runs, and mining the attempt changes nothing.  Their count
+    minus ``left`` never decreases as the search goes on, so a later
+    attempt with as many constraints or more is unreachable too.
+    """
+    return frontier.waiting_mined(depth) < left
 
 
 def _ladder_snapshots(
@@ -986,11 +1006,11 @@ class ParallelExplorer:
                 self.db.known_fingerprints() if self.use_feedback
                 else frozenset()
             )
-            batch: List[Tuple[
+            popped: List[Tuple[
                 ConstraintSet, int, Optional[AttemptOutcome],
-                Optional[ResumePlan], AbstractSet[str],
+                Optional[ResumePlan],
             ]] = []
-            while len(batch) < want and frontier:
+            while len(popped) < want and frontier:
                 constraints, seed, candidate = frontier.pop()
                 if self.db.tried(constraints, seed):
                     continue
@@ -1000,7 +1020,18 @@ class ParallelExplorer:
                     None if cached is not None
                     else self._resume_plan(candidate, seed)
                 )
-                batch.append((constraints, seed, cached, resume, known))
+                popped.append((constraints, seed, cached, resume))
+            # Mine only attempts whose children this budget can reach.
+            left = config.max_attempts - result.attempt_count - len(popped)
+            batch = [
+                (
+                    constraints, seed, cached,
+                    self.use_feedback
+                    and children_can_run(frontier, len(constraints), left),
+                    resume, known,
+                )
+                for constraints, seed, cached, resume in popped
+            ]
             if not batch:
                 # A restart re-rolls every unrecorded choice: same (empty)
                 # constraint set, fresh base seed.
@@ -1016,15 +1047,15 @@ class ParallelExplorer:
                 "batch", category="explore", size=len(batch),
                 first_attempt=result.attempt_count,
             ):
-                outcomes = supervisor.evaluate_batch(batch, self.use_feedback)
+                outcomes = supervisor.evaluate_batch(batch)
             # Known once the first batch ran; no plan precedes it.
             self._in_process = supervisor.serial
-            for (_, _, cached, resume, _), outcome in zip(batch, outcomes):
+            for (_, _, cached, mine, resume, _), outcome in zip(batch, outcomes):
                 # Counted at fold, so a hit past the batch's match (never
                 # reported) is not counted either.
                 if cached is not None:
                     result.cache_hits += 1
-                if self._fold(result, outcome, push, resume):
+                if self._fold(result, outcome, push, resume, mine):
                     return
             metrics.gauge("frontier_peak").max(len(frontier))
 
@@ -1034,12 +1065,15 @@ class ParallelExplorer:
         outcome: AttemptOutcome,
         push,
         resume: Optional[ResumePlan],
+        mine: bool,
     ) -> bool:
         """Merge one outcome into the running result; True when done.
 
         Called only in pop order, which is what makes every counter and
         histogram charged here ``jobs``-invariant for a fixed
-        ``batch_size``.
+        ``batch_size``.  ``mine`` is the attempt's batch-assembly
+        verdict: without it, no candidate of the outcome is pushed,
+        whether it came live, from the cache or from the store.
         """
         metrics = self.obs.metrics
         record = AttemptRecord(
@@ -1064,10 +1098,17 @@ class ParallelExplorer:
             self.obs.tracer.absorb(
                 outcome.spans, self._lane_for(outcome.spans[0].pid)
             )
-        new_execution = False
-        if not outcome.matched:
-            new_execution = self.db.record_fingerprint(outcome.fingerprint)
-            if new_execution and not outcome.mined and self.use_feedback:
+        # whether the outcome's candidates join the frontier
+        grows = (
+            not outcome.matched
+            and self.db.record_fingerprint(outcome.fingerprint)
+        )
+        if grows and self.use_feedback:
+            if not mine:
+                # No child of this attempt can run within the budget.
+                metrics.counter("mining_skipped").inc()
+                grows = False
+            elif not outcome.mined:
                 outcome = self._remine(outcome)
         self._remember(outcome)
         if outcome.matched:
@@ -1095,7 +1136,7 @@ class ParallelExplorer:
                 outcome.constraints - {resume.flip}, outcome.seed,
                 outcome.shared,
             )
-        if new_execution:
+        if grows:
             metrics.counter("candidates_mined").inc(len(outcome.candidates))
             for candidate in outcome.candidates:
                 push(candidate, outcome.seed)

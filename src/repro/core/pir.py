@@ -36,7 +36,6 @@ from repro.sim.events import Event
 from repro.sim.machine import Machine
 from repro.sim.ops import Op
 from repro.sim.scheduler import Scheduler
-from repro.sim.syscalls import frozen_rng
 
 
 class Gate(enum.Enum):
@@ -134,11 +133,11 @@ class RandomChooser(BaseChooser):
             index = getrandbits(bits)
         return allowed[index]
 
-    def capture(self) -> random.Random:
-        return frozen_rng(self._rng)
+    def capture(self) -> Tuple[Any, ...]:
+        return self._rng.getstate()
 
-    def restore(self, state: random.Random) -> None:
-        self._rng.setstate(state.getstate())
+    def restore(self, state: Tuple[Any, ...]) -> None:
+        self._rng.setstate(state)
 
 
 class PCTChooser(BaseChooser):
@@ -182,7 +181,7 @@ class PCTChooser(BaseChooser):
 
     def capture(self) -> Tuple[Any, ...]:
         return (
-            frozen_rng(self._rng),
+            self._rng.getstate(),
             dict(self._priorities),
             frozenset(self._change_points),
             self._steps,
@@ -190,7 +189,7 @@ class PCTChooser(BaseChooser):
 
     def restore(self, state: Tuple[Any, ...]) -> None:
         rng, priorities, change_points, steps = state
-        self._rng.setstate(rng.getstate())
+        self._rng.setstate(rng)
         self._priorities = dict(priorities)
         self._change_points = set(change_points)
         self._steps = steps
@@ -336,9 +335,8 @@ class PIRScheduler(Scheduler):
         as its parent, so a parent-built snapshot fast-forwards a child
         scheduler whose gate holds a *larger* constraint set.  The
         chooser travels as its :meth:`BaseChooser.capture`, which holds
-        its RNG as a :func:`~repro.sim.syscalls.frozen_rng` copy; every
-        restore loads that state into the fresh scheduler's own chooser
-        and leaves the copy unchanged.
+        its RNG as a ``getstate()`` tuple; every restore loads that
+        state into the fresh scheduler's own chooser.
         """
         return (
             self.cursor.position,

@@ -45,11 +45,11 @@ Design constraints, in order:
 
 * **Exactness.**  A resumed attempt must produce the byte-identical
   trace of a cold run.  Snapshots carry the mutable machine state as a
-  pickle blob, with the kernel RNG beside it as a frozen copy, and
+  pickle blob, with the kernel RNG's state tuple beside it, and
   rebuild generators by feed replay (:meth:`Machine.capture_state`),
   checking that every rebuilt thread waits on the op it waited on when
-  captured; the scheduler fast-forward carries the chooser's frozen RNG
-  copy, the cursor, and occurrence counts
+  captured; the scheduler fast-forward carries the chooser's RNG state,
+  the cursor, and occurrence counts
   (:meth:`PIRScheduler.capture_resume_state`), all
   constraint-independent, so one child's capture serves its siblings
   too.  Any surprise in the resume machinery falls back to a cold run —

@@ -52,7 +52,7 @@ from repro.sim.ops import Op, OpKind
 from repro.sim.program import FastForwardContext, Program, ThreadContext
 from repro.sim.scheduler import Scheduler, validate_pick
 from repro.sim.sync import SyncTable
-from repro.sim.syscalls import Kernel, frozen_rng
+from repro.sim.syscalls import Kernel
 from repro.sim.trace import Trace
 from repro.sim.vtime import VirtualClock
 
@@ -255,12 +255,12 @@ class Machine:
         machine and can seed any number of fresh machines via
         :meth:`restore_state`, each unpickling its own copy.  The kernel
         RNG, most of that pickle and the slowest part of it to load,
-        stays out of the blob: the snapshot keeps a
-        :func:`~repro.sim.syscalls.frozen_rng` copy beside it, which
-        restores load with ``setstate`` and never draw from.  Generators
-        are represented by their (body, args, kwargs, feeds) recipe, not
-        the generator object — see :class:`ThreadState` — plus the op
-        each thread is waiting on, which the rebuild must reproduce.
+        stays out of the blob: the snapshot keeps its ``getstate()``
+        tuple beside it, which each restore loads with ``setstate``.
+        Generators are represented by their (body, args, kwargs, feeds)
+        recipe, not the generator object — see :class:`ThreadState` —
+        plus the op each thread is waiting on, which the rebuild must
+        reproduce.
         Raises when the state does not pickle (e.g. a thread body that
         is a closure).
         """
@@ -292,7 +292,7 @@ class Machine:
         }
         return {
             "blob": pickle.dumps(live, protocol=pickle.HIGHEST_PROTOCOL),
-            "kernel_rng": frozen_rng(self.kernel.rng),
+            "kernel_rng": self.kernel.rng.getstate(),
             # Events are immutable once emitted; sharing them across
             # restores keeps snapshots cheap.
             "events": tuple(self.events),
@@ -320,7 +320,7 @@ class Machine:
             raise SimUsageError("restore_state requires an unused Machine")
         mutable = pickle.loads(state["blob"])
         rng = self.kernel.rng
-        rng.setstate(state["kernel_rng"].getstate())
+        rng.setstate(state["kernel_rng"])
         self.memory = mutable["memory"]
         self.sync = mutable["sync"]
         self.kernel = mutable["kernel"]

@@ -35,6 +35,29 @@ from repro.sim.ops import Address, Op, OpKind
 
 ThreadBody = Callable[..., Generator[Op, Any, Any]]
 
+#: The kinds the op builders name, bound at import: on Python 3.11
+#: reading a member off an Enum class goes through
+#: ``EnumType.__getattr__`` (about 0.1 µs), and a body builds an op for
+#: every yield.
+_READ, _WRITE, _RMW, _CAS, _FREE = (
+    OpKind.READ, OpKind.WRITE, OpKind.RMW, OpKind.CAS, OpKind.FREE,
+)
+_LOCK, _TRYLOCK, _UNLOCK, _RDLOCK, _WRLOCK, _RWUNLOCK = (
+    OpKind.LOCK, OpKind.TRYLOCK, OpKind.UNLOCK, OpKind.RDLOCK,
+    OpKind.WRLOCK, OpKind.RWUNLOCK,
+)
+_COND_WAIT, _COND_SIGNAL, _COND_BROADCAST = (
+    OpKind.COND_WAIT, OpKind.COND_SIGNAL, OpKind.COND_BROADCAST,
+)
+_SEM_ACQUIRE, _SEM_RELEASE, _BARRIER_WAIT, _SPAWN, _JOIN = (
+    OpKind.SEM_ACQUIRE, OpKind.SEM_RELEASE, OpKind.BARRIER_WAIT,
+    OpKind.SPAWN, OpKind.JOIN,
+)
+_SYSCALL, _BASIC_BLOCK, _FUNC_ENTER, _FUNC_EXIT = (
+    OpKind.SYSCALL, OpKind.BASIC_BLOCK, OpKind.FUNC_ENTER, OpKind.FUNC_EXIT,
+)
+_LOCAL, _YIELD, _ASSERT = OpKind.LOCAL, OpKind.YIELD, OpKind.ASSERT
+
 
 class ThreadContext:
     """Per-thread handle used by thread bodies to construct operations.
@@ -56,11 +79,11 @@ class ThreadContext:
 
     def read(self, addr: Address, cost: int = 1) -> Op:
         """Load the value at ``addr``; the yield returns the value."""
-        return Op(OpKind.READ, addr=addr, cost=cost)
+        return Op(_READ, addr=addr, cost=cost)
 
     def write(self, addr: Address, value: Any, cost: int = 1) -> Op:
         """Store ``value`` at ``addr`` (creating the address if needed)."""
-        return Op(OpKind.WRITE, addr=addr, value=value, cost=cost)
+        return Op(_WRITE, addr=addr, value=value, cost=cost)
 
     def rmw(self, addr: Address, fn: Callable[[Any], Any], cost: int = 2) -> Op:
         """Atomically replace ``mem[addr]`` with ``fn(mem[addr])``.
@@ -69,11 +92,11 @@ class ThreadContext:
         (``fetch_add`` etc.) and is the building block for race-free
         counters; the racy alternative is a separate read + write pair.
         """
-        return Op(OpKind.RMW, addr=addr, value=fn, cost=cost)
+        return Op(_RMW, addr=addr, value=fn, cost=cost)
 
     def cas(self, addr: Address, expected: Any, new: Any, cost: int = 2) -> Op:
         """Atomic compare-and-swap; the yield returns True on success."""
-        return Op(OpKind.CAS, addr=addr, value=(expected, new), cost=cost)
+        return Op(_CAS, addr=addr, value=(expected, new), cost=cost)
 
     def free(self, addr: Address, cost: int = 1) -> Op:
         """Deallocate ``addr``.
@@ -83,33 +106,33 @@ class ThreadContext:
         Subsequent access to a freed address crashes the accessing thread —
         which is exactly how use-after-free order violations manifest.
         """
-        return Op(OpKind.FREE, addr=addr, cost=cost)
+        return Op(_FREE, addr=addr, cost=cost)
 
     # -- synchronization -----------------------------------------------
 
     def lock(self, name: str) -> Op:
         """Acquire the mutex ``name``, blocking until it is free."""
-        return Op(OpKind.LOCK, obj=name)
+        return Op(_LOCK, obj=name)
 
     def trylock(self, name: str) -> Op:
         """Try to acquire mutex ``name``; yields True iff acquired."""
-        return Op(OpKind.TRYLOCK, obj=name)
+        return Op(_TRYLOCK, obj=name)
 
     def unlock(self, name: str) -> Op:
         """Release the mutex ``name`` (must be held by this thread)."""
-        return Op(OpKind.UNLOCK, obj=name)
+        return Op(_UNLOCK, obj=name)
 
     def rdlock(self, name: str) -> Op:
         """Acquire reader-writer lock ``name`` in shared (read) mode."""
-        return Op(OpKind.RDLOCK, obj=name)
+        return Op(_RDLOCK, obj=name)
 
     def wrlock(self, name: str) -> Op:
         """Acquire reader-writer lock ``name`` in exclusive (write) mode."""
-        return Op(OpKind.WRLOCK, obj=name)
+        return Op(_WRLOCK, obj=name)
 
     def rwunlock(self, name: str) -> Op:
         """Release reader-writer lock ``name`` (either mode)."""
-        return Op(OpKind.RWUNLOCK, obj=name)
+        return Op(_RWUNLOCK, obj=name)
 
     def wait(self, cond: str, lock: str) -> Op:
         """Wait on condition variable ``cond``; ``lock`` must be held.
@@ -121,60 +144,60 @@ class ThreadContext:
         should still be re-checked in a loop because another thread may run
         between the signal and the re-acquire.
         """
-        return Op(OpKind.COND_WAIT, obj=(cond, lock))
+        return Op(_COND_WAIT, obj=(cond, lock))
 
     def signal(self, cond: str) -> Op:
         """Wake one waiter of ``cond`` (no-op if none are waiting)."""
-        return Op(OpKind.COND_SIGNAL, obj=cond)
+        return Op(_COND_SIGNAL, obj=cond)
 
     def broadcast(self, cond: str) -> Op:
         """Wake every waiter of ``cond``."""
-        return Op(OpKind.COND_BROADCAST, obj=cond)
+        return Op(_COND_BROADCAST, obj=cond)
 
     def sem_acquire(self, name: str) -> Op:
         """Decrement semaphore ``name``, blocking while it is zero."""
-        return Op(OpKind.SEM_ACQUIRE, obj=name)
+        return Op(_SEM_ACQUIRE, obj=name)
 
     def sem_release(self, name: str) -> Op:
         """Increment semaphore ``name``."""
-        return Op(OpKind.SEM_RELEASE, obj=name)
+        return Op(_SEM_RELEASE, obj=name)
 
     def barrier(self, name: str) -> Op:
         """Wait at barrier ``name`` until all parties have arrived."""
-        return Op(OpKind.BARRIER_WAIT, obj=name)
+        return Op(_BARRIER_WAIT, obj=name)
 
     # -- thread lifecycle ----------------------------------------------
 
     def spawn(self, body: ThreadBody, *args: Any) -> Op:
         """Start a new thread running ``body(ctx, *args)``; yields its tid."""
-        return Op(OpKind.SPAWN, func=body, args=args, name=body.__name__)
+        return Op(_SPAWN, func=body, args=args, name=body.__name__)
 
     def join(self, tid: int) -> Op:
         """Block until thread ``tid`` finishes; yields its return value."""
-        return Op(OpKind.JOIN, obj=tid)
+        return Op(_JOIN, obj=tid)
 
     # -- environment ----------------------------------------------------
 
     def syscall(self, name: str, *args: Any) -> Op:
         """Invoke the simulated kernel (see :mod:`repro.sim.syscalls`)."""
-        return Op(OpKind.SYSCALL, name=name, args=args)
+        return Op(_SYSCALL, name=name, args=args)
 
     def output(self, value: Any) -> Op:
         """Append ``value`` to the program's captured stdout."""
-        return Op(OpKind.SYSCALL, name="write_stdout", args=(value,))
+        return Op(_SYSCALL, name="write_stdout", args=(value,))
 
     def rand(self, n: int) -> Op:
         """Yield a kernel-PRNG integer in ``[0, n)`` (deterministic under
         replay because draws are ordered by the schedule)."""
-        return Op(OpKind.SYSCALL, name="rand", args=(n,))
+        return Op(_SYSCALL, name="rand", args=(n,))
 
     def now(self) -> Op:
         """Yield the current simulated time."""
-        return Op(OpKind.SYSCALL, name="now", args=())
+        return Op(_SYSCALL, name="now", args=())
 
     def sleep(self, duration: int) -> Op:
         """Consume ``duration`` units of simulated time."""
-        return Op(OpKind.SYSCALL, name="sleep", args=(duration,))
+        return Op(_SYSCALL, name="sleep", args=(duration,))
 
     def epoch_barrier(self) -> Op:
         """Request an epoch boundary from an epoch-windowed recorder.
@@ -184,7 +207,7 @@ class ThreadContext:
         cut its rolling window there.  Without ``--epoch-steps`` the
         marker is just an ordinary (SYS-visible) syscall.
         """
-        return Op(OpKind.SYSCALL, name="epoch_barrier", args=())
+        return Op(_SYSCALL, name="epoch_barrier", args=())
 
     # -- instrumentation markers -----------------------------------------
 
@@ -195,7 +218,7 @@ class ThreadContext:
         here application code places markers at loop heads and branch
         targets, which is where instrumentation would put them.
         """
-        return Op(OpKind.BASIC_BLOCK, label=label, cost=0)
+        return Op(_BASIC_BLOCK, label=label, cost=0)
 
     def call(
         self, body: ThreadBody, *args: Any, name: Optional[str] = None
@@ -206,9 +229,9 @@ class ThreadContext:
         ``helper`` is ``def helper(ctx, arg): yield ...; return value``.
         """
         fname = name if name is not None else body.__name__
-        yield self._marker(OpKind.FUNC_ENTER, fname)
+        yield self._marker(_FUNC_ENTER, fname)
         result = yield from body(self, *args)
-        yield self._marker(OpKind.FUNC_EXIT, fname)
+        yield self._marker(_FUNC_EXIT, fname)
         return result
 
     def _marker(self, kind: OpKind, name: str) -> Op:
@@ -224,7 +247,7 @@ class ThreadContext:
         is; it only affects virtual time.  To model think-time that other
         threads can interleave with, use :meth:`work`.
         """
-        return Op(OpKind.LOCAL, cost=cost)
+        return Op(_LOCAL, cost=cost)
 
     def work(self, units: int, cost: int = 1) -> Generator[Op, Any, None]:
         """Perform ``units`` interleavable quanta of local computation.
@@ -239,11 +262,11 @@ class ThreadContext:
 
     def cpu_yield(self) -> Op:
         """A pure scheduling point with no effect."""
-        return Op(OpKind.YIELD, cost=0)
+        return Op(_YIELD, cost=0)
 
     def check(self, cond: bool, msg: str) -> Op:
         """Assert a program invariant; a false ``cond`` is a failure."""
-        return Op(OpKind.ASSERT, value=bool(cond), msg=msg, cost=0)
+        return Op(_ASSERT, value=bool(cond), msg=msg, cost=0)
 
     def free_region(
         self, prefix: str, indices: Iterable[Any]
@@ -255,7 +278,7 @@ class ThreadContext:
 
 
 #: The op every :class:`FastForwardContext` method returns.
-_PLACEHOLDER = Op(OpKind.YIELD, cost=0)
+_PLACEHOLDER = Op(_YIELD, cost=0)
 
 
 class FastForwardContext(ThreadContext):

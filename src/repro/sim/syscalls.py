@@ -31,19 +31,6 @@ from typing import Any, Dict, List, Tuple
 from repro.errors import SimSyscallError
 
 
-def frozen_rng(rng: random.Random) -> random.Random:
-    """A copy of ``rng``'s state for a snapshot to keep.
-
-    Nothing draws from the copy: a restore loads its state into a live
-    generator with ``setstate(copy.getstate())``, so one snapshot can
-    seed any number of restores.  The copy pickles as ``rng`` would, for
-    a snapshot that crosses a process boundary.
-    """
-    copy = random.Random(0)
-    copy.setstate(rng.getstate())
-    return copy
-
-
 class Kernel:
     """State and semantics of the simulated operating system."""
 
@@ -60,8 +47,8 @@ class Kernel:
 
     def __getstate__(self) -> Dict[str, Any]:
         # The RNG is most of a pickled kernel and the slowest part to
-        # unpickle.  Machine.capture_state keeps a frozen_rng copy of it
-        # beside its blob instead, and restore_state sets it back.
+        # unpickle.  Machine.capture_state keeps its getstate() beside
+        # the blob instead, and restore_state sets it back.
         state = dict(self.__dict__)
         del state["rng"]
         return state

@@ -18,10 +18,12 @@ Three shapes are encoded:
   stripped before any caching, in-memory or on disk);
 * **candidates** — the mined next-attempt
   :class:`~repro.core.feedback.Candidate` set riding on each failed
-  outcome, which the warm run re-pushes onto its frontier.  An outcome
-  that was never mined (its session already knew the execution, or ran
-  without feedback) carries ``"mined": false``; records without the
-  field — every record written before it existed — decode as mined.
+  outcome, which the warm run re-pushes onto its frontier when its
+  budget reaches their parent's children.  An outcome that was never
+  mined (its session already knew the execution, could not reach its
+  children, or ran without feedback) carries ``"mined": false``;
+  records without the field — every record written before it existed —
+  decode as mined.
 
 Constraints use the JSON form every artifact shares
 (:func:`~repro.core.constraints.constraints_to_json`): sets in canonical

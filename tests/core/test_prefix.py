@@ -592,7 +592,7 @@ class TestRestoreCost:
         monkeypatch.setattr(Machine, "restore_state", counted_restore)
         report, _ = _e12_session(jobs=1)
         assert report.realized_resumes == 299
-        assert counts == {"ops": 1794, "live": 1794, "feeds": 58062}
+        assert counts == {"ops": 1794, "live": 1794, "feeds": 57924}
 
 
 class TestFamilySnapshots:

@@ -125,11 +125,11 @@ class TestReproduceDegraded:
         evaluate = Supervisor.evaluate_batch
         calls = []
 
-        def interrupt_fourth_batch(self, tasks, mine):
+        def interrupt_fourth_batch(self, tasks):
             calls.append(len(tasks))
             if len(calls) == 4:
                 raise KeyboardInterrupt
-            return evaluate(self, tasks, mine)
+            return evaluate(self, tasks)
 
         monkeypatch.setattr(Supervisor, "evaluate_batch", interrupt_fourth_batch)
         report = reproduce(

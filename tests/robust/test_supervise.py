@@ -73,11 +73,11 @@ def _supervisor(config, obs, futures=None, pools=None, dispatch_log=None):
     def factory():
         return pools.pop(0) if pools else StubPool()
 
-    def dispatch(pool, constraints, seed, mine):
+    def dispatch(pool, constraints, seed):
         dispatch_log.append((len(constraints), seed))
         return futures.pop(0)
 
-    def inline(constraints, seed, mine):
+    def inline(constraints, seed):
         return Outcome(matched=False, tag=f"inline:{seed}")
 
     return Supervisor(
@@ -113,13 +113,12 @@ class TestInlineMode:
         obs = _metrics_session()
         sup = Supervisor(
             obs=obs,
-            inline=lambda c, s, m: Outcome(matched=(s == 1)),
+            inline=lambda c, s: Outcome(matched=(s == 1)),
             max_attempts=10,
         )
         outcomes = sup.evaluate_batch(
             [(frozenset(), 0, None), (frozenset(), 1, None),
              (frozenset(), 2, None)],
-            mine=True,
         )
         # Stops at the first matched outcome, like the engine's merge.
         assert [o.matched for o in outcomes] == [False, True]
@@ -127,8 +126,8 @@ class TestInlineMode:
 
     def test_cached_outcomes_pass_through_untouched(self):
         cached = Outcome(matched=True, tag="cached")
-        sup = Supervisor(inline=lambda c, s, m: Outcome(), max_attempts=10)
-        outcomes = sup.evaluate_batch([(frozenset(), 0, cached)], mine=True)
+        sup = Supervisor(inline=lambda c, s: Outcome(), max_attempts=10)
+        outcomes = sup.evaluate_batch([(frozenset(), 0, cached)])
         assert outcomes == [cached]
 
 
@@ -143,7 +142,7 @@ class TestHangs:
             StubFuture(error=FuturesTimeout()),
         ]
         sup = _supervisor(config, obs, futures=futures)
-        outcomes = sup.evaluate_batch([(frozenset(), 7, None)], mine=True)
+        outcomes = sup.evaluate_batch([(frozenset(), 7, None)])
         assert outcomes[0].tag == "inline:7"
         assert _counter(obs, "supervise.timeouts") == 2
         assert _counter(obs, "supervise.retries") == 1
@@ -159,7 +158,7 @@ class TestHangs:
             StubFuture(outcome=Outcome(matched=True, tag="pooled")),
         ]
         sup = _supervisor(config, obs, futures=futures)
-        outcomes = sup.evaluate_batch([(frozenset(), 3, None)], mine=True)
+        outcomes = sup.evaluate_batch([(frozenset(), 3, None)])
         assert outcomes[0].tag == "pooled"
         assert _counter(obs, "supervise.timeouts") == 1
         assert _counter(obs, "supervise.inline_fallbacks") == 0
@@ -174,7 +173,7 @@ class TestWorkerDeath:
             StubFuture(outcome=Outcome(tag="retried")),
         ]
         sup = _supervisor(config, obs, futures=futures)
-        outcomes = sup.evaluate_batch([(frozenset(), 5, None)], mine=True)
+        outcomes = sup.evaluate_batch([(frozenset(), 5, None)])
         assert outcomes[0].tag == "retried"
         assert _counter(obs, "supervise.worker_deaths") == 1
         assert _counter(obs, "supervise.pool_rebuilds") == 1
@@ -192,7 +191,7 @@ class TestWorkerDeath:
         ]
         sup = _supervisor(config, obs, futures=futures, dispatch_log=dispatch_log)
         outcomes = sup.evaluate_batch(
-            [(frozenset(), 0, None), (frozenset(), 1, None)], mine=True
+            [(frozenset(), 0, None), (frozenset(), 1, None)]
         )
         assert [o.tag for o in outcomes] == ["zero-retry", "one-again"]
         # 2 initial + 1 collateral resubmit + 1 retry of the failed slot.
@@ -205,19 +204,19 @@ class TestWorkerDeath:
         )
         futures = [StubFuture(error=BrokenExecutor("dead"))]
         sup = _supervisor(config, obs, futures=futures)
-        outcomes = sup.evaluate_batch([(frozenset(), 9, None)], mine=True)
+        outcomes = sup.evaluate_batch([(frozenset(), 9, None)])
         assert outcomes[0].tag == "inline:9"
         assert sup.serial is True
         assert _counter(obs, "supervise.serial_fallbacks") == 1
         # Serial mode: the next batch never touches a pool.
-        outcomes = sup.evaluate_batch([(frozenset(), 10, None)], mine=True)
+        outcomes = sup.evaluate_batch([(frozenset(), 10, None)])
         assert outcomes[0].tag == "inline:10"
 
     def test_dispatch_error_becomes_a_crash_fault(self):
         obs = _metrics_session()
         config = SuperviseConfig(max_retries=0, backoff_base=0.0)
 
-        def dispatch(pool, constraints, seed, mine):
+        def dispatch(pool, constraints, seed):
             raise RuntimeError("cannot pickle")
 
         sup = Supervisor(
@@ -225,10 +224,10 @@ class TestWorkerDeath:
             obs=obs,
             pool_factory=StubPool,
             dispatch=dispatch,
-            inline=lambda c, s, m: Outcome(tag=f"inline:{s}"),
+            inline=lambda c, s: Outcome(tag=f"inline:{s}"),
             max_attempts=10,
         )
-        outcomes = sup.evaluate_batch([(frozenset(), 4, None)], mine=True)
+        outcomes = sup.evaluate_batch([(frozenset(), 4, None)])
         assert outcomes[0].tag == "inline:4"
         assert _counter(obs, "supervise.worker_deaths") == 1
 
@@ -248,7 +247,7 @@ class TestRetryBudget:
             obs, futures=futures,
         )
         assert config.retry_budget == 0
-        outcomes = sup.evaluate_batch([(frozenset(), 2, None)], mine=True)
+        outcomes = sup.evaluate_batch([(frozenset(), 2, None)])
         assert outcomes[0].tag == "inline:2"
         assert _counter(obs, "supervise.retries") == 0
         assert _counter(obs, "supervise.inline_fallbacks") == 1
@@ -265,8 +264,8 @@ class TestRetryBudget:
             StubFuture(error=FuturesTimeout()),  # slot B try 0: no retry left
         ]
         sup = _supervisor(config, obs, futures=futures)
-        sup.evaluate_batch([(frozenset(), 0, None)], mine=True)
-        sup.evaluate_batch([(frozenset(), 1, None)], mine=True)
+        sup.evaluate_batch([(frozenset(), 0, None)])
+        sup.evaluate_batch([(frozenset(), 1, None)])
         assert sup.retries_charged == 1
         assert _counter(obs, "supervise.retries") == 1
         assert _counter(obs, "supervise.inline_fallbacks") == 2
@@ -278,7 +277,7 @@ class TestAttemptErrors:
         futures = [StubFuture(error=ValueError("the attempt itself raised"))]
         calls = []
 
-        def inline(constraints, seed, mine):
+        def inline(constraints, seed):
             calls.append(seed)
             raise ValueError("the attempt itself raised")
 
@@ -286,12 +285,12 @@ class TestAttemptErrors:
             config=SuperviseConfig(backoff_base=0.0),
             obs=obs,
             pool_factory=StubPool,
-            dispatch=lambda pool, c, s, m: futures.pop(0),
+            dispatch=lambda pool, c, s: futures.pop(0),
             inline=inline,
             max_attempts=10,
         )
         try:
-            sup.evaluate_batch([(frozenset(), 6, None)], mine=True)
+            sup.evaluate_batch([(frozenset(), 6, None)])
             raised = False
         except ValueError:
             raised = True
@@ -305,15 +304,15 @@ class TestShutdown:
         pool = StubPool()
         sup = Supervisor(
             pool_factory=lambda: pool,
-            dispatch=lambda p, c, s, m: StubFuture(outcome=Outcome()),
-            inline=lambda c, s, m: Outcome(),
+            dispatch=lambda p, c, s: StubFuture(outcome=Outcome()),
+            inline=lambda c, s: Outcome(),
             max_attempts=10,
         )
-        sup.evaluate_batch([(frozenset(), 0, None)], mine=True)
+        sup.evaluate_batch([(frozenset(), 0, None)])
         sup.shutdown(wait=True)
         sup.shutdown(wait=True)
         assert pool.shutdowns == [(True, True)]
         assert sup.serial is True
         # Post-shutdown batches still evaluate (inline), never rebuild.
-        outcomes = sup.evaluate_batch([(frozenset(), 1, None)], mine=True)
+        outcomes = sup.evaluate_batch([(frozenset(), 1, None)])
         assert outcomes[0].matched is False

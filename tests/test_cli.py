@@ -450,7 +450,7 @@ class TestResilience:
     def test_interrupt_mid_exploration_exits_130(self, capsys, monkeypatch):
         from repro.robust.supervise import Supervisor
 
-        def boom(self, tasks, mine):
+        def boom(self, tasks):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(Supervisor, "evaluate_batch", boom)

@@ -151,9 +151,9 @@ def test_skipping_unreachable_mining_changes_no_report(e12, monkeypatch):
 
 @pytest.fixture
 def e12_session(monkeypatch, e12):
-    """Run E12 at a cap, optionally over a store; returns the report,
-    the counters and, per folded attempt in pop order, its
-    ``((constraints, seed), new execution, mined verdict)``."""
+    """Run E12 at a cap, optionally over a store; returns the rendered
+    report, the counters and, per folded attempt in pop order, its
+    ``((constraints, seed), new execution, mine verdict)``."""
     fold = parallel.ParallelExplorer._fold
     log = []
 

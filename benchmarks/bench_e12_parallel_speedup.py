@@ -4,11 +4,10 @@ Attempts are pure functions of (sketch log, constraints, seed), so the
 exploration engine can run them on a process pool without changing what
 is explored.  The asserted shape is the part that must hold on *any*
 host: every arm reports the identical attempt trajectory
-(jobs-invariance), the cached re-walk answers from the attempt cache,
-and sort-once constraint ordering beats per-attempt re-sorting.  Pool
-wall-clock speedup needs spare host cores, so it is published (with
-``host_cpus`` in the JSON meta) but not asserted — CI runners may have
-a single core.
+(jobs-invariance) and the cached re-walk answers from the attempt
+cache.  Pool wall-clock speedup needs spare host cores, so it is
+published (with ``host_cpus`` in the JSON meta) but not asserted — CI
+runners may have a single core.
 """
 
 import pytest
@@ -53,13 +52,5 @@ def test_e12_cached_rewalk_hits_every_attempt(result, benchmark):
         )
         assert cached["cache_hits"] == cached["attempts"]
         assert cached["speedup"] > 10
-
-    benchmark.pedantic(check, rounds=1, iterations=1)
-
-
-def test_e12_sort_once_beats_per_attempt_sort(result, benchmark):
-    def check():
-        micro = result.meta["sort_microbench"]
-        assert micro["speedup"] > 2
 
     benchmark.pedantic(check, rounds=1, iterations=1)

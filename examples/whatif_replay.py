@@ -19,7 +19,7 @@ from repro.analysis import failure_window
 from repro.apps import get_bug
 from repro.bench import find_failing_seed
 from repro.core.recorder import apply_oracle
-from repro.sim import Machine, MachineConfig, PrefixScheduler, RandomScheduler
+from repro.sim import FixedOrderScheduler, Machine, MachineConfig, RandomScheduler
 
 spec = get_bug("mysql-atom-log")
 program = spec.make_program()
@@ -47,8 +47,8 @@ print(failure_window(trace, context=8))
 def doomed_fraction(cut, endings=15):
     failed = 0
     for ending_seed in range(endings):
-        scheduler = PrefixScheduler(
-            trace.schedule[:cut], RandomScheduler(ending_seed)
+        scheduler = FixedOrderScheduler(
+            trace.schedule[:cut], then=RandomScheduler(ending_seed)
         )
         what_if = Machine(program, scheduler, report.complete_log.config).run()
         if apply_oracle(what_if, spec.oracle) is not None:

@@ -10,16 +10,13 @@ per arm:
   success bit and winning constraint set as the serial arm;
 * a cached re-walk arm — the same exploration run twice against one
   shared :class:`~repro.core.feedback.AttemptCache`, where the second
-  walk answers from the cache instead of replaying;
-* a sort-once microbenchmark — per-attempt ``sorted(key=str)`` (what
-  the reproducer used to do on every replay) against the memoized
-  :func:`~repro.core.constraints.canonical_order` path.
+  walk answers from the cache instead of replaying.
 
 Honest-measurement note: wall-clock gains from the process pool require
 actual spare cores; on a single-CPU host the pool arm pays dispatch
 overhead for no parallelism, and the JSON reports whatever was really
 measured (``host_cpus`` is in the meta so readers can judge).  The
-cache and sort arms are serial wins and hold on any host.
+cache arm is a serial win and holds on any host.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.bench.results import BenchResult
-from repro.core.constraints import EventRef, OrderConstraint, canonical_order
 from repro.core.explorer import ExplorerConfig
 from repro.core.feedback import AttemptCache
 from repro.core.recorder import RecordedRun
@@ -143,57 +139,10 @@ def _same_outcome(a: ReproductionReport, b: ReproductionReport) -> bool:
     )
 
 
-def sort_microbench(repeats: int = 400, n_sets: int = 16, n_constraints: int = 8) -> Dict[str, Any]:
-    """Per-attempt re-sort vs sort-once constraint ordering.
-
-    Models the reproducer's old hot path — every replay attempt re-sorted
-    its constraint set with ``key=str`` (dataclass ``__repr__`` per
-    element per comparison) — against the current one, which sorts each
-    distinct set once via :func:`canonical_order` and serves repeats from
-    a memo, as :func:`~repro.core.constraints.ordered_constraints` does.
-    """
-    sets = []
-    for i in range(n_sets):
-        constraints = frozenset(
-            OrderConstraint(
-                before=EventRef(tid=i % 4, family="mem", key=("seg", i, j), occurrence=j + 1),
-                after=EventRef(tid=(i + 1) % 4, family="lock", key=f"m{j}", occurrence=1),
-            )
-            for j in range(n_constraints)
-        )
-        sets.append(constraints)
-
-    started = time.perf_counter()
-    for _ in range(repeats):
-        for constraints in sets:
-            tuple(sorted(constraints, key=str))
-    legacy = time.perf_counter() - started
-
-    memo: Dict[Any, Any] = {}
-    started = time.perf_counter()
-    for _ in range(repeats):
-        for constraints in sets:
-            ordered = memo.get(constraints)
-            if ordered is None:
-                # the microbench measures the re-sort cost on purpose
-                memo[constraints] = canonical_order(constraints)  # determinism: ok
-    memoized = time.perf_counter() - started
-
-    return {
-        "repeats": repeats,
-        "sets": n_sets,
-        "constraints_per_set": n_constraints,
-        "per_attempt_sort_s": round(legacy, 6),
-        "sort_once_s": round(memoized, 6),
-        "speedup": round(legacy / memoized, 1) if memoized > 0 else float("inf"),
-    }
-
-
 def run_speedup(
     jobs: Sequence[int] = (2, 4),
     max_attempts: int = E12_MAX_ATTEMPTS,
     recorded: Optional[RecordedRun] = None,
-    sort_repeats: int = 400,
     obs=None,
 ) -> BenchResult:
     """E12: serial vs pooled vs cached exploration of one workload.
@@ -292,7 +241,6 @@ def run_speedup(
         "max_attempts": max_attempts,
         "host_cpus": cpus,
         "repeats": E12_REPEATS,
-        "sort_microbench": sort_microbench(repeats=sort_repeats),
         "note": (
             "pool-arm wall time needs spare host cores; attempt "
             "trajectories are jobs-invariant by construction"

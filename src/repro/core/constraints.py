@@ -105,8 +105,7 @@ def canonical_order(constraints: Iterable[OrderConstraint]) -> Tuple[OrderConstr
 
 
 #: Bounded memo for :func:`ordered_constraints`; constraint sets repeat
-#: heavily within a session (plan ranking, cache keys, dispatch), and
-#: E12's microbench puts sort-once at ~245x cheaper than re-sorting.
+#: heavily within a session (plan ranking, cache keys, dispatch).
 _ORDERED_MEMO: Dict[ConstraintSet, Tuple[OrderConstraint, ...]] = {}
 _ORDERED_MEMO_LIMIT = 4096
 

@@ -147,8 +147,9 @@ class Frontier:
     (which assembles batches by popping this structure) explores the
     same schedule for a fixed ``batch_size`` at any worker count.
 
-    The frontier also counts the mined pairs still waiting that never
-    popped (:meth:`waiting_mined`), which bounds the attempts left
+    The frontier remembers every pair it has popped, so each pair pops
+    once (:meth:`popped`), and counts the mined pairs still waiting that
+    never popped (:meth:`waiting_mined`), which bounds the attempts left
     before any deeper mined candidate can pop.
     """
 
@@ -189,8 +190,10 @@ class Frontier:
     def __len__(self) -> int:
         return len(self._heap) + len(self._static)
 
-    def pop(self) -> Tuple[ConstraintSet, int, Candidate]:
-        """Remove and return the next ``(constraints, seed, candidate)``."""
+    def pop(self) -> Optional[Tuple[ConstraintSet, int, Candidate]]:
+        """Remove and return the next ``(constraints, seed, candidate)``,
+        or None when that pair popped before: the engine tries each pair
+        once.  A repeat still counts as a pop for the lane alternation."""
         take_static = bool(self._static) and (
             not self._heap
             or (self._heap[0][0][0] >= TIER_MINED and self._last_pop_mined)
@@ -202,9 +205,16 @@ class Frontier:
             key, _, constraints, seed, candidate = heapq.heappop(self._heap)
             self._last_pop_mined = key[0] >= TIER_MINED
         pair = (constraints, seed)
+        if pair in self._popped:
+            return None
         self._popped.add(pair)
         self._unpopped.get(len(constraints), set()).discard(pair)
         return constraints, seed, candidate
+
+    def popped(self, constraints: ConstraintSet, seed: int) -> bool:
+        """Whether the ``(constraints, seed)`` pair has popped, so its
+        attempt has been tried."""
+        return (constraints, seed) in self._popped
 
     def waiting_mined(self, depth: int) -> int:
         """The distinct mined-tier ``(constraints, seed)`` pairs waiting

@@ -25,15 +25,16 @@ Candidate derivation:
 Candidates are ranked: fewest constraints first (stay close to schedules
 already known to follow the sketch), then latest-in-trace first (races
 near where the attempt ended are likelier to be the one that matters).
-The :class:`FeedbackDB` prunes constraint sets already tried and caps the
-fan-out per attempt.
+The generator caps the fan-out per attempt, and the engine's frontier
+(:class:`~repro.core.explorer.Frontier`) runs each (constraint set, seed)
+pair once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple,
 )
@@ -221,18 +222,11 @@ def trace_fingerprint(
 
 
 class FeedbackDB:
-    """What has been tried; prunes duplicate and inverse schedules."""
+    """The executions a session has seen; counts the duplicates."""
 
     def __init__(self) -> None:
-        self._tried: Set[Tuple[ConstraintSet, int]] = set()
         self._trace_fingerprints: Set[str] = set()
         self.duplicate_traces = 0
-
-    def mark_tried(self, constraints: ConstraintSet, seed: int) -> None:
-        self._tried.add((constraints, seed))
-
-    def tried(self, constraints: ConstraintSet, seed: int) -> bool:
-        return (constraints, seed) in self._tried
 
     def known_fingerprints(self) -> FrozenSet[str]:
         """Every execution recorded so far, as a shareable snapshot.
@@ -241,10 +235,6 @@ class FeedbackDB:
         mining an execution whose candidates the fold would drop.
         """
         return frozenset(self._trace_fingerprints)
-
-    def record_trace(self, trace: Trace) -> bool:
-        """Remember a trace fingerprint; True if this execution is new."""
-        return self.record_fingerprint(trace_fingerprint(trace))
 
     def record_fingerprint(self, fingerprint: str) -> bool:
         """Remember a precomputed trace fingerprint; True if new.
@@ -273,26 +263,12 @@ class AttemptCache:
 
     Keys are built by the caller via :meth:`key_for`; values are opaque
     to the cache (the engine stores its ``AttemptOutcome`` records).
-
-    :param max_entries: optional bound on memoized outcomes.  A long
-        degradation-ladder run over a large frontier would otherwise
-        grow the cache without limit; with a bound, the least recently
-        *used* entry (ties broken by recorded order — dict insertion
-        order, which is schedule-deterministic) is evicted and counted
-        in :attr:`evictions`.  Eviction can only turn a would-be hit
-        into a live replay, and attempts are pure, so exploration
-        results are identical under any bound (pinned by
-        ``tests/core/test_feedback.py``).
     """
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self) -> None:
         self._outcomes: Dict[Tuple, object] = {}
-        self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         #: get/put are atomic under this (reentrant) lock, so one cache
         #: may be shared by concurrent sessions — the reproduction
         #: service runs a thread per job over per-tenant caches.  Within
@@ -317,11 +293,6 @@ class AttemptCache:
             outcome = self._outcomes.get(key)
             if outcome is not None:
                 self.hits += 1
-                if self.max_entries is not None:
-                    # LRU bookkeeping: a hit refreshes the entry's
-                    # position in the (insertion-ordered) dict.
-                    del self._outcomes[key]
-                    self._outcomes[key] = outcome
             else:
                 self.misses += 1
             return outcome
@@ -329,14 +300,7 @@ class AttemptCache:
     def put(self, key: Tuple, outcome: object) -> None:
         """Memoize one attempt outcome under its :meth:`key_for` key."""
         with self._lock:
-            if self.max_entries is not None and key in self._outcomes:
-                del self._outcomes[key]  # re-put refreshes recency
             self._outcomes[key] = outcome
-            if self.max_entries is not None:
-                while len(self._outcomes) > self.max_entries:
-                    oldest = next(iter(self._outcomes))
-                    del self._outcomes[oldest]
-                    self.evictions += 1
 
     def __len__(self) -> int:
         return len(self._outcomes)
@@ -450,7 +414,6 @@ class FeedbackGenerator:
     """Turns one failed attempt into ranked next-attempt candidates."""
 
     sketch: SketchKind
-    db: FeedbackDB = field(default_factory=FeedbackDB)
     max_candidates_per_attempt: int = 24
     max_constraint_depth: int = 8
 

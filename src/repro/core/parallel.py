@@ -306,7 +306,7 @@ def run_attempt(
             # scheduler primes its gate from them while its cursor walks
             # the suffix log from 0.
             ctx.epoch_base.restore_into(machine)
-            scheduler.prime_restored(machine)
+            scheduler.on_run_start(machine)
     if snapshots is not None:
         depths, on_snapshot = capture_hooks(scheduler, snapshots)
         if machine.schedule:
@@ -627,6 +627,8 @@ class ParallelExplorer:
             # jobs-invariant as every other counter).
             bind(self.obs.metrics)
         self.db = FeedbackDB()
+        #: the search's waiting candidates and every pair it has popped.
+        self._frontier = Frontier()
         #: why the process pool could not be used, if it could not.
         self.pool_disabled_reason: Optional[str] = None
         #: shared pool lease, when the host lends one (see :class:`PoolLease`).
@@ -936,7 +938,7 @@ class ParallelExplorer:
         children = self._families.get((parent, seed), ())
         pending = tuple(sorted({
             depth for constraints, depth in children
-            if depth and not self.db.tried(constraints, seed)
+            if depth and not self._frontier.popped(constraints, seed)
         }))
         if not pending:
             self._families.pop((parent, seed), None)
@@ -983,7 +985,7 @@ class ParallelExplorer:
         config = self.config
         tracer = self.obs.tracer
         metrics = self.obs.metrics
-        frontier = Frontier()
+        frontier = self._frontier
         push = frontier.push
         rolled = 0  # no-feedback seeds handed out so far
         restarts_used = 0
@@ -1011,10 +1013,10 @@ class ParallelExplorer:
                 Optional[ResumePlan],
             ]] = []
             while len(popped) < want and frontier:
-                constraints, seed, candidate = frontier.pop()
-                if self.db.tried(constraints, seed):
-                    continue
-                self.db.mark_tried(constraints, seed)
+                entry = frontier.pop()
+                if entry is None:
+                    continue  # tried already
+                constraints, seed, candidate = entry
                 cached = self._cached(constraints, seed)
                 resume = (
                     None if cached is not None

@@ -27,9 +27,7 @@ from repro.sim.program import Program, ThreadContext
 from repro.sim.scheduler import (
     FixedOrderScheduler,
     PCTScheduler,
-    PrefixScheduler,
     RandomScheduler,
-    RoundRobinScheduler,
     Scheduler,
 )
 from repro.sim.stats import TraceStats, trace_stats
@@ -45,10 +43,8 @@ __all__ = [
     "Op",
     "OpKind",
     "PCTScheduler",
-    "PrefixScheduler",
     "Program",
     "RandomScheduler",
-    "RoundRobinScheduler",
     "Scheduler",
     "ThreadContext",
     "Trace",

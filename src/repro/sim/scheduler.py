@@ -6,13 +6,14 @@ thread's pending operation executes.  Production runs use
 deterministic re-execution from a complete log uses
 :class:`FixedOrderScheduler`; PRES's partial-information replayer provides
 its own scheduler (:class:`repro.core.pir.PIRScheduler`) built on the
-same interface.
+same interface, which hands every choice its sketch and constraints leave
+open to a :class:`RandomScheduler` or a :class:`PCTScheduler`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.errors import ReplayDivergence, SchedulerError
 
@@ -43,7 +44,9 @@ class RandomScheduler(Scheduler):
     """Uniform random choice — the model of a production OS scheduler.
 
     The same seed always yields the same execution, which is how benchmark
-    harnesses pin down a "production run that failed".
+    harnesses pin down a "production run that failed".  It is also PIR's
+    default base policy, which is why it can :meth:`capture` and
+    :meth:`restore` its progress for a prefix snapshot.
     """
 
     def __init__(self, seed: int) -> None:
@@ -52,11 +55,29 @@ class RandomScheduler(Scheduler):
 
     def pick(self, machine: "Machine", runnable: Sequence[int]) -> int:
         """Uniform choice among the runnable threads."""
-        return runnable[self._rng.randrange(len(runnable))]
+        # randrange(n) for n > 0, without its Python-level argument
+        # checks: draw n.bit_length() bits until they fall below n.
+        n = len(runnable)
+        bits = n.bit_length()
+        getrandbits = self._rng.getrandbits
+        index = getrandbits(bits)
+        while index >= n:
+            index = getrandbits(bits)
+        return runnable[index]
 
     def on_run_start(self, machine: "Machine") -> None:
         """Re-arm the RNG so one scheduler object is reusable across runs."""
         self._rng = random.Random(self.seed)
+
+    def capture(self) -> Tuple[Any, ...]:
+        """This scheduler's progress, for a snapshot; :meth:`restore`
+        loads it into a scheduler built with the same arguments, and
+        never changes it, so one capture serves any number of restores."""
+        return self._rng.getstate()
+
+    def restore(self, state: Tuple[Any, ...]) -> None:
+        """Continue from a :meth:`capture`."""
+        self._rng.setstate(state)
 
     def describe(self) -> str:
         """Identify the scheduler and its seed (for reports)."""
@@ -72,7 +93,8 @@ class PCTScheduler(Scheduler):
     a bug of depth d, one run finds it with probability >= 1/(n * k^(d-1))
     — much better than uniform random for ordering bugs, which makes PCT
     the strong stress-testing baseline for the exploration-strategy
-    ablation (benchmarks/bench_e9_exploration_strategies.py).
+    ablation (benchmarks/bench_e9_exploration_strategies.py).  As PIR's
+    ``pct`` base policy it counts only the choices PIR leaves open.
     """
 
     def __init__(self, seed: int, depth: int = 3, max_steps_hint: int = 1000):
@@ -108,26 +130,25 @@ class PCTScheduler(Scheduler):
             winner = max(runnable, key=self._priority_of)
         return winner
 
+    def capture(self) -> Tuple[Any, ...]:
+        """As :meth:`RandomScheduler.capture`."""
+        return (
+            self._rng.getstate(),
+            dict(self._priorities),
+            frozenset(self._change_points),
+            self._steps,
+        )
+
+    def restore(self, state: Tuple[Any, ...]) -> None:
+        """Continue from a :meth:`capture`."""
+        rng, priorities, change_points, steps = state
+        self._rng.setstate(rng)
+        self._priorities = dict(priorities)
+        self._change_points = set(change_points)
+        self._steps = steps
+
     def describe(self) -> str:
         return f"PCTScheduler(seed={self.seed}, depth={self.depth})"
-
-
-class RoundRobinScheduler(Scheduler):
-    """Cycle through runnable threads — a deterministic base policy."""
-
-    def __init__(self) -> None:
-        self._last = -1
-
-    def pick(self, machine: "Machine", runnable: Sequence[int]) -> int:
-        for tid in runnable:
-            if tid > self._last:
-                self._last = tid
-                return tid
-        self._last = runnable[0]
-        return runnable[0]
-
-    def on_run_start(self, machine: "Machine") -> None:
-        self._last = -1
 
 
 class FixedOrderScheduler(Scheduler):
@@ -139,14 +160,26 @@ class FixedOrderScheduler(Scheduler):
     log is exhausted while threads still run) raises
     :class:`~repro.errors.ReplayDivergence`, because it means the recorded
     schedule does not correspond to this program/input.
+
+    With ``then``, the schedule is a prefix: once it runs out, ``then``
+    picks every later step.  That is the developer's "what-if" tool once a
+    bug is captured: replay the complete log up to just before the
+    failure, then let a different scheduler vary the ending — e.g. to
+    check whether a candidate fix closes *every* bad ending reachable from
+    that state, not just the recorded one.
     """
 
-    def __init__(self, schedule: Sequence[int]) -> None:
+    def __init__(
+        self, schedule: Sequence[int], then: Optional[Scheduler] = None
+    ) -> None:
         self.schedule: List[int] = list(schedule)
+        self.then = then
         self._cursor = 0
 
     def pick(self, machine: "Machine", runnable: Sequence[int]) -> int:
         if self._cursor >= len(self.schedule):
+            if self.then is not None:
+                return self.then.pick(machine, runnable)
             raise ReplayDivergence(
                 "complete log exhausted while threads are still runnable",
                 step=self._cursor,
@@ -162,41 +195,16 @@ class FixedOrderScheduler(Scheduler):
 
     def on_run_start(self, machine: "Machine") -> None:
         self._cursor = 0
-
-
-class PrefixScheduler(Scheduler):
-    """Replay an exact schedule prefix, then hand over to another policy.
-
-    The developer's "what-if" tool once a bug is captured: replay the
-    complete log up to just before the failure, then let a different
-    scheduler vary the ending — e.g. to check whether a candidate fix
-    closes *every* bad ending reachable from that state, not just the
-    recorded one.
-    """
-
-    def __init__(self, prefix: Sequence[int], then: Scheduler) -> None:
-        self.prefix: List[int] = list(prefix)
-        self.then = then
-        self._cursor = 0
-
-    def pick(self, machine: "Machine", runnable: Sequence[int]) -> int:
-        if self._cursor < len(self.prefix):
-            tid = self.prefix[self._cursor]
-            if tid not in runnable:
-                raise ReplayDivergence(
-                    f"prefix step {self._cursor}: thread {tid} not runnable",
-                    step=self._cursor,
-                )
-            self._cursor += 1
-            return tid
-        return self.then.pick(machine, runnable)
-
-    def on_run_start(self, machine: "Machine") -> None:
-        self._cursor = 0
-        self.then.on_run_start(machine)
+        if self.then is not None:
+            self.then.on_run_start(machine)
 
     def describe(self) -> str:
-        return f"PrefixScheduler({len(self.prefix)} steps, then {self.then.describe()})"
+        if self.then is None:
+            return "FixedOrderScheduler"
+        return (
+            f"FixedOrderScheduler({len(self.schedule)} steps, "
+            f"then {self.then.describe()})"
+        )
 
 
 def validate_pick(tid: int, runnable: Sequence[int]) -> None:

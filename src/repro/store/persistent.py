@@ -35,24 +35,17 @@ class PersistentAttemptCache(AttemptCache):
 
     * :meth:`get` — memory first; on a memory miss the shard for the
       key's sketch-log fingerprint is consulted and a disk hit is
-      promoted into the memory tier (where the ``max_entries`` bound
-      applies as usual).
+      promoted into the memory tier.
     * :meth:`put` — memoizes in memory *and* appends to the store
       (idempotently: a key the store already holds is not re-written).
 
     :param store: the backing :class:`AttemptStore`, or a directory
-        path to open one at.
-    :param max_entries: optional bound on the *memory* tier only (see
-        :class:`AttemptCache`); the disk tier is bounded separately via
+        path to open one at.  The disk tier is bounded via
         :meth:`AttemptStore.gc`.
     """
 
-    def __init__(
-        self,
-        store: Union[AttemptStore, str],
-        max_entries: Optional[int] = None,
-    ) -> None:
-        super().__init__(max_entries=max_entries)
+    def __init__(self, store: Union[AttemptStore, str]) -> None:
+        super().__init__()
         self.store = store if isinstance(store, AttemptStore) else AttemptStore(store)
         #: memory-tier misses answered by the disk tier.
         self.disk_hits = 0
@@ -123,12 +116,13 @@ class PersistentAttemptCache(AttemptCache):
         self.close()
 
     def _sync_event_counters(self) -> None:
-        """Fold store- and eviction-event totals into the registry.
+        """Fold the store's event totals into the registry.
 
-        Salvage events fire inside shard loads and evictions inside the
-        memory tier's bound — both strictly within get/put calls, which
-        the engine only makes at deterministic points, so draining the
-        deltas here keeps the counters jobs-invariant.
+        Salvage events fire inside shard loads, strictly within get/put
+        calls; evictions (GC, epoch expiry) happen before a session's
+        walk and are charged at its first get/put.  The engine makes
+        those calls only at deterministic points, so draining the deltas
+        here keeps the counters jobs-invariant.
         """
         salvage = self.store.salvage_events
         if salvage > self._salvage_charged:
@@ -142,7 +136,7 @@ class PersistentAttemptCache(AttemptCache):
                 quarantined - self._quarantined_charged
             )
             self._quarantined_charged = quarantined
-        evicted = self.evictions + self.store.evictions
+        evicted = self.store.evictions
         if evicted > self._evictions_charged:
             self.metrics.counter("store.evictions").inc(
                 evicted - self._evictions_charged

@@ -2,12 +2,9 @@
 
 import hashlib
 
-import pytest
-
 from repro.apps import get_bug
-from repro.core.constraints import ConstraintSet, OrderConstraint
+from repro.core.constraints import ConstraintSet
 from repro.core.feedback import (
-    AttemptCache,
     FeedbackDB,
     FeedbackGenerator,
     _inverse,
@@ -127,30 +124,15 @@ class TestLockLifting:
 
 
 class TestFeedbackDB:
-    def test_tried_tracks_constraints_and_seed(self):
-        db = FeedbackDB()
-        constraints = frozenset(
-            {
-                OrderConstraint(
-                    before=_ref(1, "x", 1),
-                    after=_ref(2, "x", 1),
-                )
-            }
-        )
-        assert not db.tried(constraints, 0)
-        db.mark_tried(constraints, 0)
-        assert db.tried(constraints, 0)
-        assert not db.tried(constraints, 1)  # fresh seed, fresh attempt
-
     def test_record_trace_detects_duplicates(self):
         db = FeedbackDB()
         trace = run_program(counter_program(), seed=3)
         same = run_program(counter_program(), seed=3)
         other = run_program(counter_program(), seed=4)
-        assert db.record_trace(trace) is True
-        assert db.record_trace(same) is False
+        assert db.record_fingerprint(trace_fingerprint(trace)) is True
+        assert db.record_fingerprint(trace_fingerprint(same)) is False
         assert db.duplicate_traces == 1
-        assert db.record_trace(other) is True
+        assert db.record_fingerprint(trace_fingerprint(other)) is True
 
 
 class TestTraceFingerprintPinned:
@@ -190,83 +172,3 @@ class TestTraceFingerprintPinned:
             "".join(repr(e.signature()) for e in trace.events).encode("utf-8")
         ).hexdigest()
         assert trace_fingerprint(trace) == expected
-
-
-def _ref(tid, key, occ):
-    from repro.core.constraints import EventRef
-
-    return EventRef(tid, "mem", key, occ)
-
-
-class TestBoundedAttemptCache:
-    """The ``max_entries`` bound trades cache hits for live replays —
-    and, because attempts are pure, changes nothing else."""
-
-    def test_rejects_nonpositive_bounds(self):
-        with pytest.raises(ValueError):
-            AttemptCache(max_entries=0)
-
-    def test_unbounded_cache_never_evicts(self):
-        cache = AttemptCache()
-        for n in range(100):
-            cache.put(("key", n), n)
-        assert len(cache) == 100
-        assert cache.evictions == 0
-
-    def test_evicts_least_recently_used(self):
-        cache = AttemptCache(max_entries=2)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        assert cache.get(("a",)) == 1  # refreshes "a"
-        cache.put(("c",), 3)  # evicts "b", the least recently used
-        assert cache.evictions == 1
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) == 1
-        assert cache.get(("c",)) == 3
-
-    def test_reput_refreshes_recency(self):
-        cache = AttemptCache(max_entries=2)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        cache.put(("a",), 1)  # re-put: "a" becomes the most recent
-        cache.put(("c",), 3)  # so this evicts "b"
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) == 1
-
-    def test_tiny_bound_cannot_change_exploration_results(self):
-        from repro.apps import get_bug
-        from repro.bench.seeds import find_failing_seed
-        from repro.core.explorer import ExplorerConfig
-        from repro.core.recorder import record
-        from repro.core.reproducer import reproduce
-        from repro.sim import MachineConfig
-
-        spec = get_bug("mysql-atom-log")  # ~19 attempts: the bound bites
-        seed = find_failing_seed(spec, ncpus=4)
-        recorded = record(
-            spec.make_program(), sketch=SketchKind.SYNC, seed=seed,
-            config=MachineConfig(ncpus=4), oracle=spec.oracle,
-        )
-        config = ExplorerConfig(max_attempts=40)
-
-        def keys(report):
-            return [
-                (r.outcome, r.base_seed, r.n_constraints)
-                for r in report.records
-            ]
-
-        free = reproduce(recorded, config, cache=AttemptCache())
-        bounded_cache = AttemptCache(max_entries=2)
-        bounded = reproduce(recorded, config, cache=bounded_cache)
-        assert keys(bounded) == keys(free)
-        assert bounded.success == free.success
-        assert bounded.attempts == free.attempts
-        assert bounded.winning_constraints == free.winning_constraints
-        assert bounded_cache.evictions > 0
-
-        # A rewalk under the bound replays what was evicted — live —
-        # and still reports the identical exploration.
-        rewalk = reproduce(recorded, config, cache=bounded_cache)
-        assert keys(rewalk) == keys(free)
-        assert rewalk.success == free.success
-        assert rewalk.winning_constraints == free.winning_constraints

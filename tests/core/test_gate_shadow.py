@@ -42,7 +42,7 @@ STATIC_SEEDS = 3
 class FromScratchPIR(PIRScheduler):
     """A PIR scheduler whose every gate verdict is recomputed per pick.
 
-    Only the base chooser is ``PIRScheduler``'s, since an RNG's state
+    Only the base policy is ``PIRScheduler``'s, since an RNG's state
     cannot be recomputed.  ``start`` is the number of leading events the
     sketch log does not cover: an epoch suffix log starts at its
     boundary.
@@ -93,7 +93,7 @@ class FromScratchPIR(PIRScheduler):
             )
         if len(allowed) == 1:
             return allowed[0]
-        return self._chooser.choose(allowed)
+        return self._policy.pick(machine, allowed)
 
 
 def outcome(trace):
@@ -241,7 +241,7 @@ def test_epoch_restores_match():
                     machine = Machine(recorded.program, scheduler, recorded.config)
                     machine.restore_state(boundary.snapshot)
                     assert len(machine.events) == boundary.step
-                    scheduler.prime_restored(machine)
+                    scheduler.on_run_start(machine)
                     traces.append(machine.run())
                 assert outcome(traces[1]) == outcome(traces[0])
             restored += 1

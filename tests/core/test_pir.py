@@ -1,9 +1,11 @@
 """Tests for the partial-information replay scheduler."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.constraints import EventRef, OrderConstraint
-from repro.core.pir import Gate, PIRScheduler, SketchCursor
+from repro.core.pir import PIRScheduler
 from repro.core.recorder import record, record_with_trace
 from repro.core.sketches import SketchEntry, SketchKind, event_visible
 from repro.core.sketchlog import SketchLog
@@ -23,41 +25,51 @@ def replay(program, log, constraints=(), seed=0, **cfg):
     return Machine(program, scheduler, MachineConfig(**cfg)).run()
 
 
+def _pick(log, pending, executed=()):
+    """``PIRScheduler.pick`` over threads whose pending ops are
+    ``pending`` (tid -> op), after the run executed ``executed``."""
+    scheduler = PIRScheduler(log)
+    machine = SimpleNamespace(
+        events=[],
+        threads={tid: SimpleNamespace(pending_op=op) for tid, op in pending.items()},
+    )
+    scheduler.on_run_start(machine)
+    machine.events.extend(executed)
+    return scheduler.pick(machine, sorted(pending))
+
+
+def _lock_log():
+    log = SketchLog(SketchKind.SYNC)
+    log.append(SketchEntry(1, OpKind.LOCK, "m"))
+    return log
+
+
 class TestSketchCursor:
+    """The sketch-order check ``PIRScheduler.pick`` makes per thread."""
+
     def test_invisible_ops_are_free(self):
-        ctx = ThreadContext(1)
-        log = SketchLog(SketchKind.SYNC)
-        log.append(SketchEntry(1, OpKind.LOCK, "m"))
-        cursor = SketchCursor(log)
-        assert cursor.gate(2, ctx.read("x")) is Gate.FREE
+        # T1 is due, yet T2's invisible op may run
+        assert _pick(_lock_log(), {2: ThreadContext(2).read("x")}) == 2
 
     def test_expected_thread_allowed(self):
-        ctx = ThreadContext(1)
-        log = SketchLog(SketchKind.SYNC)
-        log.append(SketchEntry(1, OpKind.LOCK, "m"))
-        cursor = SketchCursor(log)
-        assert cursor.gate(1, ctx.lock("m")) is Gate.ALLOWED
+        assert _pick(_lock_log(), {1: ThreadContext(1).lock("m")}) == 1
 
     def test_other_thread_blocked(self):
-        ctx = ThreadContext(2)
-        log = SketchLog(SketchKind.SYNC)
-        log.append(SketchEntry(1, OpKind.LOCK, "m"))
-        cursor = SketchCursor(log)
-        assert cursor.gate(2, ctx.lock("m")) is Gate.BLOCKED
+        pending = {1: ThreadContext(1).lock("m"), 2: ThreadContext(2).lock("m")}
+        assert _pick(_lock_log(), pending) == 1
+        with pytest.raises(ReplayDivergence, match="T2 awaits its sketch turn"):
+            _pick(_lock_log(), {2: pending[2]})
 
     def test_signature_mismatch_is_divergence(self):
-        ctx = ThreadContext(1)
-        log = SketchLog(SketchKind.SYNC)
-        log.append(SketchEntry(1, OpKind.LOCK, "m"))
-        cursor = SketchCursor(log)
         with pytest.raises(ReplayDivergence, match="next visible op"):
-            cursor.gate(1, ctx.lock("other"))
+            _pick(_lock_log(), {1: ThreadContext(1).lock("other")})
 
     def test_exhausted_sketch_frees_everything(self):
-        ctx = ThreadContext(1)
-        cursor = SketchCursor(SketchLog(SketchKind.SYNC))
-        assert cursor.exhausted
-        assert cursor.gate(1, ctx.lock("m")) is Gate.FREE
+        op = ThreadContext(2).lock("m")
+        assert _pick(SketchLog(SketchKind.SYNC), {2: op}) == 2
+        # past the recorded horizon: T1's lock consumed the only entry
+        taken = Event(0, 1, OpKind.LOCK, obj="m")
+        assert _pick(_lock_log(), {2: op}, executed=[taken]) == 2
 
 
 def _locker(ctx):

@@ -1,12 +1,14 @@
-"""Frozen report digests for the E3 and E5 reproduction sessions.
+"""Frozen report digests for the E3, E5 and E9 reproduction sessions.
 
 Each session is pinned by the sha256 of its :func:`render_report` bytes
 in ``tests/fixtures/report_digests.json``:
 
 * E3 — every suite bug under every sketch, with feedback, cap 400;
-* E5 — every suite bug under the SYNC sketch without feedback, cap 400.
+* E5 — every suite bug under the SYNC sketch without feedback, cap 400;
+* E9's ``pct`` arm — the same sessions as E5 under the PCT base policy,
+  the only end-to-end runs of PIR under PCT.
 
-Recordings use the first failing seed at ``ncpus=4``, as the E3/E5
+Recordings use the first failing seed at ``ncpus=4``, as the E3/E5/E9
 tables do.  The digests are the reference the exploration engine is held
 to: at ``jobs=1`` for every session, and through a two-worker pool for
 the SYNC column (feedback sessions at ``batch_size=1``, whose schedule is
@@ -42,20 +44,24 @@ CAP = 400
 NCPUS = 4
 
 
-def _session(bug_id: str, sketch: SketchKind, feedback: bool) -> str:
+def _session(
+    bug_id: str, sketch: SketchKind, feedback: bool, policy: str = "random"
+) -> str:
     mode = "feedback" if feedback else "no-feedback"
-    return f"{bug_id}/{sketch.value}/{mode}"
+    key = f"{bug_id}/{sketch.value}/{mode}"
+    return key if policy == "random" else f"{key}/{policy}"
 
 
 def _sessions():
     for bug_id in ALL_BUG_IDS:
         for sketch in SKETCH_ORDER:
-            yield bug_id, sketch, True
-        yield bug_id, SketchKind.SYNC, False
+            yield bug_id, sketch, True, "random"
+        yield bug_id, SketchKind.SYNC, False, "random"
+        yield bug_id, SketchKind.SYNC, False, "pct"
 
 
 def _digest(
-    bug_id: str, sketch: SketchKind, feedback: bool,
+    bug_id: str, sketch: SketchKind, feedback: bool, policy: str = "random",
     jobs: int = 1, batch_size: int = 0,
 ) -> str:
     spec = get_bug(bug_id)
@@ -68,7 +74,9 @@ def _digest(
         oracle=spec.oracle,
     )
     config = ExplorerConfig(max_attempts=CAP, batch_size=batch_size)
-    report = reproduce(recorded, config, use_feedback=feedback, jobs=jobs)
+    report = reproduce(
+        recorded, config, use_feedback=feedback, base_policy=policy, jobs=jobs
+    )
     return hashlib.sha256(render_report(report).encode("utf-8")).hexdigest()
 
 

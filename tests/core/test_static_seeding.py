@@ -114,6 +114,23 @@ class TestFrontierInterleave:
         assert order == list(STATICS)
         assert len(frontier) == 0
 
+    def test_each_pair_pops_once(self):
+        frontier = Frontier()
+        candidate = _mined("m0")
+        for seed in (0, 0, 1):
+            frontier.push(candidate, seed)
+        for static in plan_candidates(STATIC_SEEDS[:2]):
+            frontier.push(static, 0)
+        assert not frontier.popped(candidate.constraints, 0)
+        assert frontier.pop()[:2] == (candidate.constraints, 0)
+        assert frontier.popped(candidate.constraints, 0)
+        assert frontier.pop()[0] == STATICS[0]
+        # a repeat is not tried again, yet counts as a mined pop
+        assert frontier.pop() is None
+        assert frontier.pop()[0] == STATICS[1]
+        assert not frontier.popped(candidate.constraints, 1)
+        assert frontier.pop()[:2] == (candidate.constraints, 1)  # fresh seed
+
     def test_length_counts_both_lanes(self):
         frontier = Frontier()
         frontier.push(_mined("m0"), 0)

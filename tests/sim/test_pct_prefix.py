@@ -1,15 +1,15 @@
-"""Tests for the PCT scheduler and prefix replay."""
+"""Tests for the PCT scheduler and prefix replay (a
+:class:`FixedOrderScheduler` that hands over to ``then``)."""
 
 import pytest
 
 from repro.errors import ReplayDivergence
 from repro.sim import (
+    FixedOrderScheduler,
     Machine,
     MachineConfig,
     PCTScheduler,
-    PrefixScheduler,
     RandomScheduler,
-    RoundRobinScheduler,
 )
 
 from tests.conftest import (
@@ -73,31 +73,41 @@ class TestPCTScheduler:
 
 
 class TestPrefixScheduler:
+    """``FixedOrderScheduler(prefix, then=policy)``: the what-if replay."""
+
     def test_prefix_then_policy(self):
         program = counter_program(nworkers=2, iters=3)
         original = run_program(program, 9)
         half = len(original.schedule) // 2
-        scheduler = PrefixScheduler(original.schedule[:half], RandomScheduler(1))
+        scheduler = FixedOrderScheduler(
+            original.schedule[:half], then=RandomScheduler(1)
+        )
         trace = Machine(program, scheduler, MachineConfig(ncpus=4)).run()
         assert trace.schedule[:half] == original.schedule[:half]
         assert not trace.diverged
 
     def test_empty_prefix_is_just_the_policy(self):
         program = counter_program()
-        a = Machine(program, PrefixScheduler([], RandomScheduler(4))).run()
+        a = Machine(
+            program, FixedOrderScheduler([], then=RandomScheduler(4))
+        ).run()
         b = run_program(program, 4)
         assert a.schedule == b.schedule
 
     def test_bad_prefix_diverges(self):
         program = counter_program()
-        trace = Machine(program, PrefixScheduler([99], RandomScheduler(0))).run()
+        trace = Machine(
+            program, FixedOrderScheduler([99], then=RandomScheduler(0))
+        ).run()
         assert trace.diverged
         assert "not runnable" in trace.divergence
 
     def test_reusable_across_runs(self):
         program = counter_program()
         original = run_program(program, 2)
-        scheduler = PrefixScheduler(original.schedule[:5], RoundRobinScheduler())
+        scheduler = FixedOrderScheduler(
+            original.schedule[:5], then=PCTScheduler(2)
+        )
         t1 = Machine(program, scheduler).run()
         t2 = Machine(program, scheduler).run()
         assert t1.schedule == t2.schedule
@@ -117,8 +127,8 @@ class TestPrefixScheduler:
         cut = max(0, failing.failure.gidx - 2)
         outcomes = set()
         for seed in range(20):
-            scheduler = PrefixScheduler(
-                failing.schedule[:cut], RandomScheduler(seed)
+            scheduler = FixedOrderScheduler(
+                failing.schedule[:cut], then=RandomScheduler(seed)
             )
             trace = Machine(program, scheduler, MachineConfig(ncpus=4)).run()
             assert not trace.diverged
@@ -126,5 +136,5 @@ class TestPrefixScheduler:
         assert True in outcomes  # the bad ending is reachable
 
     def test_describe(self):
-        scheduler = PrefixScheduler([1, 2], RandomScheduler(3))
+        scheduler = FixedOrderScheduler([1, 2], then=RandomScheduler(3))
         assert "2 steps" in scheduler.describe()

@@ -127,7 +127,7 @@ def test_set_rebuilt_after_epoch_restore():
             scheduler = ShadowPIR(log, base_seed=0)
             machine = Machine(recorded.program, scheduler, recorded.config)
             machine.restore_state(boundary.snapshot)
-            scheduler.prime_restored(machine)
+            scheduler.on_run_start(machine)
             assert machine.runnable_tids() == from_scratch(machine)
             trace = machine.run()
             assert machine.runnable_tids() == from_scratch(machine)

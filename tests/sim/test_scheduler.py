@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReplayDivergence, SchedulerError
-from repro.sim import Machine, Program, RandomScheduler, RoundRobinScheduler
+from repro.sim import Machine, Program, RandomScheduler
 from repro.sim.scheduler import FixedOrderScheduler, Scheduler, validate_pick
 
 from tests.conftest import counter_program, run_program
@@ -34,25 +34,6 @@ class TestRandomScheduler:
 
     def test_describe_mentions_seed(self):
         assert "seed=7" in RandomScheduler(7).describe()
-
-
-class TestRoundRobin:
-    def test_cycles_through_runnable(self):
-        scheduler = RoundRobinScheduler()
-        picks = [scheduler.pick(None, (1, 2, 3)) for _ in range(6)]
-        assert picks == [1, 2, 3, 1, 2, 3]
-
-    def test_skips_missing_tids(self):
-        scheduler = RoundRobinScheduler()
-        assert scheduler.pick(None, (1, 3)) == 1
-        assert scheduler.pick(None, (1, 3)) == 3
-        assert scheduler.pick(None, (1, 3)) == 1
-
-    def test_deterministic_execution(self):
-        program = counter_program()
-        t1 = Machine(program, RoundRobinScheduler()).run()
-        t2 = Machine(program, RoundRobinScheduler()).run()
-        assert t1.schedule == t2.schedule
 
 
 class TestFixedOrder:

@@ -48,7 +48,7 @@ Design constraints, in order:
   pickle blob, with the kernel RNG's state tuple beside it, and
   rebuild generators by feed replay (:meth:`Machine.capture_state`),
   checking that every rebuilt thread waits on the op it waited on when
-  captured; the scheduler fast-forward carries the chooser's RNG state,
+  captured; the scheduler fast-forward carries the base policy's state,
   the cursor, and occurrence counts
   (:meth:`PIRScheduler.capture_resume_state`), all
   constraint-independent, so one child's capture serves its siblings

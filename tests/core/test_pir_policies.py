@@ -1,5 +1,6 @@
 """Tests for PIR base policies (the random and PCT schedulers)."""
 
+import functools
 import random
 
 import pytest
@@ -70,9 +71,9 @@ class TestChoosers:
         picks = [_pick(chooser, [1, 2]) for _ in range(20)]
         assert len(set(picks)) == 2  # demotions force a switch
 
-    @pytest.mark.parametrize("policy", sorted(POLICIES), ids=sorted(POLICIES))
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_one_capture_restores_any_number_of_times(self, policy):
-        build = lambda: POLICIES[policy](7)  # noqa: E731
+        build = functools.partial(POLICIES[policy], 7)
         chooser = build()
         chooser.on_run_start(None)
         for _ in range(5):
@@ -99,7 +100,7 @@ class TestChoosers:
         k=st.integers(min_value=0, max_value=40),
     )
     def test_capture_after_k_picks_resumes_the_run(self, policy, seed, sets, k):
-        build = lambda: POLICIES[policy](seed)  # noqa: E731
+        build = functools.partial(POLICIES[policy], seed)
         k = min(k, len(sets))
         uninterrupted = build()
         uninterrupted.on_run_start(None)

@@ -36,7 +36,7 @@ BUGS = ("mysql-atom-log", "apache-order-ref", "pbzip2-order-free",
         "radix-order-rank")
 #: (bug, base policy) pairs whose mined flips must resume exactly: every
 #: bug under the default policy, and two that mine resumable flips
-#: under PCT, whose chooser carries priorities besides its RNG.
+#: under PCT, whose base policy carries priorities besides its RNG.
 RESUME_CASES = [pytest.param(bug, "random", id=bug) for bug in BUGS] + [
     pytest.param(bug, "pct", id=f"{bug}-pct")
     for bug in ("radix-order-rank", "mozilla-atom-js")

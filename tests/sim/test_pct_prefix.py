@@ -106,7 +106,7 @@ class TestPrefixScheduler:
         program = counter_program()
         original = run_program(program, 2)
         scheduler = FixedOrderScheduler(
-            original.schedule[:5], then=PCTScheduler(2)
+            original.schedule[:5], then=RandomScheduler(2)
         )
         t1 = Machine(program, scheduler).run()
         t2 = Machine(program, scheduler).run()

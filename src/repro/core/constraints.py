@@ -307,13 +307,41 @@ class ConstraintGate:
         #: counts only grow within a run), so blocks() drops it, and a
         #: tid with none left leaves the index.
         self.live_by_after_tid: Dict[int, List[OrderConstraint]] = {}
+        #: before-tid -> the constraints whose ``before`` that thread
+        #: has not been seen to run (see :meth:`before_ran`).
+        self.unmet_by_before_tid: Dict[int, List[OrderConstraint]] = {}
         for constraint in self.constraints:
             self.live_by_after_tid.setdefault(
                 constraint.after.tid, []
             ).append(constraint)
+            self.unmet_by_before_tid.setdefault(
+                constraint.before.tid, []
+            ).append(constraint)
 
     def observe(self, event: Event) -> None:
         self.counter.observe(event)
+
+    def before_ran(self, tid: int) -> bool:
+        """Whether a ``before`` that thread ``tid`` names has executed
+        since this method last saw it unexecuted.
+
+        Only that can let another thread through :meth:`blocks`: a
+        thread's own verdict otherwise changes only when it executes.
+        Each constraint is reported once at most, the first time it is
+        asked about after its ``before`` ran.
+        """
+        unmet = self.unmet_by_before_tid.get(tid)
+        if unmet is None:
+            return False
+        executed = self.counter.executed
+        left = [c for c in unmet if not executed(c.before)]
+        if len(left) == len(unmet):
+            return False
+        if left:
+            self.unmet_by_before_tid[tid] = left
+        else:
+            del self.unmet_by_before_tid[tid]
+        return True
 
     def blocks(self, tid: int, op: Op) -> bool:
         """Whether this thread's pending op must wait for a constraint."""

@@ -126,7 +126,9 @@ class EpochResumeBase:
     """A picklable replay base: restore the snapshot, search the suffix.
 
     Lives on :class:`~repro.core.parallel.AttemptContext` so pool workers
-    restore the boundary state instead of re-simulating the prefix.
+    restore the boundary state instead of re-simulating the prefix; each
+    attempt starts from it through
+    :meth:`~repro.core.pir.PIRScheduler.resume`, as a prefix restore does.
     """
 
     #: machine snapshot (:meth:`~repro.sim.machine.Machine.capture_state`).
@@ -135,9 +137,6 @@ class EpochResumeBase:
     step: int
     #: epoch index the base opens.
     epoch: int
-
-    def restore_into(self, machine: Machine) -> None:
-        machine.restore_state(self.state)
 
 
 def base_tag(program_name: str, seed: int, boundary: EpochBoundary) -> str:

@@ -298,15 +298,17 @@ def run_attempt(
             base_seed=seed,
             base_policy=ctx.base_policy,
         )
-        machine = Machine(recorded.program, scheduler, recorded.config)
         if ctx.epoch_base is not None:
             # Last-epoch in-situ replay: restore the boundary snapshot
             # and search only the epoch-local suffix.  The restored
             # machine already holds the production prefix events, so the
             # scheduler primes its gate from them while its cursor walks
             # the suffix log from 0.
-            ctx.epoch_base.restore_into(machine)
-            scheduler.on_run_start(machine)
+            machine = scheduler.resume(
+                recorded.program, recorded.config, ctx.epoch_base.state
+            )
+        else:
+            machine = Machine(recorded.program, scheduler, recorded.config)
     if snapshots is not None:
         depths, on_snapshot = capture_hooks(scheduler, snapshots)
         if machine.schedule:

@@ -26,15 +26,17 @@ those are legitimate reproductions when the recorded bug *is* a deadlock.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence, Tuple, Union
+from bisect import insort
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.constraints import ConstraintGate, OrderConstraint
 from repro.core.sketches import SketchEntry, entry_for_op, visible_mask
 from repro.core.sketchlog import SketchLog
 from repro.errors import ReplayDivergence
 from repro.sim.events import Event
-from repro.sim.machine import Machine
+from repro.sim.machine import Machine, MachineConfig
 from repro.sim.ops import Op
+from repro.sim.program import Program
 from repro.sim.scheduler import PCTScheduler, RandomScheduler, Scheduler
 
 
@@ -90,12 +92,15 @@ class PIRScheduler(Scheduler):
     def _start(self, position: int, seen_events: int) -> None:
         """A cursor at ``position`` and a gate that has counted nothing,
         for a run that has executed ``seen_events`` events.  Every run
-        starts here, through :meth:`on_run_start` or
-        :meth:`restore_resume_state`."""
+        starts here, through :meth:`on_run_start` or :meth:`resume`."""
         self.cursor = SketchCursor(self.log)
         self.cursor.position = position
         self.gate = ConstraintGate(self.constraints)
         self._seen_events = seen_events
+        #: the runnable list the last pick was handed, and the threads
+        #: it allowed (see :meth:`pick`).
+        self._runnable: Optional[Sequence[int]] = None
+        self._allowed: List[int] = []
 
     def on_run_start(self, machine: Machine) -> None:
         """Rewind the cursor, the gate and the policy for a run on
@@ -107,7 +112,8 @@ class PIRScheduler(Scheduler):
         at 0 while the gate's occurrence counters are primed by observing
         the prefix (constraints generated from attempt traces count
         occurrences from the start of the run, prefix included).  A
-        resumed machine skips this hook, so call it after such a restore.
+        restored machine skips this hook; :meth:`resume` calls it for an
+        epoch snapshot.
         """
         events = machine.events
         self._start(0, len(events))
@@ -116,30 +122,52 @@ class PIRScheduler(Scheduler):
         self._policy.on_run_start(machine)
 
     def pick(self, machine: Machine, runnable: Sequence[int]) -> int:
+        """The next thread: one the sketch and the gate allow, chosen by
+        the base policy when more than one is.
+
+        The allowed list is kept from pick to pick.  While the machine
+        hands over the same runnable list object and no event since the
+        last pick advanced the cursor or ran a constraint's ``before``,
+        only the threads that executed since are decided again.  That
+        rests on the machine's contract: its runnable list is replaced
+        whenever membership changes, and a member's pending op changes
+        only when that thread executes.  Either way each verdict comes
+        from :meth:`_allows`.
+        """
         events = machine.events
-        if self._seen_events != len(events):
-            self._catch_up(events)
-        threads = machine.threads
+        seen = self._seen_events
         cursor = self.cursor
-        entries = cursor.entries
         position = cursor.position
-        # The cursor check: only the next entry's thread may run a
-        # visible op, and only that entry's op.
-        expected = entries[position] if position < len(entries) else None
-        visible = cursor.visible_mask
-        constrained = self.gate.live_by_after_tid
-        blocks = self.gate.blocks
-        allowed: List[int] = []
-        for tid in runnable:
-            op = threads[tid].pending_op
-            if expected is not None and op.kind.bit & visible:
-                if tid != expected.tid:
-                    continue  # awaits its sketch turn
-                if not expected.matches_op(tid, op):
-                    raise cursor.off_sketch(tid, op, expected)
-            if tid in constrained and blocks(tid, op):
-                continue  # awaits an order constraint
-            allowed.append(tid)
+        if seen != len(events):
+            self._catch_up(events)
+        entries = cursor.entries
+        expected = (
+            entries[cursor.position] if cursor.position < len(entries) else None
+        )
+        threads = machine.threads
+        allows = self._allows
+        allowed: Optional[List[int]] = None
+        if runnable is self._runnable and cursor.position == position:
+            allowed = self._allowed
+            unmet = self.gate.unmet_by_before_tid
+            before_ran = self.gate.before_ran
+            for gidx in range(seen, len(events)):
+                tid = events[gidx].tid
+                if tid in unmet and before_ran(tid):
+                    allowed = None  # a held thread may be free now
+                    break
+                if allows(tid, threads[tid].pending_op, expected):
+                    if tid not in allowed:
+                        insort(allowed, tid)
+                elif tid in allowed:
+                    allowed.remove(tid)
+        if allowed is None:
+            allowed = [
+                tid for tid in runnable
+                if allows(tid, threads[tid].pending_op, expected)
+            ]
+            self._runnable = runnable
+            self._allowed = allowed
         if not allowed:
             raise ReplayDivergence(
                 "no schedulable thread: " + self._blocked_reasons(machine, runnable),
@@ -148,6 +176,25 @@ class PIRScheduler(Scheduler):
         if len(allowed) == 1:
             return allowed[0]
         return self._policy.pick(machine, allowed)
+
+    def _allows(
+        self, tid: int, op: Op, expected: Optional[SketchEntry]
+    ) -> bool:
+        """Whether ``tid`` may run its pending ``op`` now, ``expected``
+        being the sketch entry due next (None past the log's end).
+
+        The cursor check: only the next entry's thread may run a visible
+        op, and only that entry's op -- an in-turn thread about to do
+        anything else raises the attempt's divergence.  Then the gate:
+        an op an order constraint still holds waits.
+        """
+        if expected is not None and op.kind.bit & self.cursor.visible_mask:
+            if tid != expected.tid:
+                return False  # awaits its sketch turn
+            if not expected.matches_op(tid, op):
+                raise self.cursor.off_sketch(tid, op, expected)
+        gate = self.gate
+        return tid not in gate.live_by_after_tid or not gate.blocks(tid, op)
 
     def _blocked_reasons(self, machine: Machine, runnable: Sequence[int]) -> str:
         """Why each runnable thread is gated (only built to report a stuck
@@ -209,8 +256,8 @@ class PIRScheduler(Scheduler):
         as its parent, so a parent-built snapshot fast-forwards a child
         scheduler whose gate holds a *larger* constraint set.  The base
         policy travels as its ``capture()``, which holds its RNG as a
-        ``getstate()`` tuple; every restore loads that state into the
-        fresh scheduler's own policy.
+        ``getstate()`` tuple; every :meth:`resume` loads that state into
+        the scheduler's own policy.
         """
         return (
             self.cursor.position,
@@ -219,17 +266,35 @@ class PIRScheduler(Scheduler):
             self._seen_events,
         )
 
-    def restore_resume_state(self, state: Tuple[Any, ...]) -> None:
-        """Fast-forward this scheduler from :meth:`capture_resume_state`.
+    def resume(
+        self,
+        program: Program,
+        config: MachineConfig,
+        machine_state: Dict[str, Any],
+        scheduler_state: Optional[Tuple[Any, ...]] = None,
+    ) -> Machine:
+        """The machine of a run continuing from a snapshot under this
+        scheduler: the one entry for a prefix and an epoch restore.
 
-        Call instead of ``on_run_start`` (the machine resuming from a
-        snapshot skips that hook); the gate keeps *this* scheduler's
-        constraints — only the execution-progress state is loaded.
+        The machine is built straight from ``machine_state``
+        (:meth:`Machine.restored`).  With ``scheduler_state``, a
+        :meth:`capture_resume_state` of the same step, this scheduler
+        fast-forwards to it: the gate keeps *this* scheduler's
+        constraints, only the execution-progress state is loaded, and
+        the base policy continues from the captured RNG state without
+        seeding one first.  Without it (an epoch boundary keeps no
+        scheduler state) the run starts fresh on the restored machine
+        through :meth:`on_run_start`.
         """
-        position, counter_state, policy, seen = state
+        machine = Machine.restored(program, self, machine_state, config)
+        if scheduler_state is None:
+            self.on_run_start(machine)
+            return machine
+        position, counter_state, policy, seen = scheduler_state
         self._start(position, seen)
         self.gate.counter.restore(counter_state)
         self._policy.restore(policy)
+        return machine
 
     def describe(self) -> str:
         return (

@@ -15,7 +15,12 @@ skips that shared prefix:
   them keyed by ``(constraints, seed, depth)`` and hands each child the
   deepest one inside its safe prefix on a :class:`ResumePlan`; and
   :func:`restore_machine` materializes the child machine from the plan,
-  wherever the attempt runs.
+  wherever the attempt runs, through
+  :meth:`~repro.core.pir.PIRScheduler.resume` -- the one restore entry,
+  which an epoch-boundary replay base starts through too.  It builds the
+  machine straight from the snapshot and the scheduler from the state
+  captured beside it, so a restore constructs no memory, sync table,
+  kernel, clock or seeded RNG that the snapshot would overwrite.
 * **Family snapshots.**  A rung can sit up to half a safe prefix short
   of where the child departs from its parent.  So a plan also names the
   safe prefixes of the parent's not-yet-run children that lie inside
@@ -46,7 +51,8 @@ Design constraints, in order:
 * **Exactness.**  A resumed attempt must produce the byte-identical
   trace of a cold run.  Snapshots carry the mutable machine state as a
   pickle blob, with the kernel RNG's state tuple beside it, and
-  rebuild generators by feed replay (:meth:`Machine.capture_state`),
+  rebuild generators by feed replay (:meth:`Machine.capture_state`,
+  :meth:`Machine.restored`),
   checking that every rebuilt thread waits on the op it waited on when
   captured; the scheduler fast-forward carries the base policy's state,
   the cursor, and occurrence counts
@@ -492,9 +498,9 @@ def restore_machine(
             base_seed=seed,
             base_policy=ctx.base_policy,
         )
-        machine = Machine(recorded.program, scheduler, recorded.config)
-        machine.restore_state(machine_state)
-        scheduler.restore_resume_state(scheduler_state)
+        machine = scheduler.resume(
+            recorded.program, recorded.config, machine_state, scheduler_state
+        )
         return machine, scheduler
     except Exception:
         return None

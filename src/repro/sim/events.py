@@ -8,15 +8,18 @@ check replay fidelity (values included).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, NamedTuple, Optional, Tuple
 
 from repro.sim.ops import Address, Op, OpKind
 
 
-@dataclass(frozen=True, init=False)
-class Event:
+class Event(NamedTuple):
     """One executed operation in the global order.
+
+    A named tuple: the machine builds one per step, and a tuple is built
+    in one C call where a frozen dataclass fills an instance dict field
+    by field.  Events are immutable, hash and compare by their fields,
+    and :meth:`_replace` derives a changed copy.
 
     :param gidx: global index (position in the trace).
     :param tid: thread that executed the operation.
@@ -43,34 +46,6 @@ class Event:
     value: Any = None
     cpu: int = 0
 
-    def __init__(
-        self,
-        gidx: int,
-        tid: int,
-        kind: OpKind,
-        addr: Optional[Address] = None,
-        obj: Any = None,
-        name: Optional[str] = None,
-        label: Optional[str] = None,
-        args: Tuple[Any, ...] = (),
-        value: Any = None,
-        cpu: int = 0,
-    ) -> None:
-        # The machine emits one event per step: fill the instance dict
-        # directly rather than paying the generated frozen __init__'s
-        # object.__setattr__ per field (see Op.__init__).
-        attrs = self.__dict__
-        attrs["gidx"] = gidx
-        attrs["tid"] = tid
-        attrs["kind"] = kind
-        attrs["addr"] = addr
-        attrs["obj"] = obj
-        attrs["name"] = name
-        attrs["label"] = label
-        attrs["args"] = args
-        attrs["value"] = value
-        attrs["cpu"] = cpu
-
     @classmethod
     def from_op(
         cls, gidx: int, tid: int, cpu: int, op: Op, value: Any = None
@@ -78,17 +53,20 @@ class Event:
         """The event of ``op`` executed by ``tid``; the machine emits
         every event through here.  Only a SYSCALL event carries args."""
         kind = op.kind
-        return cls(
-            gidx,
-            tid,
-            kind,
-            op.addr,
-            op.obj,
-            op.name,
-            op.label,
-            op.args if kind is _SYSCALL else (),
-            value,
-            cpu,
+        return _new(
+            cls,
+            (
+                gidx,
+                tid,
+                kind,
+                op.addr,
+                op.obj,
+                op.name,
+                op.label,
+                op.args if kind is _SYSCALL else (),
+                value,
+                cpu,
+            ),
         )
 
     def signature(self) -> Tuple[Any, ...]:
@@ -116,3 +94,6 @@ class Event:
 #: Bound once: on Python 3.11 reading a member off an Enum class goes
 #: through ``EnumType.__getattr__``, and every step builds an event.
 _SYSCALL = OpKind.SYSCALL
+#: ``Event.from_op`` fills the tuple directly, skipping the generated
+#: ``__new__``'s Python frame.
+_new = tuple.__new__

@@ -126,11 +126,7 @@ class Machine:
         config: Optional[MachineConfig] = None,
         observers: Sequence[Observer] = (),
     ) -> None:
-        self.program = program
-        self.scheduler = scheduler
-        self.config = config or MachineConfig()
-        self.observers = list(observers)
-
+        self._bind(program, scheduler, config, observers)
         self.memory = SharedMemory(program.initial_memory)
         self.sync = SyncTable(program.semaphores, program.barriers)
         self.kernel = Kernel(seed=self.config.kernel_seed)
@@ -140,12 +136,26 @@ class Machine:
         self.threads: Dict[int, ThreadState] = {}
         self.events: List[Event] = []
         self.schedule: List[int] = []
-        self.failure: Optional[Failure] = None
-        self.divergence: Optional[str] = None
         self._next_tid = 0
-        self._ran = False
         self._resumed = False
         self._reset_runnable()
+
+    def _bind(
+        self,
+        program: Program,
+        scheduler: Scheduler,
+        config: Optional[MachineConfig],
+        observers: Sequence[Observer],
+    ) -> None:
+        """The parts of a machine that come from its arguments, not its
+        state: shared by a fresh machine and a :meth:`restored` one."""
+        self.program = program
+        self.scheduler = scheduler
+        self.config = config or MachineConfig()
+        self.observers = list(observers)
+        self.failure: Optional[Failure] = None
+        self.divergence: Optional[str] = None
+        self._ran = False
 
     # -- public API -------------------------------------------------------
 
@@ -252,11 +262,13 @@ class Machine:
         capture through :meth:`run`'s ``on_snapshot`` hook, which fires
         exactly there.  The mutable pieces are stored as one pickle blob
         (pickling runs in C), so the snapshot is independent of this
-        machine and can seed any number of fresh machines via
-        :meth:`restore_state`, each unpickling its own copy.  The kernel
-        RNG, most of that pickle and the slowest part of it to load,
-        stays out of the blob: the snapshot keeps its ``getstate()``
-        tuple beside it, which each restore loads with ``setstate``.
+        machine and can seed any number of machines via
+        :meth:`restored`, each unpickling its own copy.  The kernel RNG,
+        most of that pickle and the slowest part of it to load, stays
+        out of the blob: the snapshot keeps its ``getstate()`` tuple
+        beside it (:meth:`Kernel.rng_state`, shared with the snapshot
+        this machine was restored from or last captured while ``rand``
+        has not drawn since), which each restore loads.
         Generators are represented by their (body, args, kwargs, feeds)
         recipe, not the generator object — see :class:`ThreadState` —
         plus the op each thread is waiting on, which the rebuild must
@@ -292,7 +304,7 @@ class Machine:
         }
         return {
             "blob": pickle.dumps(live, protocol=pickle.HIGHEST_PROTOCOL),
-            "kernel_rng": self.kernel.rng.getstate(),
+            "kernel_rng": self.kernel.rng_state(),
             # Events are immutable once emitted; sharing them across
             # restores keeps snapshots cheap.
             "events": tuple(self.events),
@@ -300,44 +312,53 @@ class Machine:
             "next_tid": self._next_tid,
         }
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Load a :meth:`capture_state` snapshot into this *fresh* machine.
+    @classmethod
+    def restored(
+        cls,
+        program: Program,
+        scheduler: Scheduler,
+        state: Dict[str, Any],
+        config: Optional[MachineConfig] = None,
+        observers: Sequence[Observer] = (),
+    ) -> "Machine":
+        """A machine continuing from a :meth:`capture_state` snapshot.
 
-        The next :meth:`run` then continues from the snapshot point:
-        the main-thread spawn and ``scheduler.on_run_start`` are skipped
-        (the caller is responsible for fast-forwarding its scheduler with
-        matching state).  The snapshot itself is not consumed — each
-        restore unpickles a fresh copy of the mutable pieces and loads
-        the kernel RNG's state into this machine's own RNG, so one
-        snapshot can seed many sibling attempts.  Threads are rebuilt by
-        feed replay (:meth:`_rebuild_thread`), which builds only the op
-        each live thread waits on.  Raises :class:`SimUsageError` when a
-        rebuilt thread waits on another op than it did when captured:
-        its body read something besides its feeds, so the snapshot is
-        unusable.
+        Built straight from the snapshot: its memory, sync table, kernel
+        and clock are the ones the blob unpickles, so no fresh ones are
+        built only to be replaced, and the kernel RNG is loaded from the
+        state tuple beside the blob without being seeded first.  The
+        next :meth:`run` continues from the snapshot point: the
+        main-thread spawn and ``scheduler.on_run_start`` are skipped
+        (the caller fast-forwards its scheduler with matching state; see
+        :meth:`repro.core.pir.PIRScheduler.resume`).  The snapshot itself
+        is not consumed, so one snapshot can seed many sibling attempts.
+        Threads are rebuilt by feed replay (:meth:`_rebuild_thread`),
+        which builds only the op each live thread waits on.  Raises
+        :class:`SimUsageError` when a rebuilt thread waits on another op
+        than it did when captured: its body read something besides its
+        feeds, so the snapshot is unusable.
         """
-        if self._ran:
-            raise SimUsageError("restore_state requires an unused Machine")
+        machine = cls.__new__(cls)
+        machine._bind(program, scheduler, config, observers)
         mutable = pickle.loads(state["blob"])
-        rng = self.kernel.rng
-        rng.setstate(state["kernel_rng"])
-        self.memory = mutable["memory"]
-        self.sync = mutable["sync"]
-        self.kernel = mutable["kernel"]
-        self.kernel.rng = rng
-        self.clock = mutable["clock"]
-        self.events = list(state["events"])
-        self.schedule = list(state["schedule"])
-        self._next_tid = state["next_tid"]
-        self.threads = {}
+        machine.memory = mutable["memory"]
+        machine.sync = mutable["sync"]
+        machine.kernel = mutable["kernel"]
+        machine.kernel.load_rng(state["kernel_rng"])
+        machine.clock = mutable["clock"]
+        machine.events = list(state["events"])
+        machine.schedule = list(state["schedule"])
+        machine._next_tid = state["next_tid"]
+        machine.threads = {}
         for meta in mutable["threads"]:
-            ts = self._rebuild_thread(meta)
-            self.threads[ts.tid] = ts
+            ts = machine._rebuild_thread(meta)
+            machine.threads[ts.tid] = ts
         # The runnable set is not part of a snapshot: rebuild it from
         # scratch on the first runnable_tids() call.
-        self._reset_runnable()
-        self._touched.extend(self.threads)
-        self._resumed = True
+        machine._reset_runnable()
+        machine._touched.extend(machine.threads)
+        machine._resumed = True
+        return machine
 
     def _rebuild_thread(self, meta: Dict[str, Any]) -> ThreadState:
         """Reconstruct one thread by replaying its recorded feeds into a

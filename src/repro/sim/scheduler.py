@@ -12,6 +12,7 @@ open to a :class:`RandomScheduler` or a :class:`PCTScheduler`.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
@@ -40,6 +41,29 @@ class Scheduler:
         return type(self).__name__
 
 
+def rng_from_state(state: Tuple[Any, ...]) -> random.Random:
+    """A ``random.Random`` in the ``getstate()`` state ``state``.
+
+    Built without the seeding ``random.Random()`` does first (about
+    6 µs, mostly spent expanding the seed), which ``setstate`` would
+    overwrite at once.
+    """
+    rng = random.Random.__new__(random.Random)
+    rng.setstate(state)
+    return rng
+
+
+def _seeded_rng(scheduler: Any) -> random.Random:
+    """A scheduler's RNG, seeded from its ``seed`` on first use.
+
+    As a cached property it costs nothing once set, and a scheduler
+    whose run starts (``on_run_start``) or resumes (``restore``) before
+    it draws never seeds one only to replace it: a cold run seeds once,
+    a restored one not at all.
+    """
+    return random.Random(scheduler.seed)
+
+
 class RandomScheduler(Scheduler):
     """Uniform random choice — the model of a production OS scheduler.
 
@@ -49,9 +73,10 @@ class RandomScheduler(Scheduler):
     :meth:`restore` its progress for a prefix snapshot.
     """
 
+    _rng = functools.cached_property(_seeded_rng)
+
     def __init__(self, seed: int) -> None:
         self.seed = seed
-        self._rng = random.Random(seed)
 
     def pick(self, machine: "Machine", runnable: Sequence[int]) -> int:
         """Uniform choice among the runnable threads."""
@@ -77,7 +102,7 @@ class RandomScheduler(Scheduler):
 
     def restore(self, state: Tuple[Any, ...]) -> None:
         """Continue from a :meth:`capture`."""
-        self._rng.setstate(state)
+        self._rng = rng_from_state(state)
 
     def describe(self) -> str:
         """Identify the scheduler and its seed (for reports)."""
@@ -97,11 +122,12 @@ class PCTScheduler(Scheduler):
     ``pct`` base policy it counts only the choices PIR leaves open.
     """
 
+    _rng = functools.cached_property(_seeded_rng)
+
     def __init__(self, seed: int, depth: int = 3, max_steps_hint: int = 1000):
         self.seed = seed
         self.depth = depth
         self.max_steps_hint = max_steps_hint
-        self._rng = random.Random(seed)
         self._priorities: dict = {}
         self._change_points: set = set()
         self._steps = 0
@@ -142,7 +168,7 @@ class PCTScheduler(Scheduler):
     def restore(self, state: Tuple[Any, ...]) -> None:
         """Continue from a :meth:`capture`."""
         rng, priorities, change_points, steps = state
-        self._rng.setstate(rng)
+        self._rng = rng_from_state(rng)
         self._priorities = dict(priorities)
         self._change_points = set(change_points)
         self._steps = steps

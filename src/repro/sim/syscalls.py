@@ -26,9 +26,10 @@ Provided facilities:
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SimSyscallError
+from repro.sim.scheduler import rng_from_state
 
 
 class Kernel:
@@ -40,6 +41,9 @@ class Kernel:
     def __init__(self, seed: int = 0) -> None:
         #: the PRNG behind ``rand``; a pickled kernel leaves it out.
         self.rng = random.Random(seed)
+        #: ``rng.getstate()`` as last taken or loaded, while ``rand`` has
+        #: not drawn since; None once it has.
+        self._rng_state: Optional[Tuple[Any, ...]] = None
         self._files: Dict[str, List[Any]] = {}
         self._channels: Dict[str, List[Any]] = {}
         self.stdout: List[Any] = []
@@ -47,11 +51,28 @@ class Kernel:
 
     def __getstate__(self) -> Dict[str, Any]:
         # The RNG is most of a pickled kernel and the slowest part to
-        # unpickle.  Machine.capture_state keeps its getstate() beside
-        # the blob instead, and restore_state sets it back.
+        # unpickle.  Machine.capture_state keeps its rng_state() beside
+        # the blob instead, and Machine.restored loads it back.
         state = dict(self.__dict__)
-        del state["rng"]
+        del state["rng"], state["_rng_state"]
         return state
+
+    def rng_state(self) -> Tuple[Any, ...]:
+        """``rng.getstate()``, for a snapshot.
+
+        While ``rand`` has not drawn since the last call or
+        :meth:`load_rng`, this is the same tuple: the snapshots of one
+        lineage share it instead of each holding a fresh 24 KB copy.
+        """
+        state = self._rng_state
+        if state is None:
+            state = self._rng_state = self.rng.getstate()
+        return state
+
+    def load_rng(self, state: Tuple[Any, ...]) -> None:
+        """Continue ``rand`` from a :meth:`rng_state`, seeding nothing."""
+        self.rng = rng_from_state(state)
+        self._rng_state = state
 
     # -- dispatch ---------------------------------------------------------
 
@@ -136,6 +157,7 @@ class Kernel:
     def _sys_rand(self, n: int) -> int:
         if n <= 0:
             raise SimSyscallError(f"rand({n}) requires n > 0")
+        self._rng_state = None
         return self.rng.randrange(n)
 
     def _sys_now(self, now: int) -> int:

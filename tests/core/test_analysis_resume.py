@@ -138,7 +138,7 @@ def _with_suffix(trace: Trace, k: int, suffix) -> Trace:
     """``trace``'s first ``k`` events (the same objects), then ``suffix``."""
     events = list(trace.events[:k])
     events.extend(
-        dataclasses.replace(event, gidx=k + i) for i, event in enumerate(suffix)
+        event._replace(gidx=k + i) for i, event in enumerate(suffix)
     )
     return Trace(trace.program_name, events=events)
 

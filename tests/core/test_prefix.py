@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import random
 from unittest import mock
 
 import pytest
@@ -11,6 +12,7 @@ from repro.apps import get_bug
 from repro.bench.seeds import find_failing_seed
 from repro.core import parallel
 from repro.core.parallel import AttemptContext, evaluate_attempt, run_attempt
+from repro.core.pir import PIRScheduler
 from repro.core.prefix import (
     BASE_DEPTH,
     CAPTURE_DEPTHS,
@@ -28,7 +30,11 @@ from repro.core.recorder import record
 from repro.core.sketches import SketchKind
 from repro.sim import MachineConfig, Program
 from repro.sim.machine import Machine
+from repro.sim.memory import SharedMemory
 from repro.sim.ops import Op, OpKind
+from repro.sim.sync import SyncTable
+from repro.sim.syscalls import Kernel
+from repro.sim.vtime import VirtualClock
 
 #: flips from these bugs span both constraint families (mem and lock);
 #: radix-order-rank's threads draw ``ctx.rand`` past the first rung.
@@ -568,31 +574,72 @@ class TestRestoreCost:
         # A rebuilt thread replays its feeds on a FastForwardContext, so
         # a restore builds the op each live thread waits on and no other:
         # one per thread, where building one per recorded feed made
-        # 58,062 ops over a serial E12 session's 299 restores.
+        # 58,062 ops over a serial E12 session's 299 restores.  The
+        # machine is built straight from the snapshot, so a restore also
+        # builds no memory, sync table, kernel or clock and seeds no RNG
+        # that the snapshot would overwrite (one of each, and two seeded
+        # RNGs, when a fresh machine and scheduler were built first).
         restoring = []
-        counts = {"ops": 0, "live": 0, "feeds": 0}
-        build = Op.__init__
-        restore = Machine.restore_state
+        counts = dict.fromkeys(
+            ("ops", "live", "feeds", "memory", "sync", "kernel", "clock",
+             "seeded"), 0,
+        )
 
-        def counted_build(op, *args, **kwargs):
-            counts["ops"] += bool(restoring)
-            build(op, *args, **kwargs)
+        def counting(owner, name, key):
+            original = getattr(owner, name)
 
-        def counted_restore(machine, state):
-            restoring.append(state)
+            def counted(self, *args, **kwargs):
+                counts[key] += bool(restoring)
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(Op, "__init__", "ops")
+        counting(SharedMemory, "__init__", "memory")
+        counting(SyncTable, "__init__", "sync")
+        counting(Kernel, "__init__", "kernel")
+        counting(VirtualClock, "__init__", "clock")
+        counting(random.Random, "seed", "seeded")
+        resume = PIRScheduler.resume
+
+        def counted_resume(scheduler, *args, **kwargs):
+            restoring.append(scheduler)
             try:
-                restore(machine, state)
+                machine = resume(scheduler, *args, **kwargs)
             finally:
                 restoring.pop()
             live = [ts for ts in machine.threads.values() if not ts.finished]
             counts["live"] += len(live)
             counts["feeds"] += sum(len(ts.feeds) for ts in live)
+            return machine
 
-        monkeypatch.setattr(Op, "__init__", counted_build)
-        monkeypatch.setattr(Machine, "restore_state", counted_restore)
+        monkeypatch.setattr(PIRScheduler, "resume", counted_resume)
         report, _ = _e12_session(jobs=1)
         assert report.realized_resumes == 299
-        assert counts == {"ops": 1794, "live": 1794, "feeds": 57924}
+        assert counts == {
+            "ops": 1794, "live": 1794, "feeds": 57924, "memory": 0,
+            "sync": 0, "kernel": 0, "clock": 0, "seeded": 0,
+        }
+
+    @pytest.mark.parametrize("policy", ["random", "pct"])
+    def test_a_cold_run_seeds_its_base_policy_once(self, monkeypatch, policy):
+        # Building the scheduler seeds nothing; its run start seeds the
+        # base policy, and the fresh machine seeds its kernel.
+        recorded = _context("mysql-atom-log", policy).recorded
+        seeded = []
+        seed = random.Random.seed
+
+        def counted(rng, *args, **kwargs):
+            seeded.append(rng)
+            return seed(rng, *args, **kwargs)
+
+        monkeypatch.setattr(random.Random, "seed", counted)
+        scheduler = PIRScheduler(recorded.log, base_seed=3, base_policy=policy)
+        assert seeded == []
+        machine = Machine(recorded.program, scheduler, recorded.config)
+        assert seeded == [machine.kernel.rng]
+        machine.run()
+        assert len(seeded) == 2 and seeded[1] is not machine.kernel.rng
 
 
 class TestFamilySnapshots:

@@ -1,10 +1,12 @@
 """``Op``/``Event`` records and the per-kind flags the hot paths read.
 
-``Op`` and ``Event`` fill their instance dict directly instead of using
-the frozen dataclass's generated ``__init__``.  These tests hold them to
-the records the generated ``__init__`` builds — declared here as
-reference dataclasses with the same fields — and check that every
-``OpKind`` carries flags that agree with the kind sets.
+``Op`` fills its instance dict directly instead of using the frozen
+dataclass's generated ``__init__``, and ``Event`` is a named tuple.
+These tests hold both to the records a frozen dataclass with the same
+fields builds -- declared here as reference dataclasses -- through the
+API each offers (``dataclasses`` for ``Op``; ``_fields``, ``_replace``
+and ``AttributeError`` for ``Event``), and check that every ``OpKind``
+carries flags that agree with the kind sets.
 """
 
 import copy
@@ -85,14 +87,42 @@ PAIRS = [(Op, ReferenceOp, sample) for sample in OP_SAMPLES] + [
 ]
 
 
+#: what each record raises when assigned to, or when an attribute of it
+#: is deleted.
+REFUSED = {Op: dataclasses.FrozenInstanceError, Event: AttributeError}
+
+
 def _describe_fields(cls):
     return [(f.name, f.default, f.compare, f.hash, f.init) for f in dataclasses.fields(cls)]
+
+
+def _names(cls):
+    if cls is Event:
+        return list(Event._fields)
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+def _replace(record, **changes):
+    if isinstance(record, Event):
+        return record._replace(**changes)
+    return dataclasses.replace(record, **changes)
 
 
 class TestSameRecordAsGeneratedInit:
     @pytest.mark.parametrize("cls, reference", [(Op, ReferenceOp), (Event, ReferenceEvent)])
     def test_same_fields(self, cls, reference):
-        assert _describe_fields(cls) == _describe_fields(reference)
+        if cls is Event:
+            # names, order and defaults; a named tuple has no per-field
+            # compare/hash/init flags: every field takes part in each
+            fields = dataclasses.fields(reference)
+            assert Event._fields == tuple(f.name for f in fields)
+            assert Event._field_defaults == {
+                f.name: f.default for f in fields
+                if f.default is not dataclasses.MISSING
+            }
+            assert all(f.compare and f.hash is None and f.init for f in fields)
+        else:
+            assert _describe_fields(cls) == _describe_fields(reference)
 
     @pytest.mark.parametrize("cls, reference, sample", PAIRS)
     def test_same_repr_equality_and_hash(self, cls, reference, sample):
@@ -102,12 +132,16 @@ class TestSameRecordAsGeneratedInit:
         )
         assert record == cls(**sample)
         assert hash(record) == hash(expected)
-        assert dataclasses.astuple(record) == dataclasses.astuple(expected)
-        assert vars(record) == vars(expected)
+        if cls is Event:
+            assert tuple(record) == dataclasses.astuple(expected)
+            assert record._asdict() == vars(expected)
+        else:
+            assert dataclasses.astuple(record) == dataclasses.astuple(expected)
+            assert vars(record) == vars(expected)
 
     @pytest.mark.parametrize("cls, reference, sample", PAIRS)
     def test_positional_construction(self, cls, reference, sample):
-        names = [f.name for f in dataclasses.fields(cls)]
+        names = _names(cls)
         values = [sample.get(name, reference(**sample).__dict__[name]) for name in names]
         assert cls(*values) == cls(**sample)
         assert repr(cls(*values)) == repr(cls(**sample))
@@ -119,15 +153,17 @@ class TestSameRecordAsGeneratedInit:
             clone = pickle.loads(pickle.dumps(record, protocol=protocol))
             assert type(clone) is cls
             assert clone == record and repr(clone) == repr(record)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(REFUSED[cls]):
                 clone.cost = 5
         assert copy.copy(record) == record
         assert copy.deepcopy(record) == record
+        if cls is Event:
+            assert type(copy.copy(record)) is type(copy.deepcopy(record)) is Event
 
     @pytest.mark.parametrize("cls, reference, sample", PAIRS)
     def test_replace(self, cls, reference, sample):
         record = cls(**sample)
-        changed = dataclasses.replace(record, name="renamed")
+        changed = _replace(record, name="renamed")
         assert type(changed) is cls
         assert changed == cls(**{**sample, "name": "renamed"})
         assert record.name == sample.get("name")
@@ -135,12 +171,13 @@ class TestSameRecordAsGeneratedInit:
     @pytest.mark.parametrize("cls, reference, sample", PAIRS)
     def test_frozen(self, cls, reference, sample):
         record = cls(**sample)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(REFUSED[cls]):
             record.name = "x"
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(REFUSED[cls]):
             del record.name
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(REFUSED[cls]):
             record.extra = 1
+        assert record == cls(**sample)
 
     def test_op_func_excluded_from_comparison(self):
         def other(ctx):
@@ -156,11 +193,15 @@ class TestSameRecordAsGeneratedInit:
     def test_event_from_op(self, sample):
         op = Op(**sample)
         event = Event.from_op(4, 2, 1, op, value="v")
+        assert type(event) is Event
         assert event == Event(
             gidx=4, tid=2, kind=op.kind, addr=op.addr, obj=op.obj,
             name=op.name, label=op.label,
             args=op.args if op.kind is OpKind.SYSCALL else (),
             value="v", cpu=1,
+        )
+        assert repr(event) == repr(ReferenceEvent(*event)).replace(
+            "ReferenceEvent", "Event", 1
         )
 
 

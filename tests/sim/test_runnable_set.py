@@ -6,7 +6,7 @@ set from scratch — every READY thread filtered through ``_can_execute``
 — before every pick of real replays and require the two to agree, in
 ascending tid order: for every T1 bug under three sketches, two CPU
 counts and a few seeds, with and without mined constraints, and right
-after ``restore_state`` from a prefix-resume snapshot and from an
+after ``PIRScheduler.resume`` restores a prefix-resume snapshot and an
 epoch-boundary snapshot.
 """
 
@@ -101,9 +101,9 @@ def test_set_rebuilt_after_prefix_resume(bug_id):
     assert snapshots
     for depth, (machine_state, scheduler_state) in sorted(snapshots.items()):
         scheduler = ShadowPIR(recorded.log, base_seed=3)
-        machine = Machine(recorded.program, scheduler, recorded.config)
-        machine.restore_state(machine_state)
-        scheduler.restore_resume_state(scheduler_state)
+        machine = scheduler.resume(
+            recorded.program, recorded.config, machine_state, scheduler_state
+        )
         assert machine.runnable_tids() == from_scratch(machine)
         resumed = machine.run()
         assert machine.runnable_tids() == from_scratch(machine)
@@ -125,9 +125,9 @@ def test_set_rebuilt_after_epoch_restore():
                 program_name=recorded.program.name, seed=recorded.seed,
             )
             scheduler = ShadowPIR(log, base_seed=0)
-            machine = Machine(recorded.program, scheduler, recorded.config)
-            machine.restore_state(boundary.snapshot)
-            scheduler.on_run_start(machine)
+            machine = scheduler.resume(
+                recorded.program, recorded.config, boundary.snapshot
+            )
             assert machine.runnable_tids() == from_scratch(machine)
             trace = machine.run()
             assert machine.runnable_tids() == from_scratch(machine)

@@ -319,7 +319,6 @@ class Machine:
         scheduler: Scheduler,
         state: Dict[str, Any],
         config: Optional[MachineConfig] = None,
-        observers: Sequence[Observer] = (),
     ) -> "Machine":
         """A machine continuing from a :meth:`capture_state` snapshot.
 
@@ -339,7 +338,7 @@ class Machine:
         feeds, so the snapshot is unusable.
         """
         machine = cls.__new__(cls)
-        machine._bind(program, scheduler, config, observers)
+        machine._bind(program, scheduler, config, ())
         mutable = pickle.loads(state["blob"])
         machine.memory = mutable["memory"]
         machine.sync = mutable["sync"]
